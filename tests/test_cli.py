@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 from gqlab.cli import main
@@ -78,6 +79,27 @@ def test_export_unsupported_combo(tmp_path, capsys):
 def test_export_deterministic():
     for key in EXPORTERS:
         assert render_export(*key) == render_export(*key)
+
+
+# sha256 of each export body as UTF-8; a change to any byte of an export
+# must show here first
+EXPORT_SHA256 = {
+    ("atlas", "csv"): "5c4254a28122365eb0d65f407bde903ec253b605403eb16f51dd6ad2a9dffa86",
+    ("atlas", "json"): "2b360485b9ae269335ab4f11fe5a36bf0a189aff6beb2cd50621ea00c65e8508",
+    ("incidence", "dot"): "671881428db1caea5a27ecff5bd180a74903c07b96393e872dda2e7a89a115db",
+    ("incidence", "json"): "d9967fc80f4cc16ffa5644600fc4d057cbe04e576d0a58d4b978e69bbfe2309d",
+    ("isomorphism", "json"): "1b3bb8011dbbf2c5b76677bd9aa262de6855f1c470042590f190ba4f795ff3d8",
+    ("planes", "csv"): "a2188f89102074bf7e31e193e846f9666ae6c459d2e45361f2a6389715574533",
+    ("planes", "json"): "bef385a13f288882b7600b3aa9a13c67274503046f32877a52f442d39bc2715a",
+    ("quadric", "json"): "398829f3214b2ac091bc3690a7322158dc2c6453f79baa4b13fb5bc741dfd71b",
+}
+
+
+def test_export_bytes_pinned():
+    assert set(EXPORT_SHA256) == set(EXPORTERS)
+    for key, digest in EXPORT_SHA256.items():
+        body = render_export(*key).encode("utf-8")
+        assert hashlib.sha256(body).hexdigest() == digest, key
 
 
 def test_export_atlas_csv_has_28_rows():
