@@ -276,12 +276,14 @@ def _check_polarization() -> CheckReport:
 def _check_forms_share_polar() -> CheckReport:
     forms: list[Callable[[int], int]] = [pg.elliptic_form]
     forms += [(lambda v, m=m: pg.elliptic_form_at(m, v)) for m in atlas().points]
+    polar = [[pg.polar_form(x, y) for y in range(64)] for x in range(64)]
     bad = 0
     for form in forms:
         values = [form(v) if v else 0 for v in range(64)]
         for x in range(64):
+            vx, row = values[x], polar[x]
             for y in range(64):
-                if values[x ^ y] ^ values[x] ^ values[y] != pg.polar_form(x, y):
+                if values[x ^ y] ^ vx ^ values[y] != row[y]:
                     bad += 1
     return make_report(
         "sec4.forms-share-polar",
@@ -574,14 +576,13 @@ def _check_group_action() -> CheckReport:
             for a, b in combinations(group, 2)
         )
         domain = at.d + (at.v if tag == "U" else at.u)
+        image = {(b, x): planes_mod.conjugate(b, x) for b in group for x in domain}
         action = True
         for a in group:
             for b in group:
                 ab = mat_to_sym(mat_mul(mats[a], mats[b]))
                 for x in domain:
-                    if planes_mod.conjugate(ab, x) != planes_mod.conjugate(
-                        a, planes_mod.conjugate(b, x)
-                    ):
+                    if planes_mod.conjugate(ab, x) != planes_mod.conjugate(a, image[b, x]):
                         action = False
         parts.append(f"{tag}: commutative {commutative}, action {action}")
     return make_report(
@@ -641,14 +642,13 @@ def _check_collineation() -> CheckReport:
         planes_mod.PLANE_RIGHT,
         planes_mod.PLANE_DIAGONAL,
     ]
+    pairs = list(combinations(range(len(all_planes)), 2))
+    dims = [planes_mod.intersection_dim(all_planes[i], all_planes[j]) for i, j in pairs]
     dims_ok = True
     for u in group:
         images = [planes_mod.collineation_action(u, p) for p in all_planes]
-        for (i, p), (j, q) in combinations(list(enumerate(all_planes)), 2):
-            if planes_mod.intersection_dim(p, q) != planes_mod.intersection_dim(
-                images[i], images[j]
-            ):
-                dims_ok = False
+        if dims != [planes_mod.intersection_dim(images[i], images[j]) for i, j in pairs]:
+            dims_ok = False
     actual = f"maps (X|1) to (UXU|1) {maps_ok}, preserves intersection dimensions {dims_ok}"
     return make_report(
         "sec5.collineation",

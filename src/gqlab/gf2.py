@@ -48,8 +48,8 @@ def sym_entries(s: int) -> tuple[int, int, int, int, int, int]:
 
 def sym_to_mat(s: int) -> int:
     """Expand a packed SymMat3 into the full 9-bit Mat3."""
-    a, b, c, d, e, f = sym_entries(s)
-    return ((a << 2 | b << 1 | c) << 6) | ((b << 2 | d << 1 | e) << 3) | (c << 2 | e << 1 | f)
+    # the rows are (a, b, c), (b, d, e) and (c, e, f)
+    return s >> 3 << 6 | (s >> 2 & 4 | s >> 1 & 3) << 3 | (s >> 1 & 4 | s & 3)
 
 
 def mat_row(m: int, i: int) -> int:
@@ -57,17 +57,15 @@ def mat_row(m: int, i: int) -> int:
     return m >> (6 - 3 * i) & 7
 
 
-def mat_from_rows(rows: Iterable[int]) -> int:
-    r0, r1, r2 = rows
-    return r0 << 6 | r1 << 3 | r2
-
-
 def mat_transpose(m: int) -> int:
-    t = 0
-    for i in range(3):
-        for j in range(3):
-            t |= (m >> (8 - 3 * i - j) & 1) << (8 - 3 * j - i)
-    return t
+    # entry (i, j) sits at bit 8 - 3i - j, so it moves 2(j - i) bits down
+    return (
+        m & 0b100_010_001
+        | (m & 0b010_001_000) >> 2
+        | (m & 0b000_100_010) << 2
+        | (m & 0b001_000_000) >> 4
+        | (m & 0b000_000_100) << 4
+    )
 
 
 def is_symmetric(m: int) -> bool:
@@ -85,14 +83,20 @@ def mat_to_sym(m: int) -> int:
 def row_times_mat(v: int, m: int) -> int:
     """Row vector times matrix: XOR of the rows of m selected by v."""
     acc = 0
-    for i in range(3):
-        if v >> (2 - i) & 1:
-            acc ^= mat_row(m, i)
-    return acc
+    if v & 4:
+        acc ^= m >> 6
+    if v & 2:
+        acc ^= m >> 3
+    if v & 1:
+        acc ^= m
+    return acc & 7
 
 
 def mat_mul(x: int, y: int) -> int:
-    return mat_from_rows(row_times_mat(mat_row(x, i), y) for i in range(3))
+    r0, r1, r2 = y >> 6 & 7, y >> 3 & 7, y & 7
+    # combos[v] is the row vector v times y
+    combos = (0, r2, r1, r1 ^ r2, r0, r0 ^ r2, r0 ^ r1, r0 ^ r1 ^ r2)
+    return combos[x >> 6 & 7] << 6 | combos[x >> 3 & 7] << 3 | combos[x & 7]
 
 
 def det3(m: int) -> int:

@@ -13,6 +13,13 @@ different line structures on the same 63 points: XOR of coordinate vectors
 XOR of packed matrices (plain matrix addition, used by the translation
 ``x -> x + m`` and the tangent-line statements attached to it).  Functions
 below say which one they use.
+
+Subspaces and point sets are tested for containment as 64-bit point masks:
+bit ``v`` is set iff the vector ``v`` is in the set, so bit 0 stands for the
+zero vector and is set in the mask of every subspace.  A subspace lies in a
+point set iff ``subspace & ~(points | 1) == 0``.  The masks of all lines and
+planes are built lazily, in the order of ``pg_lines()`` and ``pg_planes()``,
+which stay the public point-tuple forms.
 """
 
 from __future__ import annotations
@@ -105,28 +112,52 @@ def pg_lines() -> tuple[PgLine, ...]:
     return tuple(out)
 
 
+def point_mask(points: Iterable[int]) -> int:
+    """The point mask of a set of vectors: bit v set iff v is in the set."""
+    mask = 0
+    for v in points:
+        mask |= 1 << v
+    return mask
+
+
 @cache
 def pg_planes() -> tuple[tuple[int, ...], ...]:
-    """All 1395 planes of PG(5,2) as sorted 7-point tuples."""
-    seen: set[tuple[int, ...]] = set()
+    """All 1395 planes of PG(5,2) as sorted 7-point tuples.
+
+    Each plane is generated once, from its two smallest points x < y and
+    the smallest point z off their line: every other point of the coset
+    z + <x, y> is larger than z.
+    """
+    out = []
     for x, y, z0 in pg_lines():
-        for z in range(1, 64):
-            if z in (x, y, z0):
-                continue
-            plane = tuple(sorted((x, y, z, x ^ y, x ^ z, y ^ z, x ^ y ^ z)))
-            seen.add(plane)
-    return tuple(sorted(seen))
+        for z in range(y + 1, 64):
+            if z != z0 and z < z ^ x and z < z ^ y and z < z ^ z0:
+                out.append(tuple(sorted((x, y, z0, z, z ^ x, z ^ y, z ^ z0))))
+    out.sort()
+    return tuple(out)
+
+
+@cache
+def line_masks() -> tuple[int, ...]:
+    """Subspace masks of pg_lines(), in the same order."""
+    return tuple(point_mask(line) | 1 for line in pg_lines())
+
+
+@cache
+def plane_masks() -> tuple[int, ...]:
+    """Subspace masks of pg_planes(), in the same order."""
+    return tuple(point_mask(plane) | 1 for plane in pg_planes())
 
 
 def lines_in(points: Iterable[int]) -> tuple[PgLine, ...]:
     """All PG(5,2) lines entirely inside the given point set."""
-    pts = frozenset(points)
-    return tuple(line for line in pg_lines() if pts.issuperset(line))
+    outside = ~(point_mask(points) | 1)
+    return tuple(line for line, mask in zip(pg_lines(), line_masks()) if not mask & outside)
 
 
 def planes_in(points: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    pts = frozenset(points)
-    return tuple(plane for plane in pg_planes() if pts.issuperset(plane))
+    outside = ~(point_mask(points) | 1)
+    return tuple(plane for plane, mask in zip(pg_planes(), plane_masks()) if not mask & outside)
 
 
 def projective_index(points: Iterable[int]) -> int:

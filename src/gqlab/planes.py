@@ -3,7 +3,11 @@
 A plane is the row space of a rank-3 binary 3x6 matrix; its canonical form
 is the reduced row echelon form, packed as a tuple of three 6-bit rows
 (leftmost column = highest bit).  The left block of a row lives in bits
-5..3, the right block in bits 2..0.
+5..3, the right block in bits 2..0.  The echelon tuple is kept as the
+identity of a plane (hashable, comparable, and exported as the echelon
+field); meets are computed on the plane's 64-bit point mask instead (see
+gqlab.pg): bit v is set iff the vector v lies in the plane, zero included,
+so two planes share ``popcount(mask(p) & mask(q)) = 2**dim`` vectors.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ from gqlab.gf2 import (
     mat_rank,
     mat_row,
     mat_to_sym,
-    row_rank,
     row_times_mat,
     rref,
     sym_det,
     sym_to_mat,
 )
-from gqlab.pg import minor_coordinates
+from gqlab.pg import minor_coordinates, point_mask
 from gqlab.quadrangle import (
     IncidenceStructure,
     build_matrix_quadrangle,
@@ -62,6 +65,7 @@ def plane_of_mat(m: int) -> Plane:
     return make_plane(raw_plane_rows(m))
 
 
+@cache
 def plane_of(x: int) -> Plane:
     """The plane (X|1) of a packed SymMat3."""
     return plane_of_mat(sym_to_mat(x))
@@ -80,12 +84,15 @@ def plane_points(p: Plane) -> frozenset[int]:
     return frozenset((r0, r1, r2, r0 ^ r1, r0 ^ r2, r1 ^ r2, r0 ^ r1 ^ r2))
 
 
-def intersection_dim(p: Plane, q: Plane) -> int:
-    """Vector-space dimension of the intersection of two planes.
+@cache
+def plane_mask(p: Plane) -> int:
+    """The point mask of the row space, zero vector included."""
+    return point_mask(plane_points(p)) | 1
 
-    Computed from the stacked 6x6 rank: dim(P) + dim(Q) - dim(P+Q).
-    """
-    return 6 - row_rank(p + q)
+
+def intersection_dim(p: Plane, q: Plane) -> int:
+    """Vector-space dimension of the intersection of two planes."""
+    return (plane_mask(p) & plane_mask(q)).bit_count().bit_length() - 1
 
 
 def is_skew(p: Plane, q: Plane) -> bool:
@@ -273,10 +280,16 @@ def group_orbits(tag: str) -> OrbitDecomposition:
     return OrbitDecomposition(tag, tuple(orbits))
 
 
+@cache
+def _block_collineation(u: int) -> tuple[int, int]:
+    """The blocks (U, U^-1) of the collineation attached to u."""
+    um = sym_to_mat(u)
+    return um, inverse3(um)
+
+
 def collineation_action(u: int, p: Plane) -> Plane:
     """Image of a plane under the block-diagonal collineation (U, U^-1)."""
-    um = sym_to_mat(u)
-    uinv = inverse3(um)
+    um, uinv = _block_collineation(u)
     rows = [row_times_mat(r >> 3, um) << 3 | row_times_mat(r & 7, uinv) for r in p]
     return make_plane(rows)
 
@@ -384,11 +397,15 @@ def pi_plane_model_check() -> CheckReport:
 
 
 def rank_meet_identity_holds() -> bool:
-    """rank(X+Y) + dim((X|1) cap (Y|1)) = 3 over all symmetric pairs."""
+    """rank(X+Y) + dim((X|1) cap (Y|1)) = 3 over all symmetric pairs.
+
+    The rank comes from row reduction, the meet from the plane masks.
+    """
+    ranks = [mat_rank(sym_to_mat(s)) for s in range(64)]
     planes = [plane_of(x) for x in range(64)]
     for x in range(64):
         for y in range(64):
-            if mat_rank(sym_to_mat(x ^ y)) + intersection_dim(planes[x], planes[y]) != 3:
+            if ranks[x ^ y] + intersection_dim(planes[x], planes[y]) != 3:
                 return False
     return True
 
@@ -415,6 +432,7 @@ __all__ = [
     "is_totally_isotropic",
     "make_plane",
     "pi_plane_model_check",
+    "plane_mask",
     "plane_minor",
     "plane_of",
     "plane_of_mat",

@@ -18,6 +18,7 @@ from gqlab.gf2 import (
     mat_transpose,
     parse_bits6,
     row_rank,
+    row_times_mat,
     rref,
     sym_det,
     sym_to_mat,
@@ -133,6 +134,56 @@ def test_eigenspace_closed_under_addition():
 def test_transpose_involutive():
     for m in range(512):
         assert mat_transpose(mat_transpose(m)) == m
+
+
+# Entry-by-entry reference versions of the bit-twiddled kernels.
+
+
+def _entry(m, i, j):
+    return m >> (8 - 3 * i - j) & 1
+
+
+def _reference_transpose(m):
+    return sum(_entry(m, i, j) << (8 - 3 * j - i) for i in range(3) for j in range(3))
+
+
+def _reference_mul(x, y):
+    """Entry (i, j) of the product is row i of x dotted with column j of y."""
+    return _reference_mul_cols(x, [_reference_transpose(y) >> (6 - 3 * j) & 7 for j in range(3)])
+
+
+def _reference_mul_cols(x, cols):
+    out = 0
+    for i in range(3):
+        row = x >> (6 - 3 * i) & 7
+        for j, col in enumerate(cols):
+            out |= ((row & col).bit_count() & 1) << (8 - 3 * i - j)
+    return out
+
+
+def test_transpose_matches_entrywise_reference():
+    for m in range(512):
+        assert mat_transpose(m) == _reference_transpose(m)
+
+
+def test_sym_to_mat_matches_entrywise_reference():
+    for s in range(64):
+        a, b, c, d, e, f = (s >> k & 1 for k in range(5, -1, -1))
+        rows = ((a, b, c), (b, d, e), (c, e, f))
+        want = sum(rows[i][j] << (8 - 3 * i - j) for i in range(3) for j in range(3))
+        assert sym_to_mat(s) == want
+
+
+def test_mat_mul_matches_entrywise_reference():
+    # rows of x and columns of y combine independently, so all 512 left
+    # factors against a stride of right factors that meets every entry
+    for y in range(0, 512, 7):
+        cols = [_reference_transpose(y) >> (6 - 3 * j) & 7 for j in range(3)]
+        for x in range(512):
+            assert mat_mul(x, y) == _reference_mul_cols(x, cols)
+    for v in range(8):
+        for m in range(512):
+            assert row_times_mat(v, m) == _reference_mul(v << 6, m) >> 6
 
 
 def test_invertible_symmetric_dichotomy():

@@ -25,6 +25,7 @@ from gqlab.pg import (
     perp_hyperplane,
     pg_lines,
     pg_planes,
+    planes_in,
     polar_form,
     projective_index,
     quadric_points,
@@ -129,6 +130,29 @@ def test_pg_line_and_plane_counts():
             for b in pts:
                 if a != b:
                     assert a ^ b in pts
+
+
+def _reference_pg_planes():
+    # every line with every point off it, deduplicated as sorted 7-tuples
+    seen = set()
+    for x, y, z0 in pg_lines():
+        for z in range(1, 64):
+            if z not in (x, y, z0):
+                seen.add(tuple(sorted((x, y, z, x ^ y, x ^ z, y ^ z, x ^ y ^ z))))
+    return tuple(sorted(seen))
+
+
+def test_pg_planes_match_sort_dedupe_reference():
+    assert pg_planes() == _reference_pg_planes()
+
+
+def test_subspaces_in_match_superset_reference():
+    quadric = elliptic_quadric()
+    point_sets = [klein_quadric(), quadric] + [quadric & perp_hyperplane(a) for a in range(1, 64)]
+    for points in point_sets:
+        pts = frozenset(points)
+        assert lines_in(points) == tuple(line for line in pg_lines() if pts.issuperset(line))
+        assert planes_in(points) == tuple(plane for plane in pg_planes() if pts.issuperset(plane))
 
 
 def test_projective_indices():

@@ -3,7 +3,7 @@
 import pytest
 
 from gqlab.atlas import WrongClassError, atlas, label_of, matrix_of
-from gqlab.gf2 import SYM_IDENTITY, mat_rank, sym_to_mat
+from gqlab.gf2 import SYM_IDENTITY, mat_rank, row_rank, sym_to_mat
 from gqlab.planes import (
     COLUMN_TRIPLES,
     PLANE_DIAGONAL,
@@ -82,6 +82,14 @@ def test_u1_v1_planes_skew():
 
 def test_rank_meet_identity_exhaustive():
     assert rank_meet_identity_holds()
+
+
+def test_mask_meet_matches_stacked_rank():
+    # reference: dim(P cap Q) = dim P + dim Q - rank of the stacked 6x6 rows
+    planes = [plane_of(x) for x in range(64)] + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]
+    for p in planes:
+        for q in planes:
+            assert intersection_dim(p, q) == 6 - row_rank(p + q)
 
 
 def test_rank_meet_spot_values():
