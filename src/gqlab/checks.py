@@ -8,11 +8,13 @@ Check ids are stable across releases and grouped by area:
 * ``sec5.*``  the plane representation.
 
 The full table is reproduced in the README.  Checks are independent pure
-functions; ``run_suite`` executes them in registry order.
+functions; ``run_suite`` executes them in registry order, and a check that
+raises becomes a failing report instead of stopping the suite.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import replace
 from itertools import combinations
@@ -34,6 +36,9 @@ from gqlab.gf2 import (
     sym_to_mat,
 )
 from gqlab.reports import CheckReport, SuiteResult, make_report
+
+
+log = logging.getLogger(__name__)
 
 
 class UnknownCheckIdError(ValueError):
@@ -837,7 +842,10 @@ def run_suite(prefix: str | None = None) -> SuiteResult:
     """Run all registered checks, or those whose id starts with prefix.
 
     Raises UnknownCheckIdError when the filter matches nothing.  Reports
-    come back in registry order with measured wall time.
+    come back in registry order with measured wall time.  A check that
+    raises yields a failing report whose actual reads
+    ``error: <Type>: <message>``; its traceback is logged, and the
+    remaining checks still run.
     """
     selected = [
         (check_id, fn) for check_id, fn in REGISTRY if prefix is None or check_id.startswith(prefix)
@@ -845,9 +853,18 @@ def run_suite(prefix: str | None = None) -> SuiteResult:
     if not selected:
         raise UnknownCheckIdError(f"no registered check id starts with {prefix!r}")
     reports = []
-    for _check_id, fn in selected:
+    for check_id, fn in selected:
         started = time.perf_counter()
-        report = fn()
+        try:
+            report = fn()
+        except Exception as exc:  # one broken check must not hide the others
+            log.exception("check %s raised", check_id)
+            report = make_report(
+                check_id,
+                "the check raised an exception",
+                "no exception",
+                f"error: {type(exc).__name__}: {exc}",
+            )
         reports.append(replace(report, elapsed=time.perf_counter() - started))
     return SuiteResult(tuple(reports))
 

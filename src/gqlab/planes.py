@@ -35,6 +35,7 @@ from gqlab.gf2 import (
 )
 from gqlab.pg import minor_coordinates, point_mask
 from gqlab.quadrangle import (
+    AxiomViolationError,
     IncidenceStructure,
     build_matrix_quadrangle,
     collinearity,
@@ -379,7 +380,7 @@ def pi_plane_model_check() -> CheckReport:
                 law_ok = False
     try:
         order = verify_gq_axioms(model)
-    except Exception:
+    except AxiomViolationError:
         order = None
     actual = (
         "point set = planes skew to (1|1) except (0|1); collinearity is the polar "

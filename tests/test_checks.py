@@ -1,5 +1,7 @@
 """Tests for the verification registry and suite runner."""
 
+import json
+
 import pytest
 
 import gqlab.atlas
@@ -13,6 +15,7 @@ from gqlab.checks import (
     run_suite,
     suite_to_dict,
 )
+from gqlab.cli import main
 
 
 def test_registry_ids_unique_and_well_formed():
@@ -77,6 +80,32 @@ def test_domain_ops_report_their_registry_id():
         fn = registry[check_id]
         report = fn()
         assert report.check_id == check_id
+
+
+def _raise_planted_fault(x):
+    raise ValueError("planted fault")
+
+
+def test_raising_check_fails_alone(monkeypatch):
+    # skew_partner is called by exactly these two checks
+    callers = {"sec5.skew-pairing", "sec5.collinearity-transfer"}
+    monkeypatch.setattr(gqlab.planes, "skew_partner", _raise_planted_fault)
+    suite = run_suite()
+    assert [r.check_id for r in suite.reports] == list(check_ids())
+    assert not suite.passed
+    failed = {r.check_id for r in suite.reports if not r.passed}
+    assert failed == callers
+    for report in suite.reports:
+        if report.check_id in callers:
+            assert report.actual == "error: ValueError: planted fault"
+
+
+def test_raising_check_makes_verify_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(gqlab.planes, "skew_partner", _raise_planted_fault)
+    assert main(["verify", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    assert sum(1 for entry in payload["checks"] if not entry["pass"]) == 2
 
 
 def test_suite_json_schema():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import gqlab.planes
 from gqlab.atlas import WrongClassError, atlas, label_of, matrix_of
 from gqlab.gf2 import SYM_IDENTITY, mat_rank, row_rank, sym_to_mat
 from gqlab.planes import (
@@ -36,7 +37,7 @@ from gqlab.planes import (
     symplectic_isotropy_check,
     symplectic_product,
 )
-from gqlab.quadrangle import verify_gq_axioms
+from gqlab.quadrangle import AxiomViolationError, verify_gq_axioms
 
 
 def test_plane_of_zero_is_right_block():
@@ -253,6 +254,22 @@ def test_plane_model():
     assert verify_gq_axioms(model) == (2, 4)
     report = pi_plane_model_check()
     assert report.passed, report.actual
+
+
+def test_pi_plane_model_check_catches_only_axiom_violations(monkeypatch):
+    def violated(model):
+        raise AxiomViolationError("unique perpendicular", "planted")
+
+    monkeypatch.setattr(gqlab.planes, "verify_gq_axioms", violated)
+    report = pi_plane_model_check()
+    assert not report.passed and report.actual.endswith("order None")
+
+    def broken(model):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(gqlab.planes, "verify_gq_axioms", broken)
+    with pytest.raises(KeyError):
+        pi_plane_model_check()
 
 
 def test_plane_model_point_characterization():
