@@ -125,13 +125,14 @@ def pg_planes() -> tuple[tuple[int, ...], ...]:
     """All 1395 planes of PG(5,2) as sorted 7-point tuples.
 
     Each plane is generated once, from its two smallest points x < y and
-    the smallest point z off their line: every other point of the coset
-    z + <x, y> is larger than z.
+    the smallest point z off their line.  That z exceeds y and is smaller
+    than z + x and z + y, which also rules out z = x + y; z < z + x + y
+    then follows, since x + y has the leading bit of y.
     """
     out = []
     for x, y, z0 in pg_lines():
         for z in range(y + 1, 64):
-            if z != z0 and z < z ^ x and z < z ^ y and z < z ^ z0:
+            if z < z ^ x and z < z ^ y:
                 out.append(tuple(sorted((x, y, z0, z, z ^ x, z ^ y, z ^ z0))))
     out.sort()
     return tuple(out)
