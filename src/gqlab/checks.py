@@ -14,7 +14,6 @@ raises becomes a failing report instead of stopping the suite.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import replace
 from itertools import combinations
@@ -36,9 +35,6 @@ from gqlab.gf2 import (
     sym_to_mat,
 )
 from gqlab.reports import CheckReport, SuiteResult, make_report
-
-
-log = logging.getLogger(__name__)
 
 
 class UnknownCheckIdError(ValueError):
@@ -858,7 +854,11 @@ def run_suite(prefix: str | None = None) -> SuiteResult:
         try:
             report = fn()
         except Exception as exc:  # one broken check must not hide the others
-            log.exception("check %s raised", check_id)
+            # imported only here: importing logging would add several ms to
+            # the start-up of every CLI command
+            import logging
+
+            logging.getLogger(__name__).exception("check %s raised", check_id)
             report = make_report(
                 check_id,
                 "the check raised an exception",
