@@ -274,18 +274,30 @@ def _check_polarization() -> CheckReport:
     )
 
 
+# bit y of _LOW_HALVES[k] is set iff bit k of y is clear
+_LOW_HALVES = tuple(sum(1 << y for y in range(64) if not y >> k & 1) for k in range(6))
+_ALL_64 = (1 << 64) - 1
+
+
 def _check_forms_share_polar() -> CheckReport:
     forms: list[Callable[[int], int]] = [pg.elliptic_form]
     forms += [(lambda v, m=m: pg.elliptic_form_at(m, v)) for m in atlas().points]
-    polar = [[pg.polar_form(x, y) for y in range(64)] for x in range(64)]
+    # 64-bit tables: bit y of polar[x] is B(x, y), bit v of a value table is Q(v)
+    polar = [sum(pg.polar_form(x, y) << y for y in range(64)) for x in range(64)]
     bad = 0
     for form in forms:
-        values = [form(v) if v else 0 for v in range(64)]
+        values = sum(form(v) << v for v in range(1, 64))
         for x in range(64):
-            vx, row = values[x], polar[x]
-            for y in range(64):
-                if values[x ^ y] ^ vx ^ values[y] != row[y]:
-                    bad += 1
+            # bit y of shifted is Q(x + y): swap the halves of each 2^k-block
+            # for every bit k of x
+            shifted = values
+            for k, keep in enumerate(_LOW_HALVES):
+                if x >> k & 1:
+                    width = 1 << k
+                    shifted = (shifted >> width & keep) | (shifted & keep) << width
+            if values >> x & 1:
+                shifted ^= _ALL_64
+            bad += (shifted ^ values ^ polar[x]).bit_count()
     return make_report(
         "sec4.forms-share-polar",
         "the 28 shifted forms all polarize to the same bilinear form",
@@ -722,11 +734,12 @@ def _check_collinearity_transfer() -> CheckReport:
     partners_ok = True
     u_labels = {label_of(x) for x in at.u}
     v_labels = {label_of(x) for x in at.v}
+    d_labels = {label_of(x) for x in at.d}
     for y in at.d:
         near = adj[label_of(y)]
         from_u = sorted(near & u_labels)
         from_v = sorted(near & v_labels)
-        in_d = sum(1 for lab in near if lab in {label_of(m) for m in at.d})
+        in_d = sum(1 for lab in near if lab in d_labels)
         paired = {label_of(planes_mod.skew_partner(atlas().by_label[lab])) for lab in from_u}
         if len(from_u) != 2 or len(from_v) != 2 or in_d != 6 or paired != set(from_v):
             partners_ok = False

@@ -14,12 +14,15 @@ XOR of packed matrices (plain matrix addition, used by the translation
 ``x -> x + m`` and the tangent-line statements attached to it).  Functions
 below say which one they use.
 
-Subspaces and point sets are tested for containment as 64-bit point masks:
-bit ``v`` is set iff the vector ``v`` is in the set, so bit 0 stands for the
-zero vector and is set in the mask of every subspace.  A subspace lies in a
-point set iff ``subspace & ~(points | 1) == 0``.  The masks of all lines and
-planes are built lazily, in the order of ``pg_lines()`` and ``pg_planes()``,
-which stay the public point-tuple forms.
+A point set can be written as a 64-bit point mask: bit ``v`` is set iff the
+vector ``v`` is in the set (gqlab.planes meets planes this way).  Lines and
+planes inside a point set are found through per-point incidence masks
+instead: bit ``i`` of ``lines_through()[v]`` is set iff ``pg_lines()[i]``
+contains ``v``, and ``planes_through()`` does the same for ``pg_planes()``.
+A subspace lies in a point set P iff it misses every point outside P, so
+``lines_in(P)`` ORs the incidence masks of the points outside P and reads
+the clear bits out in ascending order, which is the order of ``pg_lines()``
+and ``pg_planes()``, the public point-tuple forms.
 """
 
 from __future__ import annotations
@@ -138,27 +141,53 @@ def pg_planes() -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@cache
-def line_masks() -> tuple[int, ...]:
-    """Subspace masks of pg_lines(), in the same order."""
-    return tuple(point_mask(line) | 1 for line in pg_lines())
+def _incidence_masks(subspaces: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    masks = [0] * 64
+    for i, subspace in enumerate(subspaces):
+        bit = 1 << i
+        for v in subspace:
+            masks[v] |= bit
+    return tuple(masks)
 
 
 @cache
-def plane_masks() -> tuple[int, ...]:
-    """Subspace masks of pg_planes(), in the same order."""
-    return tuple(point_mask(plane) | 1 for plane in pg_planes())
+def lines_through() -> tuple[int, ...]:
+    """Per-point incidence masks of pg_lines(); entry 0 is 0."""
+    return _incidence_masks(pg_lines())
+
+
+@cache
+def planes_through() -> tuple[int, ...]:
+    """Per-point incidence masks of pg_planes(); entry 0 is 0."""
+    return _incidence_masks(pg_planes())
+
+
+def bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of a nonnegative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _subspaces_in(subspaces: tuple, through: tuple[int, ...], points: Iterable[int]) -> tuple:
+    pts = frozenset(points)
+    hit = 0
+    for v in range(1, 64):
+        if v not in pts:
+            hit |= through[v]
+    return tuple([subspaces[i] for i in bit_indices(~hit & ((1 << len(subspaces)) - 1))])
 
 
 def lines_in(points: Iterable[int]) -> tuple[PgLine, ...]:
     """All PG(5,2) lines entirely inside the given point set."""
-    outside = ~(point_mask(points) | 1)
-    return tuple(line for line, mask in zip(pg_lines(), line_masks()) if not mask & outside)
+    return _subspaces_in(pg_lines(), lines_through(), points)
 
 
 def planes_in(points: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    outside = ~(point_mask(points) | 1)
-    return tuple(plane for plane, mask in zip(pg_planes(), plane_masks()) if not mask & outside)
+    return _subspaces_in(pg_planes(), planes_through(), points)
 
 
 def projective_index(points: Iterable[int]) -> int:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6
 from gqlab.pg import (
+    bit_indices,
     elliptic_quadric,
     from_minor_coordinates,
     lines_in,
@@ -83,6 +84,9 @@ def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
     """Check the three axioms and return the order (s, t).
 
     Raises AxiomViolationError with the first failing axiom and witness.
+    The axioms are decided on bitsets over indices into ``inc.points`` and
+    ``inc.lines``: each line has the mask of its points and each point the
+    mask of the lines through it.
     """
     if not inc.points or not inc.lines:
         raise AxiomViolationError("nonempty", inc.name)
@@ -91,35 +95,59 @@ def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
         raise AxiomViolationError("uniform line size", f"sizes {sorted(sizes)}")
     s = sizes.pop() - 1
 
-    on_lines: dict[str, list[tuple[str, ...]]] = {p: [] for p in inc.points}
-    for line in inc.lines:
+    index = {p: i for i, p in enumerate(inc.points)}
+    degree = [0] * len(inc.points)
+    through = [0] * len(inc.points)
+    line_points = []
+    repeats = 0  # lines that name a point twice
+    for j, line in enumerate(inc.lines):
+        mask = 0
         for p in line:
-            on_lines[p].append(line)
-    degrees = {len(ls) for ls in on_lines.values()}
+            i = index[p]
+            degree[i] += 1
+            through[i] |= 1 << j
+            mask |= 1 << i
+        line_points.append(mask)
+        if mask.bit_count() != len(line):
+            repeats |= 1 << j
+    degrees = {degree[i] for i in index.values()}
     if len(degrees) != 1:
         raise AxiomViolationError("uniform point degree", f"degrees {sorted(degrees)}")
     t = degrees.pop() - 1
 
-    joined: set[tuple[str, str]] = set()
+    joined = [0] * len(inc.points)  # bit b of joined[a]: some line has a before b
     for line in inc.lines:
-        for i, a in enumerate(line):
-            for b in line[i + 1 :]:
-                pair = (a, b)
-                if pair in joined:
+        for k, a in enumerate(line):
+            row = index[a]
+            for b in line[k + 1 :]:
+                bit = 1 << index[b]
+                if joined[row] & bit:
                     raise AxiomViolationError("at most one joining line", f"points {a}, {b}")
-                joined.add(pair)
-    for i, l1 in enumerate(inc.lines):
-        s1 = set(l1)
-        for l2 in inc.lines[i + 1 :]:
-            if len(s1.intersection(l2)) > 1:
-                raise AxiomViolationError("at most one common point", f"lines {l1}, {l2}")
+                joined[row] |= bit
+    for i, mask in enumerate(line_points):
+        for j in range(i + 1, len(line_points)):
+            if (mask & line_points[j]).bit_count() > 1:
+                raise AxiomViolationError(
+                    "at most one common point", f"lines {inc.lines[i]}, {inc.lines[j]}"
+                )
 
-    adj = collinearity(inc)
-    for p in inc.points:
-        for line in inc.lines:
-            if p in line:
-                continue
-            hits = sum(1 for q in line if q in adj[p])
+    near = [0] * len(inc.points)
+    for mask in line_points:
+        for i in bit_indices(mask):
+            near[i] |= mask
+    all_lines = (1 << len(inc.lines)) - 1
+    for p, i in index.items():
+        near_p = near[i] & ~(1 << i)
+        # bit-sliced counters: lines meeting at least one / two neighbours of p
+        ones = twos = 0
+        for q in bit_indices(near_p):
+            twos |= ones & through[q]
+            ones |= through[q]
+        # a line naming a neighbour twice counts it twice, so it is rechecked
+        suspects = all_lines & ~through[i] & (~ones | twos | repeats)
+        for j in bit_indices(suspects):
+            line = inc.lines[j]
+            hits = sum(1 for q in line if near_p >> index[q] & 1)
             if hits != 1:
                 raise AxiomViolationError(
                     "unique perpendicular", f"point {p}, line {line}, {hits} connections"
@@ -321,11 +349,17 @@ class SurveySummary:
     all_gq22_pass: bool
 
 
+def _section_structure(
+    axis: int, pts: Iterable[int], lines: Iterable[tuple[int, ...]]
+) -> IncidenceStructure:
+    labelled = [tuple(bits6(v) for v in line) for line in lines]
+    return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in pts), labelled)
+
+
 def quadric_section(axis: int) -> IncidenceStructure:
     """Incidence structure on the quadric points inside the hyperplane of axis."""
     pts = elliptic_quadric() & perp_hyperplane(axis)
-    lines = [tuple(bits6(v) for v in line) for line in lines_in(pts)]
-    return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in pts), lines)
+    return _section_structure(axis, pts, lines_in(pts))
 
 
 def hyperplane_section_survey() -> SurveySummary:
@@ -339,13 +373,13 @@ def hyperplane_section_survey() -> SurveySummary:
     all_pass = True
     for axis in range(1, 64):
         pts = quad & perp_hyperplane(axis)
-        n_lines = len(lines_in(pts))
+        lines = lines_in(pts)
+        n_lines = len(lines)
         if axis in quad:
             sections.append(HyperplaneSection(bits6(axis), "tangent", len(pts), n_lines))
             continue
-        section = quadric_section(axis)
         try:
-            order = verify_gq_axioms(section)
+            order = verify_gq_axioms(_section_structure(axis, pts, lines))
         except AxiomViolationError:
             order = None
         if order != (2, 2) or len(pts) != 15 or n_lines != 15:

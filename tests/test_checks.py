@@ -1,10 +1,12 @@
 """Tests for the verification registry and suite runner."""
 
 import json
+import random
 
 import pytest
 
 import gqlab.atlas
+import gqlab.pg
 import gqlab.planes
 import gqlab.quadrangle
 from gqlab.checks import (
@@ -114,3 +116,39 @@ def test_suite_json_schema():
     assert payload["passed"] is True
     for entry in payload["checks"]:
         assert set(entry) == {"id", "description", "expected", "actual", "pass", "elapsed_ms"}
+
+
+def _pairwise_polar_mismatches():
+    """The forms-share-polar count, one (form, x, y) triple at a time."""
+    pg = gqlab.pg
+    forms = [pg.elliptic_form]
+    forms += [(lambda v, m=m: pg.elliptic_form_at(m, v)) for m in gqlab.atlas.atlas().points]
+    bad = 0
+    for form in forms:
+        values = [form(v) if v else 0 for v in range(64)]
+        for x in range(64):
+            for y in range(64):
+                bad += values[x ^ y] ^ values[x] ^ values[y] != pg.polar_form(x, y)
+    return bad
+
+
+@pytest.mark.parametrize(
+    "seed, n_polar, n_form", [(1, 3, 0), (2, 0, 3), (3, 2, 2), (4, 1, 5)]
+)
+def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_form):
+    rng = random.Random(seed)
+    points = gqlab.atlas.atlas().points
+    polar_flips = {(rng.randrange(64), rng.randrange(64)) for _ in range(n_polar)}
+    form_flips = {(rng.choice(points), rng.randrange(1, 64)) for _ in range(n_form)}
+    polar_form, elliptic_form_at = gqlab.pg.polar_form, gqlab.pg.elliptic_form_at
+    monkeypatch.setattr(
+        gqlab.pg, "polar_form", lambda x, y: polar_form(x, y) ^ ((x, y) in polar_flips)
+    )
+    monkeypatch.setattr(
+        gqlab.pg, "elliptic_form_at", lambda m, v: elliptic_form_at(m, v) ^ ((m, v) in form_flips)
+    )
+    want = _pairwise_polar_mismatches()
+    assert want > 0
+    (report,) = run_suite("sec4.forms-share-polar").reports
+    assert not report.passed
+    assert report.actual == f"{want} mismatches over 28 forms x 4096 pairs"

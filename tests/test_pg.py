@@ -1,5 +1,7 @@
 """Tests for PG(5,2), the coordinate map, forms, quadrics and the translation."""
 
+import random
+
 import pytest
 
 from gqlab.atlas import atlas
@@ -7,6 +9,7 @@ from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, sym_det
 from gqlab.pg import (
     ALL_ONES,
     UndefinedAtCenterError,
+    bit_indices,
     elliptic_form,
     elliptic_form_at,
     elliptic_form_sym,
@@ -20,12 +23,14 @@ from gqlab.pg import (
     klein_matrix_points,
     klein_quadric,
     lines_in,
+    lines_through,
     matrix_lines_through,
     minor_coordinates,
     perp_hyperplane,
     pg_lines,
     pg_planes,
     planes_in,
+    planes_through,
     polar_form,
     projective_index,
     quadric_points,
@@ -146,13 +151,30 @@ def test_pg_planes_match_sort_dedupe_reference():
     assert pg_planes() == _reference_pg_planes()
 
 
+def test_incidence_masks_list_the_subspaces_through_each_point():
+    for subspaces, through in ((pg_lines(), lines_through()), (pg_planes(), planes_through())):
+        assert through[0] == 0
+        for v in range(1, 64):
+            assert bit_indices(through[v]) == [i for i, sub in enumerate(subspaces) if v in sub]
+
+
 def test_subspaces_in_match_superset_reference():
+    # the filters keep pg_lines()/pg_planes() order, so equal tuples also
+    # pin the output order
+    rng = random.Random(63)
     quadric = elliptic_quadric()
     point_sets = [klein_quadric(), quadric] + [quadric & perp_hyperplane(a) for a in range(1, 64)]
+    point_sets += [frozenset(), frozenset(range(1, 64))]
+    point_sets += [elliptic_quadric_at(m) for m in atlas().points]
+    point_sets += [frozenset(rng.sample(range(1, 64), rng.randint(0, 63))) for _ in range(50)]
     for points in point_sets:
         pts = frozenset(points)
-        assert lines_in(points) == tuple(line for line in pg_lines() if pts.issuperset(line))
-        assert planes_in(points) == tuple(plane for plane in pg_planes() if pts.issuperset(plane))
+        lines = tuple(line for line in pg_lines() if pts.issuperset(line))
+        planes = tuple(plane for plane in pg_planes() if pts.issuperset(plane))
+        assert lines_in(points) == lines
+        assert planes_in(points) == planes
+        assert projective_index(points) == (2 if planes else 1 if lines else 0 if pts else -1)
+    assert len(lines_in(range(1, 64))) == 651 and len(planes_in(range(1, 64))) == 1395
 
 
 def test_projective_indices():

@@ -1,13 +1,16 @@
 """Tests for the GQ axioms, the models and isomorphism machinery."""
 
+import random
+
 import pytest
 
 from gqlab.atlas import atlas, label_of, matrix_of
 from gqlab.gf2 import SYM_IDENTITY, bits6
-from gqlab.pg import ALL_ONES, minor_coordinates
+from gqlab.pg import ALL_ONES, elliptic_quadric, minor_coordinates
 from gqlab.quadrangle import (
     DOUBLE_SIX_ISOMORPHISM,
     AxiomViolationError,
+    IncidenceStructure,
     NotInSError,
     build_double_six_model,
     build_matrix_quadrangle,
@@ -241,3 +244,160 @@ def test_make_structure_rejects_bad_input():
         make_structure("x", ["a"], [("a", "b")])
     with pytest.raises(ValueError):
         make_structure("x", ["a", "a"], [])
+
+
+def _reference_verify_gq_axioms(inc):
+    """The element-by-element loop form of verify_gq_axioms, kept as its oracle."""
+    if not inc.points or not inc.lines:
+        raise AxiomViolationError("nonempty", inc.name)
+    sizes = {len(line) for line in inc.lines}
+    if len(sizes) != 1:
+        raise AxiomViolationError("uniform line size", f"sizes {sorted(sizes)}")
+    s = sizes.pop() - 1
+
+    on_lines = {p: [] for p in inc.points}
+    for line in inc.lines:
+        for p in line:
+            on_lines[p].append(line)
+    degrees = {len(ls) for ls in on_lines.values()}
+    if len(degrees) != 1:
+        raise AxiomViolationError("uniform point degree", f"degrees {sorted(degrees)}")
+    t = degrees.pop() - 1
+
+    joined = set()
+    for line in inc.lines:
+        for i, a in enumerate(line):
+            for b in line[i + 1 :]:
+                pair = (a, b)
+                if pair in joined:
+                    raise AxiomViolationError("at most one joining line", f"points {a}, {b}")
+                joined.add(pair)
+    for i, l1 in enumerate(inc.lines):
+        s1 = set(l1)
+        for l2 in inc.lines[i + 1 :]:
+            if len(s1.intersection(l2)) > 1:
+                raise AxiomViolationError("at most one common point", f"lines {l1}, {l2}")
+
+    adj = collinearity(inc)
+    for p in inc.points:
+        for line in inc.lines:
+            if p in line:
+                continue
+            hits = sum(1 for q in line if q in adj[p])
+            if hits != 1:
+                raise AxiomViolationError(
+                    "unique perpendicular", f"point {p}, line {line}, {hits} connections"
+                )
+    return (s, t)
+
+
+def _axiom_outcome(verify, inc):
+    try:
+        return verify(inc)
+    except AxiomViolationError as exc:
+        return (exc.axiom, exc.witness)
+
+
+def _replace_lines(inc, replacements, first=()):
+    """inc with the lines in replacements swapped for their values; the
+    lines in first go in front.  Built directly, so lines stay as written."""
+    lines = list(first) + [replacements.get(line, line) for line in inc.lines]
+    return IncidenceStructure(inc.name, inc.points, tuple(line for line in lines if line))
+
+
+def test_bitset_axioms_match_reference_on_models_and_sections():
+    from gqlab.planes import build_plane_model
+
+    structures = [
+        build_quadric_quadrangle(),
+        build_matrix_quadrangle(),
+        build_double_six_model(),
+        build_plane_model(),
+        doily_substructure(),
+        grid_gq21(),
+    ]
+    structures += [quadric_section(axis) for axis in range(1, 64) if axis not in elliptic_quadric()]
+    assert len(structures) == 6 + 36
+    for inc in structures:
+        assert verify_gq_axioms(inc) == _reference_verify_gq_axioms(inc)
+
+
+def _point_moved_mutant():
+    # swap the last point of the first line with the first point of the
+    # first line skew to it
+    inc = build_quadric_quadrangle()
+    l1 = inc.lines[0]
+    l2 = next(line for line in inc.lines if not set(line) & set(l1))
+    moved = {l1: l1[:2] + l2[:1], l2: l1[2:] + l2[1:]}
+    return make_structure("moved", inc.points, [moved.get(line, line) for line in inc.lines])
+
+
+def _grid_mutant(c0, c1):
+    # p01 and p10 trade places between the first two columns
+    grid = grid_gq21()
+    return _replace_lines(grid, {("p00", "p10", "p20"): c0, ("p01", "p11", "p21"): c1})
+
+
+def _doily_repeat_mutant():
+    # a line naming {3,4} twice; {2,6} takes its place on another line so
+    # that every degree stays 3
+    doily = doily_substructure()
+    return _replace_lines(
+        doily,
+        {("{1,5}", "{2,6}", "{3,4}"): (), ("{1,6}", "{2,5}", "{3,4}"): ("{1,6}", "{2,5}", "{2,6}")},
+        first=[("{3,4}", "{1,5}", "{3,4}")],
+    )
+
+
+def _dropped_line_mutant():
+    inc = build_quadric_quadrangle()
+    return _replace_lines(inc, {inc.lines[0]: ()})
+
+
+AXIOM_MUTANTS = {
+    "dropped line": (_dropped_line_mutant, "uniform point degree"),
+    "point moved between two lines": (_point_moved_mutant, "unique perpendicular"),
+    "line repeating a joined pair": (
+        lambda: _grid_mutant(("p00", "p01", "p20"), ("p10", "p11", "p21")),
+        "at most one joining line",
+    ),
+    "two unsorted lines sharing two points": (
+        lambda: _grid_mutant(("p01", "p00", "p20"), ("p11", "p10", "p21")),
+        "at most one common point",
+    ),
+    "line of a different size": (
+        lambda: _replace_lines(grid_gq21(), {("p00", "p01", "p02"): ("p00", "p01", "p02", "p22")}),
+        "uniform line size",
+    ),
+    "line naming a point twice": (_doily_repeat_mutant, "unique perpendicular"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_MUTANTS))
+def test_bitset_axioms_match_reference_on_mutants(name):
+    build, axiom = AXIOM_MUTANTS[name]
+    inc = build()
+    outcome = _axiom_outcome(verify_gq_axioms, inc)
+    assert outcome == _axiom_outcome(_reference_verify_gq_axioms, inc)
+    assert outcome[0] == axiom
+
+
+def test_bitset_axioms_match_reference_on_random_swaps():
+    # swapping points between lines keeps every line size and point degree,
+    # and may repeat a pair, unsort a line or repeat a point within a line
+    rng = random.Random(20101)
+    bases = [grid_gq21(), doily_substructure(), build_quadric_quadrangle()]
+    for _ in range(300):
+        base = rng.choice(bases)
+        lines = [list(line) for line in base.lines]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(len(lines)), 2)
+            a, b = rng.randrange(len(lines[i])), rng.randrange(len(lines[j]))
+            lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
+        if rng.random() < 0.5:
+            for line in lines:
+                rng.shuffle(line)
+        inc = IncidenceStructure("swapped", base.points, tuple(map(tuple, lines)))
+        assert _axiom_outcome(verify_gq_axioms, inc) == _axiom_outcome(
+            _reference_verify_gq_axioms, inc
+        )
