@@ -1,5 +1,6 @@
 """Tests for the verification registry and suite runner."""
 
+import hashlib
 import json
 import random
 
@@ -108,6 +109,15 @@ def test_raising_check_makes_verify_exit_1(monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is False
     assert sum(1 for entry in payload["checks"] if not entry["pass"]) == 2
+
+
+def test_suite_json_is_pinned():
+    # ids, order, descriptions, expected and actual strings, timing removed
+    payload = suite_to_dict(run_suite())
+    for entry in payload["checks"]:
+        del entry["elapsed_ms"]
+    digest = hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+    assert digest == "5ecce014526a145c4d38cfce8f6f20dd84233f2b46b6c308dfbcda08ad86f826"
 
 
 def test_suite_json_schema():
