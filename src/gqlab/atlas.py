@@ -27,15 +27,12 @@ from gqlab.gf2 import (
     MAT_IDENTITY,
     SYM_IDENTITY,
     eigenspace_dim,
-    inverse3,
-    is_symmetric,
     mat_mul,
     mat_to_sym,
     row_times_mat,
     sym_det,
     sym_to_mat,
 )
-from gqlab.reports import CheckReport, make_report
 
 
 class AtlasError(RuntimeError):
@@ -213,25 +210,6 @@ def fano_action(x: int) -> FanoAction:
     return FanoAction(images=images, fixed_points=fixed)
 
 
-def jordan_closure_check() -> CheckReport:
-    """Inverses of invertible symmetric matrices and all products A*B*A stay symmetric."""
-    bad = []
-    for a in enumerate_invertible_symmetric():
-        am = sym_to_mat(a)
-        if not is_symmetric(inverse3(am)):
-            bad.append(f"inverse({a:06b})")
-        for b in range(64):
-            if not is_symmetric(mat_mul(mat_mul(am, sym_to_mat(b)), am)):
-                bad.append(f"{a:06b}*{b:06b}*{a:06b}")
-    actual = "closed for all 28x64 pairs" if not bad else f"violations: {bad[:3]}"
-    return make_report(
-        "sec3.jordan-closure",
-        "inverse and (A,B) -> ABA stay inside the symmetric matrices",
-        "closed for all 28x64 pairs",
-        actual,
-    )
-
-
 __all__ = [
     "Atlas",
     "AtlasError",
@@ -243,7 +221,6 @@ __all__ = [
     "classify",
     "enumerate_invertible_symmetric",
     "fano_action",
-    "jordan_closure_check",
     "label_key",
     "label_of",
     "matrix_of",

@@ -30,19 +30,10 @@ from gqlab.gf2 import (
     mat_to_sym,
     row_times_mat,
     rref,
-    sym_det,
     sym_to_mat,
 )
 from gqlab.pg import minor_coordinates, point_mask
-from gqlab.quadrangle import (
-    AxiomViolationError,
-    IncidenceStructure,
-    build_matrix_quadrangle,
-    collinearity,
-    make_structure,
-    verify_gq_axioms,
-)
-from gqlab.reports import CheckReport, make_report
+from gqlab.quadrangle import IncidenceStructure, build_matrix_quadrangle, make_structure
 
 Plane = tuple[int, int, int]
 
@@ -142,53 +133,6 @@ def spread(tag: str) -> tuple[Plane, ...]:
     return (PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL) + class_planes(tag)
 
 
-def spread_check() -> CheckReport:
-    """Both 9-plane families are spreads: pairwise skew, covering all 63 points."""
-    problems = []
-    for tag in ("U", "V"):
-        planes = spread(tag)
-        for p, q in combinations(planes, 2):
-            if not is_skew(p, q):
-                problems.append(f"{tag}: planes meet")
-        covered = set()
-        for p in planes:
-            covered |= plane_points(p)
-        if len(covered) != 63:
-            problems.append(f"{tag}: covers {len(covered)} points")
-    overlap = set(spread("U")) & set(spread("V"))
-    if overlap != {PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL}:
-        problems.append("spreads share more than the three distinguished planes")
-    actual = "two spreads of 9 planes covering 63 points" if not problems else "; ".join(problems)
-    return make_report(
-        "sec5.spreads",
-        "the distinguished planes with either eigenvalue-free class partition PG(5,2)",
-        "two spreads of 9 planes covering 63 points",
-        actual,
-    )
-
-
-def symplectic_isotropy_check() -> CheckReport:
-    """Every plane of the family is totally isotropic; a non-symmetric block fails."""
-    bad = [label for label, plane in family_planes().items() if not is_totally_isotropic(plane)]
-    for plane in (PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL):
-        if not is_totally_isotropic(plane):
-            bad.append(DISTINGUISHED[plane])
-    # negative control: a single off-diagonal 1 breaks symmetry and isotropy
-    control = plane_of_mat(0b010_000_000)
-    control_ok = not is_totally_isotropic(control)
-    actual = (
-        "30 isotropic planes; non-symmetric control fails"
-        if not bad and control_ok
-        else f"violations {bad}; control isotropic: {not control_ok}"
-    )
-    return make_report(
-        "sec5.symplectic-isotropy",
-        "planes (X|1) are totally isotropic exactly because X is symmetric",
-        "30 isotropic planes; non-symmetric control fails",
-        actual,
-    )
-
-
 def plane_minor(rows: tuple[int, int, int], cols: tuple[int, int, int]) -> int:
     """3x3 minor of a 3x6 matrix at the given columns (0-based from the left)."""
     m = 0
@@ -198,7 +142,7 @@ def plane_minor(rows: tuple[int, int, int], cols: tuple[int, int, int]) -> int:
     return det3(m)
 
 
-def _minor_profiles() -> dict[tuple[int, int, int], tuple[int, ...]]:
+def minor_profiles() -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Column triple -> the minor of (X|1) as a function of the 27 matrices."""
     pts = atlas().points
     return {
@@ -211,7 +155,7 @@ def plucker_unique_triples() -> tuple[tuple[int, int, int], ...]:
     """The six column triples whose minor occurs exactly once among the 20,
     ordered to match minor_coordinates.  Derived by brute force."""
     pts = atlas().points
-    profiles = _minor_profiles()
+    profiles = minor_profiles()
     counts = Counter(profiles.values())
     unique = [cols for cols in COLUMN_TRIPLES if counts[profiles[cols]] == 1]
     ordered = []
@@ -222,25 +166,6 @@ def plucker_unique_triples() -> tuple[tuple[int, int, int], ...]:
             raise ValueError(f"coordinate {k + 1} matched {len(matches)} unique minors")
         ordered.append(matches[0])
     return tuple(ordered)
-
-
-def plucker_check() -> CheckReport:
-    """Exactly six multiplicity-one minors, reproducing the coordinate map."""
-    profiles = _minor_profiles()
-    counts = Counter(profiles.values())
-    unique = [cols for cols in COLUMN_TRIPLES if counts[profiles[cols]] == 1]
-    try:
-        ordered = plucker_unique_triples()
-        cols_text = ",".join("(%d,%d,%d)" % tuple(c + 1 for c in cols) for cols in ordered)
-        actual = f"{len(unique)} unique minors; coordinates at columns {cols_text}"
-    except ValueError as exc:
-        actual = f"{len(unique)} unique minors; {exc}"
-    return make_report(
-        "sec5.plucker-coordinates",
-        "the multiplicity-one 3x3 minors of (X|1) are the six coordinates",
-        "6 unique minors; coordinates at columns (1,5,6),(2,3,4),(2,4,6),(1,3,5),(3,4,5),(1,2,6)",
-        actual,
-    )
 
 
 def conjugating_group(tag: str) -> tuple[int, ...]:
@@ -360,43 +285,6 @@ def build_plane_model() -> IncidenceStructure:
     return make_structure("planes", points, lines)
 
 
-def pi_plane_model_check() -> CheckReport:
-    """The translated plane model: point set, collinearity law, axioms."""
-    model = build_plane_model()
-    translated = {x ^ SYM_IDENTITY for x in atlas().points}
-    # characterization: planes (Y|1) skew to (1|1), other than (0|1)
-    characterized = {
-        y for y in range(1, 64) if is_skew(plane_of(y), PLANE_DIAGONAL)
-    }
-    set_ok = translated == characterized
-    adj = collinearity(model)
-    law_ok = True
-    members = sorted(translated)
-    for i, x in enumerate(members):
-        for y in members[i + 1 :]:
-            collinear = bits6(y) in adj[bits6(x)]
-            wanted = (sym_det(x ^ y) ^ sym_det(x) ^ sym_det(y)) == 0
-            if collinear != wanted:
-                law_ok = False
-    try:
-        order = verify_gq_axioms(model)
-    except AxiomViolationError:
-        order = None
-    actual = (
-        "point set = planes skew to (1|1) except (0|1); collinearity is the polar "
-        f"determinant law; order {order}"
-        if set_ok and law_ok
-        else f"set match {set_ok}, law match {law_ok}, order {order}"
-    )
-    return make_report(
-        "sec5.pi-plane-model",
-        "the translated plane model is GQ(2,4) with the determinant collinearity law",
-        "point set = planes skew to (1|1) except (0|1); collinearity is the polar "
-        "determinant law; order (2, 4)",
-        actual,
-    )
-
-
 def rank_meet_identity_holds() -> bool:
     """rank(X+Y) + dim((X|1) cap (Y|1)) = 3 over all symmetric pairs.
 
@@ -432,19 +320,16 @@ __all__ = [
     "is_skew",
     "is_totally_isotropic",
     "make_plane",
-    "pi_plane_model_check",
+    "minor_profiles",
     "plane_mask",
     "plane_minor",
     "plane_of",
     "plane_of_mat",
     "plane_points",
-    "plucker_check",
     "plucker_unique_triples",
     "rank_meet_identity_holds",
     "raw_plane_rows",
     "skew_partner",
     "spread",
-    "spread_check",
-    "symplectic_isotropy_check",
     "symplectic_product",
 ]

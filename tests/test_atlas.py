@@ -10,11 +10,11 @@ from gqlab.atlas import (
     classify,
     enumerate_invertible_symmetric,
     fano_action,
-    jordan_closure_check,
     label_of,
     matrix_of,
     multiplicative_closure,
 )
+from gqlab.checks import run_suite
 from gqlab.gf2 import SYM_IDENTITY, eigenspace_one, parse_bits6, sym_to_mat
 
 
@@ -126,6 +126,6 @@ def test_classify_d_iff_eigenvalue():
 
 
 def test_jordan_closure_check_passes():
-    report = jordan_closure_check()
+    (report,) = run_suite("sec3.jordan-closure").reports
     assert report.passed, report.actual
     assert report.check_id == "sec3.jordan-closure"

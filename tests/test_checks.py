@@ -3,15 +3,15 @@
 import hashlib
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 import gqlab.atlas
 import gqlab.pg
 import gqlab.planes
-import gqlab.quadrangle
 from gqlab.checks import (
-    COVERED_OPERATIONS,
     REGISTRY,
     UnknownCheckIdError,
     check_ids,
@@ -62,27 +62,17 @@ def test_unknown_prefix_raises():
         run_suite("nonexistent.")
 
 
-def test_registry_covers_domain_check_operations():
-    # every *_check / *_survey operation in the domain modules must be wired
-    # into the registry under its documented id
-    found = {}
-    for module in (gqlab.atlas, gqlab.planes, gqlab.quadrangle):
-        for name, obj in vars(module).items():
-            if callable(obj) and (name.endswith("_check") or name.endswith("_survey")):
-                if obj.__module__ == module.__name__:
-                    found[f"{module.__name__}.{name}"] = obj
-    assert set(found) == set(COVERED_OPERATIONS)
-    ids = set(check_ids())
-    for qualname, check_id in COVERED_OPERATIONS.items():
-        assert check_id in ids, f"{qualname} is not registered"
+def _readme_check_table():
+    """(id, claim) rows of the README's check registry table, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Check registry\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, flags=re.MULTILINE)
+    return [(check_id, claim.replace("\\|", "|")) for check_id, claim in rows]
 
 
-def test_domain_ops_report_their_registry_id():
-    registry = dict(REGISTRY)
-    for qualname, check_id in COVERED_OPERATIONS.items():
-        fn = registry[check_id]
-        report = fn()
-        assert report.check_id == check_id
+def test_readme_check_table_matches_registry():
+    registered = [(r.check_id, r.description) for r in run_suite().reports]
+    assert _readme_check_table() == registered
 
 
 def _raise_planted_fault(x):

@@ -2,8 +2,9 @@
 
 import pytest
 
-import gqlab.planes
+import gqlab.quadrangle
 from gqlab.atlas import WrongClassError, atlas, label_of, matrix_of
+from gqlab.checks import run_suite
 from gqlab.gf2 import SYM_IDENTITY, mat_rank, row_rank, sym_to_mat
 from gqlab.planes import (
     COLUMN_TRIPLES,
@@ -22,19 +23,15 @@ from gqlab.planes import (
     is_skew,
     is_totally_isotropic,
     make_plane,
-    pi_plane_model_check,
     plane_minor,
     plane_of,
     plane_of_mat,
     plane_points,
-    plucker_check,
     plucker_unique_triples,
     rank_meet_identity_holds,
     raw_plane_rows,
     skew_partner,
     spread,
-    spread_check,
-    symplectic_isotropy_check,
     symplectic_product,
 )
 from gqlab.quadrangle import AxiomViolationError, verify_gq_axioms
@@ -113,7 +110,7 @@ def test_symplectic_isotropy():
         assert is_totally_isotropic(plane)
     # single off-diagonal 1 is not symmetric; its plane is not isotropic
     assert not is_totally_isotropic(plane_of_mat(0b010_000_000))
-    report = symplectic_isotropy_check()
+    (report,) = run_suite("sec5.symplectic-isotropy").reports
     assert report.passed, report.actual
 
 
@@ -136,7 +133,7 @@ def test_spreads():
             covered |= plane_points(p)
         assert len(covered) == 63
     assert set(spread("U")) & set(spread("V")) == {PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL}
-    assert spread_check().passed
+    assert run_suite("sec5.spreads").passed
     with pytest.raises(ValueError):
         spread("D")
 
@@ -163,7 +160,7 @@ def test_plucker_unique_triples_frozen():
         (0, 1, 5),
     )
     assert len(COLUMN_TRIPLES) == 20
-    assert plucker_check().passed
+    assert run_suite("sec5.plucker-coordinates").passed
 
 
 def test_conjugating_groups():
@@ -252,7 +249,7 @@ def test_plane_model():
     model = build_plane_model()
     assert len(model.points) == 27 and len(model.lines) == 45
     assert verify_gq_axioms(model) == (2, 4)
-    report = pi_plane_model_check()
+    (report,) = run_suite("sec5.pi-plane-model").reports
     assert report.passed, report.actual
 
 
@@ -260,16 +257,17 @@ def test_pi_plane_model_check_catches_only_axiom_violations(monkeypatch):
     def violated(model):
         raise AxiomViolationError("unique perpendicular", "planted")
 
-    monkeypatch.setattr(gqlab.planes, "verify_gq_axioms", violated)
-    report = pi_plane_model_check()
+    monkeypatch.setattr(gqlab.quadrangle, "verify_gq_axioms", violated)
+    (report,) = run_suite("sec5.pi-plane-model").reports
     assert not report.passed and report.actual.endswith("order None")
 
     def broken(model):
         raise KeyError("planted")
 
-    monkeypatch.setattr(gqlab.planes, "verify_gq_axioms", broken)
-    with pytest.raises(KeyError):
-        pi_plane_model_check()
+    # any other exception is not swallowed: it surfaces as the suite's error report
+    monkeypatch.setattr(gqlab.quadrangle, "verify_gq_axioms", broken)
+    (report,) = run_suite("sec5.pi-plane-model").reports
+    assert not report.passed and report.actual == "error: KeyError: 'planted'"
 
 
 def test_plane_model_point_characterization():
