@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import gqlab.atlas
+import gqlab.checks
+import gqlab.gf2
 import gqlab.pg
 import gqlab.planes
 from gqlab.checks import (
@@ -152,3 +154,110 @@ def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_f
     (report,) = run_suite("sec4.forms-share-polar").reports
     assert not report.passed
     assert report.actual == f"{want} mismatches over 28 forms x 4096 pairs"
+
+
+# Planted faults in the inputs of the hot checks: each check must still see
+# every element of its domain, so one corrupted element fails it.
+
+
+def _single_report(check_id):
+    (report,) = run_suite(check_id).reports
+    return report
+
+
+def test_group_action_fails_with_a_non_group_element(monkeypatch):
+    at = gqlab.atlas.atlas()
+    conjugating_group = gqlab.planes.conjugating_group
+    monkeypatch.setattr(
+        gqlab.planes,
+        "conjugating_group",
+        lambda tag: tuple(at.d[3] if g == at.u[0] else g for g in conjugating_group(tag)),
+    )
+    report = _single_report("sec5.group-action")
+    assert not report.passed
+    # a product with D4 is not symmetric, and packing it back fails
+    assert report.actual.startswith("error: ValueError: matrix ")
+    assert report.actual.endswith(" is not symmetric")
+
+
+@pytest.mark.parametrize(
+    "faulty, wanted",
+    [
+        # U3 acts as the identity: not a 7-cycle, and the U-group is not regular
+        ("U3", "U: 7-cycles False, regular False; V: 7-cycles True, regular True"),
+        # the identity acts as U1: both closures hit some point twice
+        ("1", "U: 7-cycles True, regular False; V: 7-cycles True, regular False"),
+    ],
+)
+def test_singer_cycles_fails_on_one_wrong_fano_action(monkeypatch, faulty, wanted):
+    at = gqlab.atlas.atlas()
+    fano_action = gqlab.checks.fano_action
+    identity = gqlab.atlas.FanoAction(tuple(range(1, 8)), tuple(range(1, 8)))
+    if faulty == "1":
+        target, planted = gqlab.gf2.SYM_IDENTITY, fano_action(at.u[0])
+    else:
+        target, planted = at.by_label[faulty], identity
+    monkeypatch.setattr(
+        gqlab.checks, "fano_action", lambda x: planted if x == target else fano_action(x)
+    )
+    report = _single_report("sec3.singer-cycles")
+    assert not report.passed
+    assert report.actual == wanted
+
+
+@pytest.mark.parametrize(
+    "plane, maps_ok",
+    [(gqlab.planes.PLANE_DIAGONAL, True), (None, False)],
+    ids=["distinguished-plane", "family-plane"],
+)
+def test_collineation_fails_on_one_perturbed_image(monkeypatch, plane, maps_ok):
+    at = gqlab.atlas.atlas()
+    u, p = at.u[1], plane or gqlab.planes.plane_of(at.d[4])
+    collineation_action = gqlab.planes.collineation_action
+    monkeypatch.setattr(
+        gqlab.planes,
+        "collineation_action",
+        lambda v, q: gqlab.planes.PLANE_LEFT if (v, q) == (u, p) else collineation_action(v, q),
+    )
+    report = _single_report("sec5.collineation")
+    assert not report.passed
+    assert report.actual == (
+        f"maps (X|1) to (UXU|1) {maps_ok}, preserves intersection dimensions False"
+    )
+
+
+@pytest.mark.parametrize(
+    "cols, wanted",
+    [
+        ((2, 3, 4), "6 unique minors; coordinate 5 matched 0 unique minors"),
+        ((0, 1, 2), "8 unique minors; coordinates at columns "),
+    ],
+)
+def test_plucker_fails_on_one_flipped_column_triple(monkeypatch, cols, wanted):
+    plane_minor = gqlab.planes.plane_minor
+    monkeypatch.setattr(
+        gqlab.planes, "plane_minor", lambda rows, c: plane_minor(rows, c) ^ (c == cols)
+    )
+    report = _single_report("sec5.plucker-coordinates")
+    assert not report.passed
+    assert report.actual.startswith(wanted)
+
+
+@pytest.mark.parametrize(
+    "check_id, wanted",
+    [
+        ("sec4.translation-form", "1 mismatches over 28 forms x 64 matrices"),
+        ("sec4.qm-family", "27 quadrics: 27 points False, index 1 True, translation bijection True"),
+    ],
+)
+def test_shifted_form_checks_fail_on_one_flipped_value(monkeypatch, check_id, wanted):
+    # the shifted form at m is Q(v) + B(v, coordinates of m); flipping B at
+    # one (v, coordinates of m) flips that form at exactly one point
+    pg = gqlab.pg
+    m = gqlab.atlas.atlas().points[5]
+    v, center = pg.minor_coordinates(0b001011), pg.minor_coordinates(m)
+    polar_form = pg.polar_form
+    monkeypatch.setattr(pg, "polar_form", lambda x, y: polar_form(x, y) ^ ((x, y) == (v, center)))
+    report = _single_report(check_id)
+    assert not report.passed
+    assert report.actual == wanted
