@@ -263,13 +263,10 @@ def _check_singer() -> str:
     at = atlas()
     parts = []
     for tag, members in (("U", at.u), ("V", at.v)):
-        cycles = all(
-            len(fano_action(x).cycles()) == 1 and len(fano_action(x).cycles()[0]) == 7
-            for x in members
-        )
-        closure = multiplicative_closure(members[0])
+        cycles = all([len(c) for c in fano_action(x).cycles()] == [7] for x in members)
+        actions = [fano_action(g) for g in multiplicative_closure(members[0])]
         regular = all(
-            sum(1 for g in closure if fano_action(g).image_of(p) == q) == 1
+            sum(1 for action in actions if action.image_of(p) == q) == 1
             for p in range(1, 8)
             for q in range(1, 8)
         )
@@ -284,12 +281,13 @@ def _check_singer() -> str:
 )
 def _check_jordan_closure() -> str:
     bad = []
+    mats = [sym_to_mat(b) for b in range(64)]
     for a in atlas_mod.enumerate_invertible_symmetric():
-        am = sym_to_mat(a)
+        am = mats[a]
         if not is_symmetric(inverse3(am)):
             bad.append(f"inverse({a:06b})")
-        for b in range(64):
-            if not is_symmetric(mat_mul(mat_mul(am, sym_to_mat(b)), am)):
+        for b, bm in enumerate(mats):
+            if not is_symmetric(mat_mul(mat_mul(am, bm), am)):
                 bad.append(f"{a:06b}*{b:06b}*{a:06b}")
     return "closed for all 28x64 pairs" if not bad else f"violations: {bad[:3]}"
 
@@ -373,16 +371,13 @@ def _check_forms_share_polar() -> str:
     "0 mismatches over 28 forms x 64 matrices",
 )
 def _check_translation_form() -> str:
-    bad = sum(
-        1
-        for x in range(64)
-        if pg.elliptic_form(pg.minor_coordinates(x)) != pg.elliptic_form_sym(x)
-    )
+    coords = [pg.minor_coordinates(x) for x in range(64)]
+    bad = sum(1 for x, v in enumerate(coords) if pg.elliptic_form(v) != pg.elliptic_form_sym(x))
     for m in atlas().points:
         bad += sum(
             1
-            for x in range(64)
-            if pg.elliptic_form_at(m, pg.minor_coordinates(x)) != pg.elliptic_form_sym_at(m, x)
+            for x, v in enumerate(coords)
+            if pg.elliptic_form_at(m, v) != pg.elliptic_form_sym_at(m, x)
         )
     return f"{bad} mismatches over 28 forms x 64 matrices"
 
@@ -608,10 +603,10 @@ def _check_rank_meet() -> str:
     "6 unique minors; coordinates at columns (1,5,6),(2,3,4),(2,4,6),(1,3,5),(3,4,5),(1,2,6)",
 )
 def _check_plucker() -> str:
-    counts = Counter(planes_mod.minor_profiles().values())
-    unique = sum(1 for n in counts.values() if n == 1)
+    profiles = planes_mod.minor_profiles()
+    unique = sum(1 for n in Counter(profiles.values()).values() if n == 1)
     try:
-        ordered = planes_mod.plucker_unique_triples()
+        ordered = planes_mod.plucker_unique_triples(profiles)
     except ValueError as exc:
         return f"{unique} unique minors; {exc}"
     cols_text = ",".join("(%d,%d,%d)" % tuple(c + 1 for c in cols) for cols in ordered)
@@ -695,14 +690,21 @@ def _check_group_action() -> str:
             mat_mul(mats[a], mats[b]) == mat_mul(mats[b], mats[a])
             for a, b in combinations(group, 2)
         )
-        domain = at.d + (at.v if tag == "U" else at.u)
-        image = {(b, x): planes_mod.conjugate(b, x) for b in group for x in domain}
+        domain = [sym_to_mat(x) for x in at.d + (at.v if tag == "U" else at.u)]
+        # conjugates b x b and products ab are packed once: mat_to_sym raises
+        # on a non-symmetric one, which fails the check
+        image = {}
+        for b, bm in mats.items():
+            for i, xm in enumerate(domain):
+                image[b, i] = bxb = mat_mul(mat_mul(bm, xm), bm)
+                mat_to_sym(bxb)
         action = True
-        for a in group:
-            for b in group:
-                ab = mat_to_sym(mat_mul(mats[a], mats[b]))
-                for x in domain:
-                    if planes_mod.conjugate(ab, x) != planes_mod.conjugate(a, image[b, x]):
+        for a, am in mats.items():
+            for b, bm in mats.items():
+                abm = mat_mul(am, bm)
+                mat_to_sym(abm)
+                for i, xm in enumerate(domain):
+                    if mat_mul(mat_mul(abm, xm), abm) != mat_mul(mat_mul(am, image[b, i]), am):
                         action = False
         parts.append(f"{tag}: commutative {commutative}, action {action}")
     return "; ".join(parts)
@@ -749,11 +751,16 @@ def _check_collineation() -> str:
         planes_mod.PLANE_DIAGONAL,
     ]
     pairs = list(combinations(range(len(all_planes)), 2))
-    dims = [planes_mod.intersection_dim(all_planes[i], all_planes[j]) for i, j in pairs]
+
+    def meets(planes: list[planes_mod.Plane]) -> list[int]:
+        # vectors shared by each pair of planes, 2**dim of their meet
+        masks = [planes_mod.plane_mask(p) for p in planes]
+        return [(masks[i] & masks[j]).bit_count() for i, j in pairs]
+
+    before = meets(all_planes)
     dims_ok = True
     for u in group:
-        images = [planes_mod.collineation_action(u, p) for p in all_planes]
-        if dims != [planes_mod.intersection_dim(images[i], images[j]) for i, j in pairs]:
+        if meets([planes_mod.collineation_action(u, p) for p in all_planes]) != before:
             dims_ok = False
     return f"maps (X|1) to (UXU|1) {maps_ok}, preserves intersection dimensions {dims_ok}"
 

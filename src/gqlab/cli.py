@@ -7,9 +7,9 @@ Grammar::
     gqlab export --what atlas|incidence|quadric|planes|isomorphism
                  --format json|dot|csv --out <path>
 
-Exit codes: 0 success, 1 check failure, 2 usage error.  All behavior is
-controlled by flags; there is no configuration file and no environment
-variable.
+Exit codes: 0 success, 1 check failure or inconsistent atlas tables, 2
+usage error.  All behavior is controlled by flags; there is no
+configuration file and no environment variable.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from gqlab.atlas import MatrixClass, atlas, classify, label_key, label_of
+from gqlab.atlas import AtlasError, MatrixClass, atlas, classify, label_key, label_of
 from gqlab.checks import UnknownCheckIdError, run_suite, suite_to_dict
 from gqlab.exports import UnsupportedFormatError, render_export
 from gqlab.gf2 import bits6, eigenspace_dim, mat_row, parse_bits6, sym_det, sym_to_mat
@@ -133,7 +133,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    atlas()  # fail loudly up front if the tables are inconsistent
+    try:
+        atlas()  # fail loudly up front if the tables are inconsistent
+    except AtlasError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "classify":

@@ -79,14 +79,19 @@ def polar_form(x: int, y: int) -> int:
     ) & 1
 
 
+def _shifted_form(center: int, v: int) -> int:
+    """hyperbolic_form(v) + polar_form(v, center), for a coordinate vector center."""
+    return hyperbolic_form(v) ^ polar_form(v, center)
+
+
 def elliptic_form(v: int) -> int:
     """The form whose quadric has 27 points and projective index 1."""
-    return hyperbolic_form(v) ^ polar_form(v, ALL_ONES)
+    return _shifted_form(ALL_ONES, v)
 
 
 def elliptic_form_at(m: int, v: int) -> int:
     """Member of the quadric family attached to the matrix point m."""
-    return hyperbolic_form(v) ^ polar_form(v, minor_coordinates(m))
+    return _shifted_form(minor_coordinates(m), v)
 
 
 def elliptic_form_sym(x: int) -> int:
@@ -224,7 +229,9 @@ def elliptic_quadric() -> FrozenSet[int]:
 
 
 def elliptic_quadric_at(m: int) -> FrozenSet[int]:
-    return quadric_points(lambda v: elliptic_form_at(m, v))
+    """The quadric of elliptic_form_at(m, .)."""
+    center = minor_coordinates(m)
+    return quadric_points(lambda v: _shifted_form(center, v))
 
 
 @cache

@@ -144,23 +144,24 @@ def plane_minor(rows: tuple[int, int, int], cols: tuple[int, int, int]) -> int:
 
 def minor_profiles() -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Column triple -> the minor of (X|1) as a function of the 27 matrices."""
-    pts = atlas().points
-    return {
-        cols: tuple(plane_minor(raw_plane_rows(sym_to_mat(x)), cols) for x in pts)
-        for cols in COLUMN_TRIPLES
-    }
+    rows = [raw_plane_rows(sym_to_mat(x)) for x in atlas().points]
+    return {cols: tuple(plane_minor(r, cols) for r in rows) for cols in COLUMN_TRIPLES}
 
 
-def plucker_unique_triples() -> tuple[tuple[int, int, int], ...]:
+def plucker_unique_triples(
+    profiles: dict[tuple[int, int, int], tuple[int, ...]] | None = None,
+) -> tuple[tuple[int, int, int], ...]:
     """The six column triples whose minor occurs exactly once among the 20,
-    ordered to match minor_coordinates.  Derived by brute force."""
-    pts = atlas().points
-    profiles = minor_profiles()
+    ordered to match minor_coordinates.  Derived by brute force from the
+    given minor_profiles(), built here when omitted."""
+    if profiles is None:
+        profiles = minor_profiles()
+    coords = [minor_coordinates(x) for x in atlas().points]
     counts = Counter(profiles.values())
     unique = [cols for cols in COLUMN_TRIPLES if counts[profiles[cols]] == 1]
     ordered = []
     for k in range(6):
-        target = tuple(minor_coordinates(x) >> (5 - k) & 1 for x in pts)
+        target = tuple(c >> (5 - k) & 1 for c in coords)
         matches = [cols for cols in unique if profiles[cols] == target]
         if len(matches) != 1:
             raise ValueError(f"coordinate {k + 1} matched {len(matches)} unique minors")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import gqlab.atlas
 from gqlab.cli import main
 from gqlab.exports import EXPORTERS, render_export
 
@@ -55,6 +56,21 @@ def test_verify_json(capsys):
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--check", "nonexistent."]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_inconsistent_atlas_exits_1(monkeypatch, capsys):
+    # U1 replaced by V1: the tables list one matrix twice
+    corrupted = (gqlab.atlas._V_BITS[0],) + gqlab.atlas._U_BITS[1:]
+    gqlab.atlas.atlas.cache_clear()
+    try:
+        monkeypatch.setattr(gqlab.atlas, "_U_BITS", corrupted)
+        assert main(["classify", "001100"]) == 1
+    finally:
+        monkeypatch.undo()
+        gqlab.atlas.atlas.cache_clear()
+    captured = capsys.readouterr()
+    assert captured.err == "error: atlas tables contain duplicates\n"
+    assert captured.out == ""
 
 
 def test_usage_error_exit_code(capsys):

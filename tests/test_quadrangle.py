@@ -1,12 +1,14 @@
 """Tests for the GQ axioms, the models and isomorphism machinery."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from gqlab.atlas import atlas, label_of, matrix_of
 from gqlab.gf2 import SYM_IDENTITY, bits6
 from gqlab.pg import ALL_ONES, elliptic_quadric, minor_coordinates
+from gqlab.planes import build_plane_model
 from gqlab.quadrangle import (
     DOUBLE_SIX_ISOMORPHISM,
     AxiomViolationError,
@@ -182,6 +184,69 @@ def test_find_isomorphism_deterministic():
 def test_find_isomorphism_rejects_different_orders():
     assert find_isomorphism(doily_substructure(), build_double_six_model()) is None
     assert find_isomorphism(grid_gq21(), doily_substructure()) is None
+
+
+# Independent oracles: they read only points and lines, never the package's
+# collinearity or search code.
+
+
+def four_models():
+    return [
+        build_quadric_quadrangle(),
+        build_matrix_quadrangle(),
+        build_double_six_model(),
+        build_plane_model(),
+    ]
+
+
+def point_graph(inc):
+    """Collinearity graph built straight from the lines: point -> neighbours."""
+    adj = {p: set() for p in inc.points}
+    for line in inc.lines:
+        for p, q in combinations(line, 2):
+            adj[p].add(q)
+            adj[q].add(p)
+    return adj
+
+
+@pytest.mark.parametrize("inc", four_models(), ids=lambda inc: inc.name)
+def test_collinearity_graph_is_srg_27_10_1_5(inc):
+    # GQ(s,t) has an SRG((s+1)(st+1), s(t+1), s-1, t+1) collinearity graph
+    # (Payne and Thas, Finite Generalized Quadrangles, 1.2)
+    adj = point_graph(inc)
+    assert len(adj) == 27
+    assert {len(near) for near in adj.values()} == {10}
+    for p, q in combinations(adj, 2):
+        common = len(adj[p] & adj[q])
+        assert common == (1 if q in adj[p] else 5), (p, q)
+
+
+def _nx_isomorphic(a, b):
+    nx = pytest.importorskip("networkx")
+    graphs = []
+    for inc in (a, b):
+        graph = nx.Graph()
+        graph.add_nodes_from(inc.points)
+        graph.add_edges_from(edge for line in inc.lines for edge in combinations(line, 2))
+        graphs.append(graph)
+    return nx.is_isomorphic(*graphs)
+
+
+# In a GQ the triangles of the collinearity graph are exactly its lines of
+# size 3, so two of these structures are isomorphic iff their graphs are.
+# (The point-line incidence graph would say the same, but VF2 stalls on it.)
+MODEL_PAIRS = [(a, b, True) for a, b in combinations(four_models(), 2)] + [
+    (doily_substructure(), build_double_six_model(), False),
+    (grid_gq21(), doily_substructure(), False),
+]
+
+
+@pytest.mark.parametrize(
+    "a, b, isomorphic", MODEL_PAIRS, ids=[f"{a.name}-{b.name}" for a, b, _ in MODEL_PAIRS]
+)
+def test_find_isomorphism_agrees_with_networkx(a, b, isomorphic):
+    assert _nx_isomorphic(a, b) is isomorphic
+    assert (find_isomorphism(a, b) is not None) is isomorphic
 
 
 def test_hyperplane_survey_counts():
