@@ -223,13 +223,7 @@ def test_collinearity_graph_is_srg_27_10_1_5(inc):
 
 def _nx_isomorphic(a, b):
     nx = pytest.importorskip("networkx")
-    graphs = []
-    for inc in (a, b):
-        graph = nx.Graph()
-        graph.add_nodes_from(inc.points)
-        graph.add_edges_from(edge for line in inc.lines for edge in combinations(line, 2))
-        graphs.append(graph)
-    return nx.is_isomorphic(*graphs)
+    return nx.is_isomorphic(nx.Graph(point_graph(a)), nx.Graph(point_graph(b)))
 
 
 # In a GQ the triangles of the collinearity graph are exactly its lines of
