@@ -149,13 +149,11 @@ def minor_profiles() -> dict[tuple[int, int, int], tuple[int, ...]]:
 
 
 def plucker_unique_triples(
-    profiles: dict[tuple[int, int, int], tuple[int, ...]] | None = None,
+    profiles: dict[tuple[int, int, int], tuple[int, ...]],
 ) -> tuple[tuple[int, int, int], ...]:
     """The six column triples whose minor occurs exactly once among the 20,
     ordered to match minor_coordinates.  Derived by brute force from the
-    given minor_profiles(), built here when omitted."""
-    if profiles is None:
-        profiles = minor_profiles()
+    given minor_profiles()."""
     coords = [minor_coordinates(x) for x in atlas().points]
     counts = Counter(profiles.values())
     unique = [cols for cols in COLUMN_TRIPLES if counts[profiles[cols]] == 1]

@@ -34,6 +34,7 @@ from gqlab.planes import (
     intersection_statistics,
     is_totally_isotropic,
     family_planes,
+    minor_profiles,
     plane_of,
     plane_points,
     plucker_unique_triples,
@@ -176,7 +177,7 @@ def test_criterion_08_plane_model_identities():
         assert len(covered) == 63
     for plane in list(family_planes().values()) + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]:
         assert is_totally_isotropic(plane)
-    assert plucker_unique_triples() == (
+    assert plucker_unique_triples(minor_profiles()) == (
         (0, 4, 5),
         (1, 2, 3),
         (1, 3, 5),

@@ -23,6 +23,7 @@ from gqlab.planes import (
     is_skew,
     is_totally_isotropic,
     make_plane,
+    minor_profiles,
     plane_minor,
     plane_of,
     plane_of_mat,
@@ -151,7 +152,7 @@ def test_plucker_minor_examples():
 
 def test_plucker_unique_triples_frozen():
     # oracle output: six multiplicity-one minors, in coordinate order
-    assert plucker_unique_triples() == (
+    assert plucker_unique_triples(minor_profiles()) == (
         (0, 4, 5),
         (1, 2, 3),
         (1, 3, 5),

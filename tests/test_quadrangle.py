@@ -223,15 +223,34 @@ def test_collinearity_graph_is_srg_27_10_1_5(inc):
 
 def _nx_isomorphic(a, b):
     nx = pytest.importorskip("networkx")
-    return nx.is_isomorphic(nx.Graph(point_graph(a)), nx.Graph(point_graph(b)))
+    # VF2++: plain VF2 (nx.is_isomorphic) is thousands of times slower to
+    # reject the point-swapped model below
+    return nx.vf2pp_is_isomorphic(nx.Graph(point_graph(a)), nx.Graph(point_graph(b)))
+
+
+def point_swapped(inc):
+    """inc with two collinear points p, q traded between two disjoint lines.
+
+    Every point keeps 10 neighbours and the line count stays 45, so only the
+    search can tell it from GQ(2,4); the GQ axioms fail on it.
+    """
+    adj = point_graph(inc)
+    for i, j in combinations(range(len(inc.lines)), 2):
+        left, right = inc.lines[i], inc.lines[j]
+        p, q = left[0], right[0]
+        if q in adj[p] and not set(left) & set(right):
+            lines = list(inc.lines)
+            lines[i] = (q,) + left[1:]
+            lines[j] = (p,) + right[1:]
+            return make_structure(f"{inc.name}-swapped", inc.points, lines)
+    raise AssertionError("no swappable pair")
 
 
 # In a GQ the triangles of the collinearity graph are exactly its lines of
-# size 3, so two of these structures are isomorphic iff their graphs are.
-# (The point-line incidence graph would say the same, but VF2 stalls on it.)
+# size 3, so two GQs of order (2,4) are isomorphic iff their graphs are; for
+# any structures, non-isomorphic graphs mean non-isomorphic structures.
 MODEL_PAIRS = [(a, b, True) for a, b in combinations(four_models(), 2)] + [
-    (doily_substructure(), build_double_six_model(), False),
-    (grid_gq21(), doily_substructure(), False),
+    (point_swapped(build_matrix_quadrangle()), build_double_six_model(), False),
 ]
 
 
@@ -241,6 +260,14 @@ MODEL_PAIRS = [(a, b, True) for a, b in combinations(four_models(), 2)] + [
 def test_find_isomorphism_agrees_with_networkx(a, b, isomorphic):
     assert _nx_isomorphic(a, b) is isomorphic
     assert (find_isomorphism(a, b) is not None) is isomorphic
+
+
+def test_point_swapped_model_passes_the_degree_filter():
+    swapped = point_swapped(build_matrix_quadrangle())
+    assert len(swapped.lines) == 45
+    assert {len(near) for near in point_graph(swapped).values()} == {10}
+    with pytest.raises(AxiomViolationError):
+        verify_gq_axioms(swapped)
 
 
 def test_hyperplane_survey_counts():
