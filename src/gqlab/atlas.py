@@ -19,9 +19,8 @@ any mismatch.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from gqlab.gf2 import (
     MAT_IDENTITY,
@@ -73,8 +72,7 @@ def label_key(label: str) -> tuple[int, int]:
     return (_CLASS_ORDER[label[0]], int(label[1:]))
 
 
-@dataclass(frozen=True)
-class Atlas:
+class Atlas(NamedTuple):
     """Verified lookup tables for the 27 non-identity invertible matrices."""
 
     d: tuple[int, ...]
@@ -85,8 +83,7 @@ class Atlas:
     by_label: Mapping[str, int]
 
 
-@dataclass(frozen=True)
-class FanoAction:
+class FanoAction(NamedTuple):
     """Permutation induced on the 7 nonzero row vectors by v -> v*x."""
 
     images: tuple[int, ...]

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from gqlab import atlas as atlas_mod
 from gqlab import pg
@@ -43,8 +42,7 @@ from gqlab.gf2 import (
 )
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one identified verification check.
 
     A report passes iff the printable forms of expected and actual agree,
@@ -64,8 +62,7 @@ def make_report(check_id: str, description: str, expected: object, actual: objec
     return CheckReport(check_id, description, exp, act, exp == act)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """Ordered collection of check reports; passes iff every member passes."""
 
     reports: tuple[CheckReport, ...]
@@ -737,15 +734,11 @@ for _tag in ("U", "V"):
     "maps (X|1) to (UXU|1) True, preserves intersection dimensions True",
 )
 def _check_collineation() -> str:
-    at = atlas()
+    points = atlas().points
     group = planes_mod.conjugating_group("U") + planes_mod.conjugating_group("V")[1:]
-    maps_ok = all(
-        planes_mod.collineation_action(u, planes_mod.plane_of(x))
-        == planes_mod.plane_of(planes_mod.conjugate(u, x))
-        for u in group
-        for x in at.points
-    )
-    all_planes = list(planes_mod.family_planes().values()) + [
+    # the 27 family planes first, in the order of points, then the three
+    # distinguished planes
+    all_planes = [planes_mod.plane_of(x) for x in points] + [
         planes_mod.PLANE_LEFT,
         planes_mod.PLANE_RIGHT,
         planes_mod.PLANE_DIAGONAL,
@@ -758,10 +751,15 @@ def _check_collineation() -> str:
         return [(masks[i] & masks[j]).bit_count() for i, j in pairs]
 
     before = meets(all_planes)
-    dims_ok = True
+    maps_ok = dims_ok = True
     for u in group:
-        if meets([planes_mod.collineation_action(u, p) for p in all_planes]) != before:
-            dims_ok = False
+        # each (u, plane) image is computed once and serves both claims
+        images = [planes_mod.collineation_action(u, p) for p in all_planes]
+        maps_ok &= all(
+            image == planes_mod.plane_of(planes_mod.conjugate(u, x))
+            for x, image in zip(points, images)
+        )
+        dims_ok &= meets(images) == before
     return f"maps (X|1) to (UXU|1) {maps_ok}, preserves intersection dimensions {dims_ok}"
 
 
@@ -945,7 +943,7 @@ def run_suite(prefix: str | None = None) -> SuiteResult:
                 "no exception",
                 f"error: {type(exc).__name__}: {exc}",
             )
-        reports.append(replace(report, elapsed=time.perf_counter() - started))
+        reports.append(report._replace(elapsed=time.perf_counter() - started))
     return SuiteResult(tuple(reports))
 
 

@@ -10,18 +10,20 @@ Grammar::
 Exit codes: 0 success, 1 check failure or inconsistent atlas tables, 2
 usage error.  All behavior is controlled by flags; there is no
 configuration file and no environment variable.
+
+Each command imports only the modules it runs.  This module loads ``gf2``,
+``atlas``, ``pg`` and ``quadrangle``, which is all ``classify`` needs;
+``verify`` imports ``checks`` and ``export`` imports ``exports`` when they
+are called.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from gqlab.atlas import AtlasError, MatrixClass, atlas, classify, label_key, label_of
-from gqlab.checks import UnknownCheckIdError, run_suite, suite_to_dict
-from gqlab.exports import UnsupportedFormatError, render_export
 from gqlab.gf2 import bits6, eigenspace_dim, mat_row, parse_bits6, sym_det, sym_to_mat
 from gqlab.pg import minor_coordinates
 from gqlab.quadrangle import build_matrix_quadrangle, collinearity
@@ -43,6 +45,10 @@ def _print_suite_text(suite) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
+    from gqlab.checks import UnknownCheckIdError, run_suite, suite_to_dict
+
     try:
         suite = run_suite(args.check)
     except UnknownCheckIdError as exc:
@@ -86,6 +92,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    # read at call time, so a wrapper installed on gqlab.exports is honoured
+    from gqlab.exports import UnsupportedFormatError, render_export
+
     try:
         body = render_export(args.what, args.format)
     except UnsupportedFormatError as exc:

@@ -168,7 +168,12 @@ def planes_through() -> tuple[int, ...]:
 
 
 def bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of a nonnegative int, ascending."""
+    """Indices of the set bits of a nonnegative int, ascending.
+
+    Raises ValueError on a negative mask, whose set bits never run out.
+    """
+    if mask < 0:
+        raise ValueError(f"bit_indices needs a nonnegative mask, got {mask}")
     out = []
     while mask:
         low = mask & -mask

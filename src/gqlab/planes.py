@@ -13,10 +13,9 @@ so two planes share ``popcount(mask(p) & mask(q)) = 2**dim`` vectors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from gqlab.atlas import MatrixClass, WrongClassError, atlas, classify, label_key, label_of
 from gqlab.gf2 import (
@@ -183,8 +182,7 @@ def conjugate(u: int, x: int) -> int:
     return mat_to_sym(mat_mul(mat_mul(um, xm), um))
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(NamedTuple):
     group: str
     orbits: tuple[tuple[str, ...], ...]
 
@@ -219,8 +217,7 @@ def collineation_action(u: int, p: Plane) -> Plane:
     return make_plane(rows)
 
 
-@dataclass(frozen=True)
-class MeetProfile:
+class MeetProfile(NamedTuple):
     label: str
     versus: str
     points: int

@@ -14,9 +14,8 @@ type so that isomorphisms are serializable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6
@@ -44,8 +43,7 @@ class NotInSError(ValueError):
     """Argument is singular or the identity, hence not a quadrangle point."""
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(NamedTuple):
     name: str
     points: tuple[str, ...]
     lines: tuple[tuple[str, ...], ...]
@@ -333,16 +331,14 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[str, 
     return dict(mapping) if ok else None
 
 
-@dataclass(frozen=True)
-class HyperplaneSection:
+class HyperplaneSection(NamedTuple):
     axis: str
     kind: str  # "tangent" or "gq22"
     n_points: int
     n_lines: int
 
 
-@dataclass(frozen=True)
-class SurveySummary:
+class SurveySummary(NamedTuple):
     tangent: int
     nondegenerate: int
     sections: tuple[HyperplaneSection, ...]

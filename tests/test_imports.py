@@ -1,0 +1,92 @@
+"""What each command imports, and the public surface of the lazy package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gqlab
+import gqlab.checks
+import gqlab.quadrangle
+from gqlab.atlas import matrix_of
+from gqlab.planes import intersection_statistics
+from gqlab.quadrangle import make_structure
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# run as `python -c PROBE <cli args>`: the CLI runs as `python -m gqlab.cli`
+# would run it, then the loaded module names go to stderr, one line
+PROBE = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('gqlab.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    assert exc.code == 0, exc.code\n"
+    "print(*sorted(sys.modules), file=sys.stderr)\n"
+)
+
+# modules that classify does not run, and the stdlib modules that a
+# dataclass record would pull in
+NOT_FOR_CLASSIFY = {"gqlab.checks", "gqlab.exports", "gqlab.planes", "dataclasses", "inspect"}
+
+
+def _modules_after(code: str, *args: str, cwd: Path) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines()[-1].split())
+
+
+def test_cli_commands_import_only_what_they_run(tmp_path):
+    imported = _modules_after(
+        "import sys, gqlab.cli; print(*sys.modules, file=sys.stderr)", cwd=tmp_path
+    )
+    assert "gqlab.cli" in imported
+    assert not imported & NOT_FOR_CLASSIFY
+
+    classified = _modules_after(PROBE, "classify", "001100", cwd=tmp_path)
+    assert {"gqlab.gf2", "gqlab.atlas", "gqlab.pg", "gqlab.quadrangle"} <= classified
+    assert not classified & NOT_FOR_CLASSIFY
+
+    out = tmp_path / "atlas.csv"
+    exported = _modules_after(
+        PROBE, "export", "--what", "atlas", "--format", "csv", "--out", str(out), cwd=tmp_path
+    )
+    assert "gqlab.exports" in exported
+    assert "gqlab.checks" not in exported
+    assert out.read_text(encoding="utf-8").startswith("label,bits,class,eigenspace_dim,involution\n")
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    defining = {"run_suite": gqlab.checks}
+    for name in gqlab.__all__:
+        if name != "__version__":
+            assert getattr(gqlab, name) is getattr(defining.get(name, gqlab.quadrangle), name)
+    namespace: dict = {}
+    exec("from gqlab import *", namespace)
+    assert set(gqlab.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        gqlab.nope
+
+
+def test_records_keep_repr_immutability_and_hash():
+    profile = intersection_statistics(matrix_of("D1"))
+    structure = make_structure("path", ["c", "a", "b"], [["b", "a"], ["c", "b"]])
+    assert repr(profile) == "MeetProfile(label='D1', versus='U', points=4, lines=0, skew=2)"
+    assert repr(structure) == (
+        "IncidenceStructure(name='path', points=('a', 'b', 'c'), lines=(('a', 'b'), ('b', 'c')))"
+    )
+    for record, field in ((profile, "points"), (structure, "lines")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ())
+    assert hash(profile) == hash(("D1", "U", 4, 0, 2))
+    assert hash(structure) == hash(("path", ("a", "b", "c"), (("a", "b"), ("b", "c"))))

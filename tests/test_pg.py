@@ -158,6 +158,16 @@ def test_incidence_masks_list_the_subspaces_through_each_point():
             assert bit_indices(through[v]) == [i for i, sub in enumerate(subspaces) if v in sub]
 
 
+def test_bit_indices_lists_set_bits_and_rejects_negative_masks():
+    assert bit_indices(0) == []
+    assert bit_indices(0b1011) == [0, 1, 3]
+    assert bit_indices(1 << 1394) == [1394]
+    # a negative int has set bits without end, so it is refused up front
+    for mask in (-1, -(1 << 63), ~0b1011):
+        with pytest.raises(ValueError, match="nonnegative"):
+            bit_indices(mask)
+
+
 def test_subspaces_in_match_superset_reference():
     # the filters keep pg_lines()/pg_planes() order, so equal tuples also
     # pin the output order
