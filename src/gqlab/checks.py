@@ -812,8 +812,9 @@ def _check_collinearity_transfer() -> str:
     at = atlas()
     dset = set(at.d)
     transfer_ok = True
+    planes = {x: planes_mod.plane_of(x) for x in at.points}
     for x, y in combinations(at.points, 2):
-        meet = planes_mod.intersection_dim(planes_mod.plane_of(x), planes_mod.plane_of(y)) > 0
+        meet = planes_mod.intersection_dim(planes[x], planes[y]) > 0
         # the classes are D and U+V
         want = meet if (x in dset) == (y in dset) else not meet
         if quad.collinear_matrices(x, y) != want:
@@ -825,12 +826,13 @@ def _check_collinearity_transfer() -> str:
     u_labels = {label_of(x) for x in at.u}
     v_labels = {label_of(x) for x in at.v}
     d_labels = {label_of(x) for x in at.d}
+    partner = {label_of(x): label_of(planes_mod.skew_partner(x)) for x in at.u}
     for y in at.d:
         near = adj[label_of(y)]
         from_u = sorted(near & u_labels)
         from_v = sorted(near & v_labels)
         in_d = sum(1 for lab in near if lab in d_labels)
-        paired = {label_of(planes_mod.skew_partner(atlas().by_label[lab])) for lab in from_u}
+        paired = {partner[lab] for lab in from_u}
         if len(from_u) != 2 or len(from_v) != 2 or in_d != 6 or paired != set(from_v):
             partners_ok = False
     return (
@@ -872,10 +874,13 @@ def _check_pi_plane_model() -> str:
     adj = quad.collinearity(model)
     law_ok = True
     members = sorted(translated)
+    dets = {x: sym_det(x) for x in members}
+    labels = {x: bits6(x) for x in members}
     for i, x in enumerate(members):
+        near = adj[labels[x]]
         for y in members[i + 1 :]:
-            collinear = bits6(y) in adj[bits6(x)]
-            wanted = (sym_det(x ^ y) ^ sym_det(x) ^ sym_det(y)) == 0
+            collinear = labels[y] in near
+            wanted = (sym_det(x ^ y) ^ dets[x] ^ dets[y]) == 0
             if collinear != wanted:
                 law_ok = False
     try:

@@ -10,22 +10,31 @@ type so that isomorphisms are serializable:
 * doily plus double-six model: 2-subsets of {1..6} with perfect-matching
   lines, extended by the points 1..6, 1'..6' and the 30 lines {i,{i,j},j'};
 * plane model (gqlab.planes): points are the planes (Y|1) skew to (1|1).
+
+Every axiom, collinearity and isomorphism decision reads the compiled form
+of a structure, built once per structure by ``compile_structure``: point i
+is ``inc.points[i]``, each line is a tuple of point indices and a point mask
+(bit i set iff point i is on it), and each point has the point mask of its
+collinear neighbours and their number.  The labels are read back only to
+write witnesses and results.  The hyperplane survey compiles its 36 sections
+straight from quadric points and quadric lines, without labelling them.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6
 from gqlab.pg import (
+    PgLine,
     bit_indices,
     elliptic_quadric,
     from_minor_coordinates,
     lines_in,
     minor_coordinates,
-    perp_hyperplane,
+    point_mask,
     polar_form,
 )
 
@@ -49,6 +58,21 @@ class IncidenceStructure(NamedTuple):
     lines: tuple[tuple[str, ...], ...]
 
 
+class CompiledStructure(NamedTuple):
+    """An incidence structure on the point indices 0..n-1.
+
+    Bit i of a point mask stands for point i.  ``lines`` keeps each line
+    as written, so a line that names a point twice still does.
+    """
+
+    name: str
+    labels: tuple[str, ...]  # point index -> label, read only for witnesses
+    lines: tuple[tuple[int, ...], ...]
+    line_points: tuple[int, ...]  # line -> point mask of its points
+    adjacency: tuple[int, ...]  # point -> point mask of its collinear points
+    degrees: tuple[int, ...]  # point -> number of collinear points
+
+
 def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[str]]) -> IncidenceStructure:
     """Canonicalize: sorted point tuple, sorted tuple of sorted line tuples."""
     pts = tuple(sorted(points))
@@ -67,89 +91,114 @@ def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[st
     return IncidenceStructure(name, pts, tuple(sorted(lset)))
 
 
+def _compile(
+    name: str, labels: tuple[str, ...], lines: tuple[tuple[int, ...], ...]
+) -> CompiledStructure:
+    near = [0] * len(labels)
+    line_points = []
+    for line in lines:
+        mask = 0
+        for i in line:
+            mask |= 1 << i
+        for i in line:
+            near[i] |= mask
+        line_points.append(mask)
+    adjacency = tuple(mask & ~(1 << i) for i, mask in enumerate(near))
+    return CompiledStructure(
+        name,
+        labels,
+        lines,
+        tuple(line_points),
+        adjacency,
+        tuple(mask.bit_count() for mask in adjacency),
+    )
+
+
+@cache
+def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
+    """The compiled form of inc; point i is inc.points[i]."""
+    index = {p: i for i, p in enumerate(inc.points)}.__getitem__
+    lines = tuple(tuple(map(index, line)) for line in inc.lines)
+    return _compile(inc.name, tuple(inc.points), lines)
+
+
 def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
     """Point -> set of points sharing a line with it."""
-    adj: dict[str, set[str]] = {p: set() for p in inc.points}
-    for line in inc.lines:
-        for a in line:
-            for b in line:
-                if a != b:
-                    adj[a].add(b)
-    return {p: frozenset(s) for p, s in adj.items()}
+    c = compile_structure(inc)
+    label = c.labels.__getitem__
+    return {
+        label(i): frozenset(map(label, bit_indices(mask))) for i, mask in enumerate(c.adjacency)
+    }
 
 
 def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
     """Check the three axioms and return the order (s, t).
 
     Raises AxiomViolationError with the first failing axiom and witness.
-    The axioms are decided on bitsets over indices into ``inc.points`` and
-    ``inc.lines``: each line has the mask of its points and each point the
-    mask of the lines through it.
     """
-    if not inc.points or not inc.lines:
-        raise AxiomViolationError("nonempty", inc.name)
-    sizes = {len(line) for line in inc.lines}
+    return _gq_order(compile_structure(inc))
+
+
+def _gq_order(c: CompiledStructure) -> tuple[int, int]:
+    """verify_gq_axioms on a compiled structure; witnesses use its labels."""
+    labels, lines = c.labels, c.lines
+    if not labels or not lines:
+        raise AxiomViolationError("nonempty", c.name)
+    sizes = {len(line) for line in lines}
     if len(sizes) != 1:
         raise AxiomViolationError("uniform line size", f"sizes {sorted(sizes)}")
     s = sizes.pop() - 1
 
-    index = {p: i for i, p in enumerate(inc.points)}
-    degree = [0] * len(inc.points)
-    through = [0] * len(inc.points)
-    line_points = []
-    repeats = 0  # lines that name a point twice
-    for j, line in enumerate(inc.lines):
-        mask = 0
-        for p in line:
-            i = index[p]
+    degree = [0] * len(labels)
+    for line in lines:
+        for i in line:
             degree[i] += 1
-            through[i] |= 1 << j
-            mask |= 1 << i
-        line_points.append(mask)
-        if mask.bit_count() != len(line):
-            repeats |= 1 << j
-    degrees = {degree[i] for i in index.values()}
+    degrees = set(degree)
     if len(degrees) != 1:
         raise AxiomViolationError("uniform point degree", f"degrees {sorted(degrees)}")
     t = degrees.pop() - 1
 
-    joined = [0] * len(inc.points)  # bit b of joined[a]: some line has a before b
-    for line in inc.lines:
+    def written(j: int) -> tuple[str, ...]:
+        return tuple(labels[i] for i in lines[j])
+
+    joined = [0] * len(labels)  # bit b of joined[a]: some line has a before b
+    for line in lines:
         for k, a in enumerate(line):
-            row = index[a]
             for b in line[k + 1 :]:
-                bit = 1 << index[b]
-                if joined[row] & bit:
-                    raise AxiomViolationError("at most one joining line", f"points {a}, {b}")
-                joined[row] |= bit
+                bit = 1 << b
+                if joined[a] & bit:
+                    raise AxiomViolationError(
+                        "at most one joining line", f"points {labels[a]}, {labels[b]}"
+                    )
+                joined[a] |= bit
+    line_points = c.line_points
     for i, mask in enumerate(line_points):
         for j in range(i + 1, len(line_points)):
             if (mask & line_points[j]).bit_count() > 1:
                 raise AxiomViolationError(
-                    "at most one common point", f"lines {inc.lines[i]}, {inc.lines[j]}"
+                    "at most one common point", f"lines {written(i)}, {written(j)}"
                 )
 
-    near = [0] * len(inc.points)
-    for mask in line_points:
-        for i in bit_indices(mask):
-            near[i] |= mask
-    all_lines = (1 << len(inc.lines)) - 1
-    for p, i in index.items():
-        near_p = near[i] & ~(1 << i)
-        # bit-sliced counters: lines meeting at least one / two neighbours of p
+    # bit-sliced counters over each line's points as written (a point named
+    # twice counts twice): the points collinear with at least one / two of them
+    all_points = (1 << len(labels)) - 1
+    adjacency = c.adjacency
+    off_by = []  # per line: the points off it without exactly one neighbour on it
+    offenders = 0
+    for j, line in enumerate(lines):
         ones = twos = 0
-        for q in bit_indices(near_p):
-            twos |= ones & through[q]
-            ones |= through[q]
-        # a line naming a neighbour twice counts it twice, so it is rechecked
-        suspects = all_lines & ~through[i] & (~ones | twos | repeats)
-        for j in bit_indices(suspects):
-            line = inc.lines[j]
-            hits = sum(1 for q in line if near_p >> index[q] & 1)
-            if hits != 1:
-                raise AxiomViolationError(
-                    "unique perpendicular", f"point {p}, line {line}, {hits} connections"
-                )
+        for q in line:
+            twos |= ones & adjacency[q]
+            ones |= adjacency[q]
+        off_by.append(all_points & ~line_points[j] & (~ones | twos))
+        offenders |= off_by[-1]
+    if offenders:
+        i = (offenders & -offenders).bit_length() - 1
+        j = next(j for j, mask in enumerate(off_by) if mask >> i & 1)
+        hits = sum(1 for q in lines[j] if adjacency[i] >> q & 1)
+        raise AxiomViolationError(
+            "unique perpendicular", f"point {labels[i]}, line {written(j)}, {hits} connections"
+        )
     return (s, t)
 
 
@@ -182,12 +231,7 @@ def quadric_to_matrix_map() -> dict[str, str]:
     }
 
 
-def collinear_matrices(x: int, y: int) -> bool:
-    """Collinearity of two distinct quadrangle matrices.
-
-    Criterion: the polar form of the translated coordinate vectors vanishes,
-    equivalently det(X+Y) + det(X+1) + det(Y+1) = 0.
-    """
+def _reject_non_points(x: int, y: int) -> None:
     for m in (x, y):
         try:
             cls = classify(m)
@@ -195,6 +239,17 @@ def collinear_matrices(x: int, y: int) -> bool:
             raise NotInSError(f"matrix {m:06b} is singular") from exc
         if cls is MatrixClass.IDENTITY:
             raise NotInSError("the identity is not a quadrangle point")
+
+
+def collinear_matrices(x: int, y: int) -> bool:
+    """Collinearity of two distinct quadrangle matrices.
+
+    Criterion: the polar form of the translated coordinate vectors vanishes,
+    equivalently det(X+Y) + det(X+1) + det(Y+1) = 0.
+    """
+    labels = atlas().labels
+    if x not in labels or y not in labels:
+        _reject_non_points(x, y)
     if x == y:
         raise ValueError("collinearity is defined for distinct points")
     return polar_form(minor_coordinates(x ^ SYM_IDENTITY), minor_coordinates(y ^ SYM_IDENTITY)) == 0
@@ -271,64 +326,121 @@ def verify_isomorphism(
     return True, ""
 
 
-def _search_order(inc: IncidenceStructure, adj: Mapping[str, frozenset[str]]) -> list[str]:
+def _label_ordered(inc: IncidenceStructure) -> CompiledStructure:
+    """The compiled form of inc with its points in label order, so that
+    ascending point indices are ascending labels."""
+    points = tuple(sorted(inc.points))
+    return compile_structure(inc if points == inc.points else inc._replace(points=points))
+
+
+def _search_order(c: CompiledStructure) -> list[int]:
     # breadth-first from the smallest label so each new point is constrained
     # by already-mapped neighbours; fully deterministic
-    remaining = set(inc.points)
-    order: list[str] = []
+    order: list[int] = []
+    remaining = (1 << len(c.labels)) - 1
     while remaining:
-        queue = [min(remaining)]
-        remaining.discard(queue[0])
-        while queue:
-            p = queue.pop(0)
-            order.append(p)
-            for n in sorted(adj[p]):
-                if n in remaining:
-                    remaining.discard(n)
-                    queue.append(n)
+        start = remaining & -remaining
+        remaining ^= start
+        queue = [start.bit_length() - 1]
+        for p in queue:
+            new = c.adjacency[p] & remaining
+            remaining ^= new
+            queue.extend(bit_indices(new))
+        order += queue
     return order
+
+
+def _backtrack(
+    a: CompiledStructure, b: CompiledStructure, order: list[int]
+) -> Iterator[list[int]]:
+    """The images of order[0], order[1], ... under every map from a onto b
+    that keeps collinearity and non-collinearity, one list per map (reused).
+
+    The candidates of each position start as the points of b with its
+    degree.  They sit side by side in one int, n bits per position, and
+    mapping a point to q intersects every later position's candidates with
+    the neighbours of q, if that position is collinear with the point, or
+    with the non-neighbours other than q.  So a position's candidates are
+    its degree class minus the used points, intersected with the adjacency
+    or non-adjacency masks of the images of the points mapped before it;
+    they are tried in ascending order, which is label order.
+    """
+    n = len(order)
+    if not n:
+        yield []
+        return
+    full = (1 << n) - 1
+    copies = sum(1 << (n * k) for k in range(n))  # times a mask: one copy per position
+    position = {p: k for k, p in enumerate(order)}
+    near = []  # per position: the fields of the positions collinear with it
+    for p in order:
+        fields = 0
+        for r in bit_indices(a.adjacency[p]):
+            fields |= full << (n * position[r])
+        near.append(fields)
+    far = [full * copies & ~fields for fields in near]
+    onto_near = [mask * copies for mask in b.adjacency]
+    onto_far = [(full & ~mask & ~(1 << q)) * copies for q, mask in enumerate(b.adjacency)]
+    by_degree: dict[int, int] = {}
+    for q, d in enumerate(b.degrees):
+        by_degree[d] = by_degree.get(d, 0) | 1 << q
+    start = sum(by_degree.get(a.degrees[p], 0) << (n * k) for k, p in enumerate(order))
+
+    domains = [start] + [0] * (n - 1)  # candidates of every position, per depth
+    candidates = [start & full] + [0] * (n - 1)  # those of each depth not yet tried
+    images = [0] * n
+    k = 0
+    while True:
+        c = candidates[k]
+        if not c:
+            if not k:
+                return
+            k -= 1
+            continue
+        low = c & -c
+        candidates[k] = c ^ low
+        q = low.bit_length() - 1
+        images[k] = q
+        if k == n - 1:
+            yield images
+            continue
+        domain = domains[k] & (onto_near[q] & near[k] | onto_far[q] & far[k])
+        k += 1
+        domains[k] = domain
+        candidates[k] = domain >> (n * k) & full
+
+
+def collinearity_isomorphisms(
+    a: IncidenceStructure, b: IncidenceStructure
+) -> Iterator[dict[str, str]]:
+    """Every point bijection from a onto b that keeps collinearity and
+    non-collinearity, in search order.
+
+    Points of a are mapped breadth-first from the smallest label; candidate
+    images are tried in (degree, label) order.  Each map is a new dict whose
+    keys follow the search order.
+    """
+    if len(a.points) != len(b.points) or len(a.lines) != len(b.lines):
+        return
+    ca, cb = _label_ordered(a), _label_ordered(b)
+    if sorted(ca.degrees) != sorted(cb.degrees):
+        return
+    order = _search_order(ca)
+    keys = [ca.labels[p] for p in order]
+    for images in _backtrack(ca, cb, order):
+        yield dict(zip(keys, map(cb.labels.__getitem__, images)))
 
 
 def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[str, str] | None:
     """Deterministic backtracking search for an isomorphism; None if there is none.
 
-    Candidate images are tried in (degree, label) order; partial maps must
-    preserve collinearity and non-collinearity.
+    The first map of collinearity_isomorphisms, if it also sends lines onto
+    lines; for generalized quadrangles every such map does.
     """
-    if len(a.points) != len(b.points) or len(a.lines) != len(b.lines):
-        return None
-    adj_a, adj_b = collinearity(a), collinearity(b)
-    if sorted(len(s) for s in adj_a.values()) != sorted(len(s) for s in adj_b.values()):
-        return None
-    order = _search_order(a, adj_a)
-    candidates = sorted(b.points, key=lambda p: (len(adj_b[p]), p))
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def feasible(p: str, q: str) -> bool:
-        if len(adj_a[p]) != len(adj_b[q]):
-            return False
-        return all((r in adj_a[p]) == (s in adj_b[q]) for r, s in mapping.items())
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        p = order[i]
-        for q in candidates:
-            if q in used or not feasible(p, q):
-                continue
-            mapping[p] = q
-            used.add(q)
-            if backtrack(i + 1):
-                return True
-            del mapping[p]
-            used.discard(q)
-        return False
-
-    if not backtrack(0):
-        return None
-    ok, _ = verify_isomorphism(mapping, a, b)
-    return dict(mapping) if ok else None
+    for mapping in collinearity_isomorphisms(a, b):
+        ok, _ = verify_isomorphism(mapping, a, b)
+        return mapping if ok else None
+    return None
 
 
 class HyperplaneSection(NamedTuple):
@@ -345,17 +457,27 @@ class SurveySummary(NamedTuple):
     all_gq22_pass: bool
 
 
-def _section_structure(
-    axis: int, pts: Iterable[int], lines: Iterable[tuple[int, ...]]
-) -> IncidenceStructure:
-    labelled = [tuple(bits6(v) for v in line) for line in lines]
-    return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in pts), labelled)
+def _sections(axes: Iterable[int]) -> Iterator[tuple[int, list[int], list[PgLine]]]:
+    """(axis, points, lines) of the quadric section by the hyperplane of each axis.
+
+    The points are the quadric points perpendicular to the axis, ascending;
+    the lines are the quadric lines made of such points, in pg_lines() order.
+    """
+    quad = sorted(elliptic_quadric())
+    quad_lines = [(line, point_mask(line)) for line in lines_in(quad)]
+    for axis in axes:
+        pts = [v for v in quad if polar_form(v, axis) == 0]
+        inside = point_mask(pts)
+        yield axis, pts, [line for line, mask in quad_lines if not mask & ~inside]
 
 
 def quadric_section(axis: int) -> IncidenceStructure:
     """Incidence structure on the quadric points inside the hyperplane of axis."""
-    pts = elliptic_quadric() & perp_hyperplane(axis)
-    return _section_structure(axis, pts, lines_in(pts))
+    if axis == 0:
+        raise ValueError("perpendicular hyperplane needs a nonzero point")
+    ((_, pts, lines),) = _sections([axis])
+    labelled = [tuple(bits6(v) for v in line) for line in lines]
+    return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in pts), labelled)
 
 
 def hyperplane_section_survey() -> SurveySummary:
@@ -367,20 +489,23 @@ def hyperplane_section_survey() -> SurveySummary:
     quad = elliptic_quadric()
     sections = []
     all_pass = True
-    for axis in range(1, 64):
-        pts = quad & perp_hyperplane(axis)
-        lines = lines_in(pts)
-        n_lines = len(lines)
+    for axis, pts, lines in _sections(range(1, 64)):
         if axis in quad:
-            sections.append(HyperplaneSection(bits6(axis), "tangent", len(pts), n_lines))
+            sections.append(HyperplaneSection(bits6(axis), "tangent", len(pts), len(lines)))
             continue
+        index = {v: i for i, v in enumerate(pts)}
+        section = _compile(
+            f"section-{bits6(axis)}",
+            tuple(bits6(v) for v in pts),
+            tuple(tuple(index[v] for v in line) for line in lines),
+        )
         try:
-            order = verify_gq_axioms(_section_structure(axis, pts, lines))
+            order = _gq_order(section)
         except AxiomViolationError:
             order = None
-        if order != (2, 2) or len(pts) != 15 or n_lines != 15:
+        if order != (2, 2) or len(pts) != 15 or len(lines) != 15:
             all_pass = False
-        sections.append(HyperplaneSection(bits6(axis), "gq22", len(pts), n_lines))
+        sections.append(HyperplaneSection(bits6(axis), "gq22", len(pts), len(lines)))
     tangent = sum(1 for s in sections if s.kind == "tangent")
     return SurveySummary(
         tangent=tangent,

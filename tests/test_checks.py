@@ -13,6 +13,7 @@ import gqlab.checks
 import gqlab.gf2
 import gqlab.pg
 import gqlab.planes
+import gqlab.quadrangle
 from gqlab.checks import (
     REGISTRY,
     UnknownCheckIdError,
@@ -261,3 +262,22 @@ def test_shifted_form_checks_fail_on_one_flipped_value(monkeypatch, check_id, wa
     report = _single_report(check_id)
     assert not report.passed
     assert report.actual == wanted
+
+
+@pytest.mark.parametrize("in_section", [True, False], ids=["drops-a-point", "adds-a-point"])
+def test_hyperplane_survey_fails_on_one_flipped_polar_value(monkeypatch, in_section):
+    # one quadric point leaves or joins the section of one non-tangent axis,
+    # which then has 14 or 16 points
+    quad = sorted(gqlab.pg.elliptic_quadric())
+    axis = next(a for a in range(1, 64) if a not in quad)
+    polar_form = gqlab.pg.polar_form
+    v = next(v for v in quad if (polar_form(v, axis) == 0) == in_section)
+
+    def flipped(x, y):
+        return polar_form(x, y) ^ ((x, y) == (v, axis))
+
+    for module in (gqlab.pg, gqlab.quadrangle):
+        monkeypatch.setattr(module, "polar_form", flipped)
+    report = _single_report("sec2.hyperplane-survey")
+    assert not report.passed
+    assert report.actual == "a non-degenerate section failed the (2,2) axioms"

@@ -6,14 +6,16 @@ from itertools import combinations
 import pytest
 
 from gqlab.atlas import atlas, label_of, matrix_of
-from gqlab.gf2 import SYM_IDENTITY, bits6
-from gqlab.pg import ALL_ONES, elliptic_quadric, minor_coordinates
+from gqlab.gf2 import SYM_IDENTITY, bits6, sym_det
+from gqlab.pg import ALL_ONES, elliptic_quadric, lines_in, minor_coordinates, perp_hyperplane
 from gqlab.planes import build_plane_model
 from gqlab.quadrangle import (
     DOUBLE_SIX_ISOMORPHISM,
     AxiomViolationError,
+    HyperplaneSection,
     IncidenceStructure,
     NotInSError,
+    SurveySummary,
     build_double_six_model,
     build_matrix_quadrangle,
     build_quadric_quadrangle,
@@ -111,10 +113,20 @@ def test_collinear_matrices_examples():
 
 
 def test_collinear_matrices_rejects_non_points():
-    with pytest.raises(NotInSError):
-        collinear_matrices(0, matrix_of("D1"))
-    with pytest.raises(NotInSError):
-        collinear_matrices(SYM_IDENTITY, matrix_of("D1"))
+    # 0, the 35 nonzero singular matrices and the identity, in either
+    # argument; when both are bad, the first one is named
+    d1 = matrix_of("D1")
+    singular = [m for m in range(64) if sym_det(m) == 0]
+    assert len(singular) == 36
+    cases = [(m, f"matrix {m:06b} is singular") for m in singular]
+    cases.append((SYM_IDENTITY, "the identity is not a quadrangle point"))
+    cases += [((SYM_IDENTITY, 0), "the identity is not a quadrangle point")]
+    cases += [((0, SYM_IDENTITY), "matrix 000000 is singular")]
+    for bad, message in cases:
+        for args in [bad] if isinstance(bad, tuple) else [(bad, d1), (d1, bad)]:
+            with pytest.raises(NotInSError) as raised:
+                collinear_matrices(*args)
+            assert str(raised.value) == message
 
 
 def test_collinearity_agrees_with_lines():
@@ -221,11 +233,24 @@ def test_collinearity_graph_is_srg_27_10_1_5(inc):
         assert common == (1 if q in adj[p] else 5), (p, q)
 
 
+def _nx_graph(nx, inc):
+    """The point graph on the ints 0..n-1 in label order, edges added in
+    sorted order.  VF2++ breaks ties by node order, and string nodes put in
+    from sets come in hash order, which made its time on the point-swapped
+    model below depend on PYTHONHASHSEED (0.01 s or about 30 s)."""
+    adj = point_graph(inc)
+    index = {p: i for i, p in enumerate(sorted(adj))}
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(index)))
+    graph.add_edges_from(sorted((index[p], index[q]) for p in adj for q in adj[p]))
+    return graph
+
+
 def _nx_isomorphic(a, b):
     nx = pytest.importorskip("networkx")
     # VF2++: plain VF2 (nx.is_isomorphic) is thousands of times slower to
     # reject the point-swapped model below
-    return nx.vf2pp_is_isomorphic(nx.Graph(point_graph(a)), nx.Graph(point_graph(b)))
+    return nx.vf2pp_is_isomorphic(_nx_graph(nx, a), _nx_graph(nx, b))
 
 
 def point_swapped(inc):
@@ -260,6 +285,86 @@ MODEL_PAIRS = [(a, b, True) for a, b in combinations(four_models(), 2)] + [
 def test_find_isomorphism_agrees_with_networkx(a, b, isomorphic):
     assert _nx_isomorphic(a, b) is isomorphic
     assert (find_isomorphism(a, b) is not None) is isomorphic
+
+
+def _reference_collinearity(inc):
+    """The label-level form of collinearity, kept as its oracle."""
+    adj = {p: set() for p in inc.points}
+    for line in inc.lines:
+        for a in line:
+            for b in line:
+                if a != b:
+                    adj[a].add(b)
+    return {p: frozenset(near) for p, near in adj.items()}
+
+
+def _reference_find_isomorphism(a, b):
+    """The label-level dict search that find_isomorphism replaced, kept as
+    its oracle: breadth-first from the smallest label, candidate images in
+    (degree, label) order."""
+    if len(a.points) != len(b.points) or len(a.lines) != len(b.lines):
+        return None
+    adj_a, adj_b = _reference_collinearity(a), _reference_collinearity(b)
+    if sorted(len(s) for s in adj_a.values()) != sorted(len(s) for s in adj_b.values()):
+        return None
+    remaining = set(a.points)
+    order = []
+    while remaining:
+        queue = [min(remaining)]
+        remaining.discard(queue[0])
+        while queue:
+            p = queue.pop(0)
+            order.append(p)
+            for n in sorted(adj_a[p]):
+                if n in remaining:
+                    remaining.discard(n)
+                    queue.append(n)
+    candidates = sorted(b.points, key=lambda p: (len(adj_b[p]), p))
+    mapping = {}
+    used = set()
+
+    def feasible(p, q):
+        if len(adj_a[p]) != len(adj_b[q]):
+            return False
+        return all((r in adj_a[p]) == (s in adj_b[q]) for r, s in mapping.items())
+
+    def backtrack(i):
+        if i == len(order):
+            return True
+        p = order[i]
+        for q in candidates:
+            if q in used or not feasible(p, q):
+                continue
+            mapping[p] = q
+            used.add(q)
+            if backtrack(i + 1):
+                return True
+            del mapping[p]
+            used.discard(q)
+        return False
+
+    if not backtrack(0):
+        return None
+    ok, _ = verify_isomorphism(mapping, a, b)
+    return dict(mapping) if ok else None
+
+
+def test_find_isomorphism_matches_reference_search():
+    pairs = list(combinations(four_models(), 2))
+    pairs.append((quadric_section(ALL_ONES), doily_substructure()))
+    for a, b in pairs:
+        found = find_isomorphism(a, b)
+        assert found is not None
+        # the same map, with the points of a in the same search order
+        assert list(found.items()) == list(_reference_find_isomorphism(a, b).items())
+    negatives = [
+        (point_swapped(build_matrix_quadrangle()), build_double_six_model()),
+        (doily_substructure(), build_double_six_model()),
+        (grid_gq21(), doily_substructure()),
+    ]
+    for a, b in negatives:
+        assert find_isomorphism(a, b) is None
+        assert _reference_find_isomorphism(a, b) is None
 
 
 def test_point_swapped_model_passes_the_degree_filter():
@@ -364,7 +469,7 @@ def _reference_verify_gq_axioms(inc):
             if len(s1.intersection(l2)) > 1:
                 raise AxiomViolationError("at most one common point", f"lines {l1}, {l2}")
 
-    adj = collinearity(inc)
+    adj = _reference_collinearity(inc)
     for p in inc.points:
         for line in inc.lines:
             if p in line:
@@ -406,6 +511,7 @@ def test_bitset_axioms_match_reference_on_models_and_sections():
     assert len(structures) == 6 + 36
     for inc in structures:
         assert verify_gq_axioms(inc) == _reference_verify_gq_axioms(inc)
+        assert collinearity(inc) == _reference_collinearity(inc)
 
 
 def _point_moved_mutant():
@@ -487,3 +593,44 @@ def test_bitset_axioms_match_reference_on_random_swaps():
         assert _axiom_outcome(verify_gq_axioms, inc) == _axiom_outcome(
             _reference_verify_gq_axioms, inc
         )
+        assert collinearity(inc) == _reference_collinearity(inc)
+
+
+def _reference_section(axis):
+    """quadric_section as it was first built: the quadric points in the
+    perpendicular hyperplane, and every PG(5,2) line inside them."""
+    pts = elliptic_quadric() & perp_hyperplane(axis)
+    lines = [tuple(bits6(v) for v in line) for line in lines_in(pts)]
+    return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in pts), lines)
+
+
+def _reference_survey():
+    quad = elliptic_quadric()
+    sections = []
+    all_pass = True
+    for axis in range(1, 64):
+        section = _reference_section(axis)
+        n_points, n_lines = len(section.points), len(section.lines)
+        if axis in quad:
+            sections.append(HyperplaneSection(bits6(axis), "tangent", n_points, n_lines))
+            continue
+        try:
+            order = _reference_verify_gq_axioms(section)
+        except AxiomViolationError:
+            order = None
+        if order != (2, 2) or n_points != 15 or n_lines != 15:
+            all_pass = False
+        sections.append(HyperplaneSection(bits6(axis), "gq22", n_points, n_lines))
+    tangent = sum(1 for section in sections if section.kind == "tangent")
+    return SurveySummary(tangent, len(sections) - tangent, tuple(sections), all_pass)
+
+
+def test_hyperplane_survey_matches_reference():
+    assert hyperplane_section_survey()._asdict() == _reference_survey()._asdict()
+
+
+def test_quadric_section_matches_reference():
+    for axis in range(1, 64):
+        assert quadric_section(axis) == _reference_section(axis)
+    with pytest.raises(ValueError):
+        quadric_section(0)
