@@ -21,7 +21,7 @@ import time
 from collections import Counter
 from functools import partial
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from gqlab import atlas as atlas_mod
 from gqlab import pg
@@ -388,9 +388,9 @@ def _check_klein() -> str:
     quadric = pg.klein_quadric()
     n_lines = len(pg.lines_in(quadric))
     idx = pg.projective_index(quadric)
-    matrix_side = pg.klein_matrix_points()
-    match = {pg.from_minor_coordinates(v) for v in quadric} == set(matrix_side)
-    return f"{len(quadric)} points, index {idx}, {n_lines} lines, singular preimages {match}"
+    preimages = pg.point_mask(map(pg.from_minor_coordinates, pg.bit_indices(quadric)))
+    match = preimages == pg.klein_matrix_points()
+    return f"{quadric.bit_count()} points, index {idx}, {n_lines} lines, singular preimages {match}"
 
 
 @check(
@@ -401,7 +401,7 @@ def _check_klein() -> str:
 def _check_elliptic() -> str:
     quadric = pg.elliptic_quadric()
     return (
-        f"{len(quadric)} points, index {pg.projective_index(quadric)}, "
+        f"{quadric.bit_count()} points, index {pg.projective_index(quadric)}, "
         f"{len(pg.lines_in(quadric))} lines"
     )
 
@@ -413,13 +413,18 @@ def _check_elliptic() -> str:
 )
 def _check_complement() -> str:
     singular = pg.klein_matrix_points()
-    invertible = set(atlas_mod.enumerate_invertible_symmetric())
+    invertible = pg.point_mask(atlas_mod.enumerate_invertible_symmetric())
     disjoint = not (singular & invertible)
-    covers = (singular | invertible) == set(range(1, 64))
+    covers = (singular | invertible) == pg.ALL_POINTS
     return (
-        f"disjoint {disjoint}, sizes {len(singular)}+{len(invertible)}, "
+        f"disjoint {disjoint}, sizes {singular.bit_count()}+{invertible.bit_count()}, "
         f"covers PG(5,2) {covers}"
     )
+
+
+def _translated(xs: Iterable[int], m: int = SYM_IDENTITY) -> int:
+    """Point mask of the images of matrix points under x -> x + m."""
+    return pg.point_mask(x ^ m for x in xs)
 
 
 @check(
@@ -429,10 +434,10 @@ def _check_complement() -> str:
 )
 def _check_translation_classes() -> str:
     at = atlas()
-    u_fixed = {x ^ SYM_IDENTITY for x in at.u} == set(at.u)
-    v_fixed = {x ^ SYM_IDENTITY for x in at.v} == set(at.v)
-    d_out = not ({x ^ SYM_IDENTITY for x in at.d} & set(at.points))
-    onto_quadric = {x ^ SYM_IDENTITY for x in at.points} == set(pg.elliptic_matrix_points())
+    u_fixed = _translated(at.u) == pg.point_mask(at.u)
+    v_fixed = _translated(at.v) == pg.point_mask(at.v)
+    d_out = not (_translated(at.d) & pg.point_mask(at.points))
+    onto_quadric = _translated(at.points) == pg.elliptic_matrix_points()
     return (
         f"U fixed {u_fixed}, V fixed {v_fixed}, D leaves the point set {d_out}, "
         f"image is the quadric {onto_quadric}"
@@ -447,10 +452,8 @@ def _check_translation_classes() -> str:
 def _check_quadric_classes() -> str:
     at = atlas()
     quadric = pg.elliptic_matrix_points()
-    s_cap = quadric & set(at.points)
-    s_cap_ok = s_cap == set(at.u) | set(at.v)
-    both = quadric & pg.klein_matrix_points()
-    both_ok = both == {x ^ SYM_IDENTITY for x in at.d}
+    s_cap_ok = (quadric & pg.point_mask(at.points)) == pg.point_mask(at.u + at.v)
+    both_ok = (quadric & pg.klein_matrix_points()) == _translated(at.d)
     return f"points on the quadric are U+V: {s_cap_ok}; overlap with Klein is D+1: {both_ok}"
 
 
@@ -464,13 +467,12 @@ def _check_qm_family() -> str:
     points_ok = index_ok = bijection_ok = True
     for m in at.points:
         quadric = pg.elliptic_quadric_at(m)
-        if len(quadric) != 27:
+        if quadric.bit_count() != 27:
             points_ok = False
         if pg.projective_index(quadric) != 1:
             index_ok = False
-        matrix_quadric = pg.elliptic_matrix_points_at(m)
-        image = {x ^ m for x in at.points if x != m} | {m ^ SYM_IDENTITY}
-        if image != set(matrix_quadric):
+        image = _translated((x for x in at.points if x != m), m) | 1 << (m ^ SYM_IDENTITY)
+        if image != pg.elliptic_matrix_points_at(m):
             bijection_ok = False
     return (
         f"27 quadrics: 27 points {points_ok}, index 1 {index_ok}, "
@@ -506,11 +508,11 @@ def _check_perp() -> str:
     at = atlas()
     perp = pg.perp_hyperplane(pg.ALL_ONES)
     wanted = (
-        {pg.minor_coordinates(SYM_IDENTITY)}
-        | {pg.minor_coordinates(x) for x in at.d}
-        | {pg.minor_coordinates(x ^ SYM_IDENTITY) for x in at.d}
+        1 << pg.minor_coordinates(SYM_IDENTITY)
+        | pg.point_mask(pg.minor_coordinates(x) for x in at.d)
+        | pg.point_mask(pg.minor_coordinates(x ^ SYM_IDENTITY) for x in at.d)
     )
-    return f"{len(perp)} points, equals 1+D+translated D: {perp == wanted}"
+    return f"{perp.bit_count()} points, equals 1+D+translated D: {perp == wanted}"
 
 
 @check(
@@ -522,7 +524,7 @@ def _check_tangent_lines() -> str:
     at = atlas()
     vs_quadric = set(pg.tangent_matrix_lines_at_identity(pg.elliptic_matrix_points()))
     vs_klein = set(pg.tangent_matrix_lines_at_identity(pg.klein_matrix_points()))
-    wanted = {frozenset((SYM_IDENTITY, x, x ^ SYM_IDENTITY)) for x in at.d}
+    wanted = {pg.point_mask((SYM_IDENTITY, x, x ^ SYM_IDENTITY)) for x in at.d}
     return (
         f"{len(vs_quadric)} tangents, same for both quadrics {vs_quadric == vs_klein}, "
         f"equal to the translation triples {vs_quadric == wanted}"
@@ -538,8 +540,7 @@ def _check_tangent_lines() -> str:
 def _check_tangent_section() -> str:
     at = atlas()
     section_pts = pg.elliptic_quadric() & pg.perp_hyperplane(pg.ALL_ONES)
-    wanted = {pg.minor_coordinates(x ^ SYM_IDENTITY) for x in at.d}
-    set_ok = section_pts == wanted
+    set_ok = section_pts == pg.point_mask(pg.minor_coordinates(x ^ SYM_IDENTITY) for x in at.d)
     section = quad.quadric_section(pg.ALL_ONES)
     order = _order_of(section)
     no_planes = pg.projective_index(section_pts) == 1
@@ -641,11 +642,11 @@ def _check_spreads() -> str:
         for p, q in combinations(planes, 2):
             if not planes_mod.is_skew(p, q):
                 problems.append(f"{tag}: planes meet")
-        covered = set()
+        covered = 0
         for p in planes:
-            covered |= planes_mod.plane_points(p)
-        if len(covered) != 63:
-            problems.append(f"{tag}: covers {len(covered)} points")
+            covered |= planes_mod.plane_mask(p)
+        if covered != pg.ALL_POINTS:
+            problems.append(f"{tag}: covers {covered.bit_count()} points")
     overlap = set(planes_mod.spread("U")) & set(planes_mod.spread("V"))
     if overlap != {planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT, planes_mod.PLANE_DIAGONAL}:
         problems.append("spreads share more than the three distinguished planes")
@@ -746,7 +747,7 @@ def _check_collineation() -> str:
     pairs = list(combinations(range(len(all_planes)), 2))
 
     def meets(planes: list[planes_mod.Plane]) -> list[int]:
-        # vectors shared by each pair of planes, 2**dim of their meet
+        # points shared by each pair of planes, one count per meet dimension
         masks = [planes_mod.plane_mask(p) for p in planes]
         return [(masks[i] & masks[j]).bit_count() for i, j in pairs]
 

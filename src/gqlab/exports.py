@@ -14,6 +14,7 @@ import json
 from gqlab.atlas import atlas, classify, label_of
 from gqlab.gf2 import MAT_IDENTITY, SYM_IDENTITY, bits6, eigenspace_dim, mat_mul, sym_to_mat
 from gqlab.pg import (
+    bit_indices,
     elliptic_quadric,
     elliptic_quadric_at,
     klein_quadric,
@@ -89,10 +90,10 @@ def incidence_dot() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _quadric_record(form_name: str, points: frozenset[int]) -> dict:
+def _quadric_record(form_name: str, points: int) -> dict:
     return {
         "form": form_name,
-        "points": [bits6(v) for v in sorted(points)],
+        "points": [bits6(v) for v in bit_indices(points)],
         "lines_contained": [[bits6(v) for v in line] for line in lines_in(points)],
     }
 

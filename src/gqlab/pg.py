@@ -14,25 +14,28 @@ XOR of packed matrices (plain matrix addition, used by the translation
 ``x -> x + m`` and the tangent-line statements attached to it).  Functions
 below say which one they use.
 
-A point set can be written as a 64-bit point mask: bit ``v`` is set iff the
-vector ``v`` is in the set (gqlab.planes meets planes this way).  Lines and
-planes inside a point set are found through per-point incidence masks
-instead: bit ``i`` of ``lines_through()[v]`` is set iff ``pg_lines()[i]``
-contains ``v``, and ``planes_through()`` does the same for ``pg_planes()``.
-A subspace lies in a point set P iff it misses every point outside P, so
-``lines_in(P)`` ORs the incidence masks of the points outside P and reads
-the clear bits out in ascending order, which is the order of ``pg_lines()``
-and ``pg_planes()``, the public point-tuple forms.
+Every point set is a 64-bit point mask: bit ``v`` is set iff the point
+``v`` is in the set, so bit 0 (the zero vector) is never set and every
+mask lies inside ``ALL_POINTS``.  ``bit_indices`` lists a mask's points in
+ascending order where labels or exports need them.  Lines and planes
+inside a point set are found through per-point incidence masks: bit ``i``
+of ``lines_through()[v]`` is set iff ``pg_lines()[i]`` contains ``v``, and
+``planes_through()`` does the same for ``pg_planes()``.  A subspace lies in
+a point set P iff it misses every point outside P, so ``lines_in(P)`` ORs
+the incidence masks of the points outside P and reads the clear bits out
+in ascending order, which is the order of ``pg_lines()`` and
+``pg_planes()``, the public point-tuple forms.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Callable, FrozenSet, Iterable
+from typing import Callable, Iterable
 
 from gqlab.gf2 import SYM_IDENTITY, sym_det, sym_entries
 
 ALL_ONES = 0b111111
+ALL_POINTS = (1 << 64) - 2  # the point mask of all 63 points
 
 PgLine = tuple[int, int, int]
 
@@ -102,10 +105,6 @@ def elliptic_form_sym(x: int) -> int:
 def elliptic_form_sym_at(m: int, x: int) -> int:
     """Matrix-side evaluation: det(X + M) + 1."""
     return sym_det(x ^ m) ^ 1
-
-
-def pg_points() -> range:
-    return range(1, 64)
 
 
 @cache
@@ -182,84 +181,81 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _subspaces_in(subspaces: tuple, through: tuple[int, ...], points: Iterable[int]) -> tuple:
-    pts = frozenset(points)
+def _subspaces_in(subspaces: tuple, through: tuple[int, ...], points: int) -> tuple:
     hit = 0
-    for v in range(1, 64):
-        if v not in pts:
-            hit |= through[v]
+    for v in bit_indices(ALL_POINTS & ~points):
+        hit |= through[v]
     return tuple([subspaces[i] for i in bit_indices(~hit & ((1 << len(subspaces)) - 1))])
 
 
-def lines_in(points: Iterable[int]) -> tuple[PgLine, ...]:
-    """All PG(5,2) lines entirely inside the given point set."""
+def lines_in(points: int) -> tuple[PgLine, ...]:
+    """All PG(5,2) lines entirely inside the point set of a mask."""
     return _subspaces_in(pg_lines(), lines_through(), points)
 
 
-def planes_in(points: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+def planes_in(points: int) -> tuple[tuple[int, ...], ...]:
     return _subspaces_in(pg_planes(), planes_through(), points)
 
 
-def projective_index(points: Iterable[int]) -> int:
+def projective_index(points: int) -> int:
     """Largest dimension of a projective subspace inside the point set.
 
     Searched exhaustively over the 1395 planes and 651 lines; -1 for the
     empty set.
     """
-    pts = frozenset(points)
-    if not pts:
+    if not points:
         return -1
-    if planes_in(pts):
+    if planes_in(points):
         return 2
-    if lines_in(pts):
+    if lines_in(points):
         return 1
     return 0
 
 
-def quadric_points(form: Callable[[int], int]) -> FrozenSet[int]:
-    """Zero set of a quadratic form among the 63 points."""
-    return frozenset(v for v in range(1, 64) if form(v) == 0)
+def quadric_points(form: Callable[[int], int]) -> int:
+    """Point mask of the zero set of a form among the 63 points."""
+    return point_mask(v for v in range(1, 64) if form(v) == 0)
 
 
 @cache
-def klein_quadric() -> FrozenSet[int]:
+def klein_quadric() -> int:
     """The 35-point quadric of the hyperbolic form."""
     return quadric_points(hyperbolic_form)
 
 
 @cache
-def elliptic_quadric() -> FrozenSet[int]:
+def elliptic_quadric() -> int:
     """The 27-point quadric; its coordinate preimages are X with det(X+1)=1."""
     return quadric_points(elliptic_form)
 
 
-def elliptic_quadric_at(m: int) -> FrozenSet[int]:
+def elliptic_quadric_at(m: int) -> int:
     """The quadric of elliptic_form_at(m, .)."""
     center = minor_coordinates(m)
     return quadric_points(lambda v: _shifted_form(center, v))
 
 
 @cache
-def klein_matrix_points() -> FrozenSet[int]:
+def klein_matrix_points() -> int:
     """Matrix picture of the hyperbolic quadric: the 35 nonzero singular X."""
-    return frozenset(s for s in range(1, 64) if sym_det(s) == 0)
+    return quadric_points(sym_det)
 
 
 @cache
-def elliptic_matrix_points() -> FrozenSet[int]:
+def elliptic_matrix_points() -> int:
     """Matrix picture of the 27-point quadric: nonzero X with det(X+1) = 1."""
-    return frozenset(s for s in range(1, 64) if elliptic_form_sym(s) == 0)
+    return quadric_points(elliptic_form_sym)
 
 
-def elliptic_matrix_points_at(m: int) -> FrozenSet[int]:
-    return frozenset(s for s in range(1, 64) if elliptic_form_sym_at(m, s) == 0)
+def elliptic_matrix_points_at(m: int) -> int:
+    return quadric_points(lambda s: elliptic_form_sym_at(m, s))
 
 
-def perp_hyperplane(p: int) -> FrozenSet[int]:
+def perp_hyperplane(p: int) -> int:
     """The 31 points perpendicular to p under the polar form."""
     if p == 0:
         raise ValueError("perpendicular hyperplane needs a nonzero point")
-    return frozenset(x for x in range(1, 64) if polar_form(x, p) == 0)
+    return quadric_points(lambda x: polar_form(x, p))
 
 
 def translate(x: int, m: int = SYM_IDENTITY) -> int:
@@ -270,22 +266,19 @@ def translate(x: int, m: int = SYM_IDENTITY) -> int:
     return x ^ m
 
 
-def matrix_lines_through(x: int) -> tuple[frozenset[int], ...]:
-    """The 31 matrix-addition lines {x, a, x+a} through a matrix point.
+def matrix_lines_through(x: int) -> tuple[int, ...]:
+    """Point masks of the 31 matrix-addition lines {x, a, x+a} through a
+    matrix point, each once, ordered by the smaller of a and x+a.
 
     These are lines for XOR of packed matrices.  The coordinate map is not
     linear, so they differ from the coordinate-XOR lines in pg_lines().
     """
-    seen = set()
-    for a in range(1, 64):
-        if a != x:
-            seen.add(frozenset((x, a, x ^ a)))
-    return tuple(sorted(seen, key=sorted))
+    return tuple(1 << x | 1 << a | 1 << (x ^ a) for a in range(1, 64) if a < x ^ a)
 
 
-def tangent_matrix_lines_at_identity(quadric_syms: FrozenSet[int]) -> tuple[frozenset[int], ...]:
+def tangent_matrix_lines_at_identity(quadric: int) -> tuple[int, ...]:
     """Matrix lines through the identity meeting the given matrix point set
     exactly once."""
     return tuple(
-        line for line in matrix_lines_through(SYM_IDENTITY) if len(line & quadric_syms) == 1
+        line for line in matrix_lines_through(SYM_IDENTITY) if (line & quadric).bit_count() == 1
     )

@@ -5,9 +5,10 @@ is the reduced row echelon form, packed as a tuple of three 6-bit rows
 (leftmost column = highest bit).  The left block of a row lives in bits
 5..3, the right block in bits 2..0.  The echelon tuple is kept as the
 identity of a plane (hashable, comparable, and exported as the echelon
-field); meets are computed on the plane's 64-bit point mask instead (see
-gqlab.pg): bit v is set iff the vector v lies in the plane, zero included,
-so two planes share ``popcount(mask(p) & mask(q)) = 2**dim`` vectors.
+field); meets are computed on the plane's point mask instead, which
+follows the one point-set convention of gqlab.pg: bit v is set iff the
+nonzero vector v lies in the plane, so two planes share 0, 1, 3 or 7
+points and the bit length of that count is the dimension of their meet.
 """
 
 from __future__ import annotations
@@ -69,21 +70,16 @@ PLANE_DIAGONAL: Plane = (0b100100, 0b010010, 0b001001)
 DISTINGUISHED = {PLANE_LEFT: "(1|0)", PLANE_RIGHT: "(0|1)", PLANE_DIAGONAL: "(1|1)"}
 
 
-def plane_points(p: Plane) -> frozenset[int]:
-    """The 7 nonzero vectors of the row space."""
-    r0, r1, r2 = p
-    return frozenset((r0, r1, r2, r0 ^ r1, r0 ^ r2, r1 ^ r2, r0 ^ r1 ^ r2))
-
-
 @cache
 def plane_mask(p: Plane) -> int:
-    """The point mask of the row space, zero vector included."""
-    return point_mask(plane_points(p)) | 1
+    """The point mask of the 7 nonzero vectors of the row space."""
+    r0, r1, r2 = p
+    return point_mask((r0, r1, r2, r0 ^ r1, r0 ^ r2, r1 ^ r2, r0 ^ r1 ^ r2))
 
 
 def intersection_dim(p: Plane, q: Plane) -> int:
     """Vector-space dimension of the intersection of two planes."""
-    return (plane_mask(p) & plane_mask(q)).bit_count().bit_length() - 1
+    return (plane_mask(p) & plane_mask(q)).bit_count().bit_length()
 
 
 def is_skew(p: Plane, q: Plane) -> bool:
@@ -321,7 +317,6 @@ __all__ = [
     "plane_minor",
     "plane_of",
     "plane_of_mat",
-    "plane_points",
     "plucker_unique_triples",
     "rank_meet_identity_holds",
     "raw_plane_rows",

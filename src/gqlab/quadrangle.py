@@ -97,9 +97,7 @@ def _compile(
     near = [0] * len(labels)
     line_points = []
     for line in lines:
-        mask = 0
-        for i in line:
-            mask |= 1 << i
+        mask = point_mask(line)
         for i in line:
             near[i] |= mask
         line_points.append(mask)
@@ -206,7 +204,7 @@ def _gq_order(c: CompiledStructure) -> tuple[int, int]:
 def build_quadric_quadrangle() -> IncidenceStructure:
     """GQ on the 27-point quadric; labels are coordinate bit strings."""
     quad = elliptic_quadric()
-    points = [bits6(v) for v in quad]
+    points = [bits6(v) for v in bit_indices(quad)]
     lines = [tuple(bits6(v) for v in line) for line in lines_in(quad)]
     return make_structure("quadric", points, lines)
 
@@ -463,8 +461,8 @@ def _sections(axes: Iterable[int]) -> Iterator[tuple[int, list[int], list[PgLine
     The points are the quadric points perpendicular to the axis, ascending;
     the lines are the quadric lines made of such points, in pg_lines() order.
     """
-    quad = sorted(elliptic_quadric())
-    quad_lines = [(line, point_mask(line)) for line in lines_in(quad)]
+    quad = bit_indices(elliptic_quadric())
+    quad_lines = [(line, point_mask(line)) for line in lines_in(elliptic_quadric())]
     for axis in axes:
         pts = [v for v in quad if polar_form(v, axis) == 0]
         inside = point_mask(pts)
@@ -490,7 +488,7 @@ def hyperplane_section_survey() -> SurveySummary:
     sections = []
     all_pass = True
     for axis, pts, lines in _sections(range(1, 64)):
-        if axis in quad:
+        if quad >> axis & 1:
             sections.append(HyperplaneSection(bits6(axis), "tangent", len(pts), len(lines)))
             continue
         index = {v: i for i, v in enumerate(pts)}

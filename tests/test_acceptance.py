@@ -20,6 +20,7 @@ from gqlab.pg import (
     klein_quadric,
     minor_coordinates,
     perp_hyperplane,
+    point_mask,
     polar_form,
     projective_index,
     tangent_matrix_lines_at_identity,
@@ -35,8 +36,8 @@ from gqlab.planes import (
     is_totally_isotropic,
     family_planes,
     minor_profiles,
+    plane_mask,
     plane_of,
-    plane_points,
     plucker_unique_triples,
     skew_partner,
     spread,
@@ -84,13 +85,13 @@ def test_criterion_02_coordinate_identities():
 
 
 def test_criterion_03_quadric_counts_and_indices():
-    assert len(klein_quadric()) == 35
-    assert len(elliptic_quadric()) == 27
+    assert klein_quadric().bit_count() == 35
+    assert elliptic_quadric().bit_count() == 27
     assert projective_index(elliptic_quadric()) == 1
     assert projective_index(klein_quadric()) == 2
     for m in atlas().points:
         quadric = elliptic_quadric_at(m)
-        assert len(quadric) == 27
+        assert quadric.bit_count() == 27
         assert projective_index(quadric) == 1
     _passed(3, "|Q0|=35 index 2, |Q|=27 index 1, all 27 shifted quadrics 27 points index 1")
 
@@ -141,14 +142,14 @@ def test_criterion_06_tangent_structure():
         | {minor_coordinates(x) for x in at.d}
         | {minor_coordinates(x ^ SYM_IDENTITY) for x in at.d}
     )
-    assert perp == wanted and len(perp) == 31
-    tangent_triples = {frozenset((SYM_IDENTITY, x, x ^ SYM_IDENTITY)) for x in at.d}
+    assert perp == point_mask(wanted) and perp.bit_count() == 31
+    tangent_triples = {point_mask((SYM_IDENTITY, x, x ^ SYM_IDENTITY)) for x in at.d}
     assert set(tangent_matrix_lines_at_identity(elliptic_matrix_points())) == tangent_triples
     assert set(tangent_matrix_lines_at_identity(klein_matrix_points())) == tangent_triples
     assert len(tangent_triples) == 15
     quadric = elliptic_matrix_points()
-    assert quadric & set(at.points) == set(at.u) | set(at.v)
-    assert quadric & klein_matrix_points() == {x ^ SYM_IDENTITY for x in at.d}
+    assert quadric & point_mask(at.points) == point_mask(at.u) | point_mask(at.v)
+    assert quadric & klein_matrix_points() == point_mask(x ^ SYM_IDENTITY for x in at.d)
     assert {x ^ SYM_IDENTITY for x in at.u} == set(at.u)
     assert {x ^ SYM_IDENTITY for x in at.v} == set(at.v)
     _passed(6, "perp of 1 is 1+D+D-translates; 15 tangent lines; class facts about the quadric")
@@ -169,12 +170,12 @@ def test_criterion_08_plane_model_identities():
             assert mat_rank(sym_to_mat(x ^ y)) + intersection_dim(planes[x], planes[y]) == 3
     for tag in ("U", "V"):
         family = spread(tag)
-        covered = set()
+        covered = 0
         for i, p in enumerate(family):
             for q in family[i + 1 :]:
                 assert intersection_dim(p, q) == 0
-            covered |= plane_points(p)
-        assert len(covered) == 63
+            covered |= plane_mask(p)
+        assert covered.bit_count() == 63
     for plane in list(family_planes().values()) + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]:
         assert is_totally_isotropic(plane)
     assert plucker_unique_triples(minor_profiles()) == (

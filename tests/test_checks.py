@@ -268,7 +268,7 @@ def test_shifted_form_checks_fail_on_one_flipped_value(monkeypatch, check_id, wa
 def test_hyperplane_survey_fails_on_one_flipped_polar_value(monkeypatch, in_section):
     # one quadric point leaves or joins the section of one non-tangent axis,
     # which then has 14 or 16 points
-    quad = sorted(gqlab.pg.elliptic_quadric())
+    quad = gqlab.pg.bit_indices(gqlab.pg.elliptic_quadric())
     axis = next(a for a in range(1, 64) if a not in quad)
     polar_form = gqlab.pg.polar_form
     v = next(v for v in quad if (polar_form(v, axis) == 0) == in_section)
@@ -281,3 +281,85 @@ def test_hyperplane_survey_fails_on_one_flipped_polar_value(monkeypatch, in_sect
     report = _single_report("sec2.hyperplane-survey")
     assert not report.passed
     assert report.actual == "a non-degenerate section failed the (2,2) axioms"
+
+
+# Planted faults in the point masks: each point-set comparison must see one
+# point added to or dropped from its mask.  The dropped singular matrix is a
+# D translate and the added one is U1, so both also change the overlap of
+# the two matrix quadrics.
+
+
+@pytest.mark.parametrize(
+    "flip, check_id, wanted",
+    [
+        ("drop", "sec4.klein-quadric", "35 points, index 2, 105 lines, singular preimages False"),
+        ("add", "sec4.klein-quadric", "35 points, index 2, 105 lines, singular preimages False"),
+        ("drop", "sec4.complement", "disjoint True, sizes 34+28, covers PG(5,2) False"),
+        ("add", "sec4.complement", "disjoint False, sizes 36+28, covers PG(5,2) True"),
+        (
+            "drop",
+            "sec4.quadric-classes",
+            "points on the quadric are U+V: True; overlap with Klein is D+1: False",
+        ),
+        (
+            "add",
+            "sec4.quadric-classes",
+            "points on the quadric are U+V: True; overlap with Klein is D+1: False",
+        ),
+    ],
+)
+def test_klein_checks_fail_on_one_flipped_matrix_point(monkeypatch, flip, check_id, wanted):
+    at = gqlab.atlas.atlas()
+    point = at.d[0] ^ gqlab.gf2.SYM_IDENTITY if flip == "drop" else at.u[0]
+    klein_matrix_points = gqlab.pg.klein_matrix_points
+    assert klein_matrix_points() >> point & 1 == (flip == "drop")
+    monkeypatch.setattr(gqlab.pg, "klein_matrix_points", lambda: klein_matrix_points() ^ 1 << point)
+    report = _single_report(check_id)
+    assert not report.passed
+    assert report.actual == wanted
+
+
+@pytest.mark.parametrize(
+    "flip, check_id, wanted",
+    [
+        ("drop", "sec4.perp-hyperplane", "30 points, equals 1+D+translated D: False"),
+        ("add", "sec4.perp-hyperplane", "32 points, equals 1+D+translated D: False"),
+        (
+            "drop",
+            "sec4.tangent-section",
+            "section = translated D False; order (2,2), 15 points, 15 lines; index 1 True; "
+            "isomorphic to the doily True",
+        ),
+        (
+            "add",
+            "sec4.tangent-section",
+            "section = translated D False; order (2,2), 15 points, 15 lines; index 1 True; "
+            "isomorphic to the doily True",
+        ),
+    ],
+)
+def test_perp_checks_fail_on_one_flipped_point(monkeypatch, flip, check_id, wanted):
+    # the flipped point lies on the 27-point quadric, so the tangent section
+    # it cuts gains or loses it; the section structure itself is cut by
+    # polar_form and keeps its order
+    pg = gqlab.pg
+    quadric = pg.elliptic_quadric()
+    section = quadric & pg.perp_hyperplane(pg.ALL_ONES)
+    point = pg.bit_indices(section if flip == "drop" else quadric & ~section)[0]
+    perp_hyperplane = pg.perp_hyperplane
+    monkeypatch.setattr(pg, "perp_hyperplane", lambda p: perp_hyperplane(p) ^ 1 << point)
+    report = _single_report(check_id)
+    assert not report.passed
+    assert report.actual == wanted
+
+
+def test_spreads_fails_on_one_dropped_plane_point(monkeypatch):
+    plane = gqlab.planes.class_planes("U")[0]
+    plane_mask = gqlab.planes.plane_mask
+    lowest = plane_mask(plane) & -plane_mask(plane)
+    monkeypatch.setattr(
+        gqlab.planes, "plane_mask", lambda p: plane_mask(p) ^ (lowest if p == plane else 0)
+    )
+    report = _single_report("sec5.spreads")
+    assert not report.passed
+    assert report.actual == "U: covers 62 points"

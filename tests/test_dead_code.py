@@ -1,0 +1,67 @@
+"""No public function or class of gqlab goes unused.
+
+A public module-level function or class of ``src/gqlab`` must be named
+somewhere besides its own definition and ``__all__``: in code, imports,
+attribute access or a string constant (the benchmark looks names up with
+``getattr``) anywhere in ``src/``, ``tests/`` or ``perfbench/``, or as a
+word of ``README.md``.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _public_definitions() -> list[tuple[str, str]]:
+    """(module, name) of every public module-level def and class."""
+    found = []
+    for path in sorted((ROOT / "src" / "gqlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found.append((path.stem, node.name))
+    return found
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Every name a module reads, imports or spells as a string, outside __all__."""
+    listed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                listed.update(map(id, ast.walk(node)))
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in listed:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return used
+
+
+def _references() -> set[str]:
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= _names_used(ast.parse(path.read_text()))
+    return used
+
+
+def test_every_public_definition_is_referenced():
+    used = _references()
+    unused = [f"{module}.{name}" for module, name in _public_definitions() if name not in used]
+    assert unused == []
+
+
+def test_names_in_all_alone_do_not_count():
+    tree = ast.parse("__all__ = ['orphan']\n__all__ += ['other']\nprint('kept', used_name)\n")
+    assert _names_used(tree) == {"print", "kept", "used_name"}

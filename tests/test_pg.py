@@ -8,6 +8,7 @@ from gqlab.atlas import atlas
 from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, sym_det
 from gqlab.pg import (
     ALL_ONES,
+    ALL_POINTS,
     UndefinedAtCenterError,
     bit_indices,
     elliptic_form,
@@ -31,12 +32,14 @@ from gqlab.pg import (
     pg_planes,
     planes_in,
     planes_through,
+    point_mask,
     polar_form,
     projective_index,
     quadric_points,
     tangent_matrix_lines_at_identity,
     translate,
 )
+from gqlab.planes import PLANE_DIAGONAL, PLANE_LEFT, PLANE_RIGHT, plane_mask, plane_of
 
 D1 = parse_bits6("001100")
 U1 = parse_bits6("111100")
@@ -117,10 +120,10 @@ def test_elliptic_form_matches_matrix_side():
 
 
 def test_quadric_sizes():
-    assert len(klein_quadric()) == 35
-    assert len(elliptic_quadric()) == 27
+    assert klein_quadric().bit_count() == 35
+    assert elliptic_quadric().bit_count() == 27
     for m in atlas().points:
-        assert len(elliptic_quadric_at(m)) == 27
+        assert elliptic_quadric_at(m).bit_count() == 27
 
 
 def test_pg_line_and_plane_counts():
@@ -174,24 +177,24 @@ def test_subspaces_in_match_superset_reference():
     rng = random.Random(63)
     quadric = elliptic_quadric()
     point_sets = [klein_quadric(), quadric] + [quadric & perp_hyperplane(a) for a in range(1, 64)]
-    point_sets += [frozenset(), frozenset(range(1, 64))]
+    point_sets += [0, point_mask(range(1, 64))]
     point_sets += [elliptic_quadric_at(m) for m in atlas().points]
-    point_sets += [frozenset(rng.sample(range(1, 64), rng.randint(0, 63))) for _ in range(50)]
+    point_sets += [point_mask(rng.sample(range(1, 64), rng.randint(0, 63))) for _ in range(50)]
     for points in point_sets:
-        pts = frozenset(points)
+        pts = frozenset(bit_indices(points))
         lines = tuple(line for line in pg_lines() if pts.issuperset(line))
         planes = tuple(plane for plane in pg_planes() if pts.issuperset(plane))
         assert lines_in(points) == lines
         assert planes_in(points) == planes
         assert projective_index(points) == (2 if planes else 1 if lines else 0 if pts else -1)
-    assert len(lines_in(range(1, 64))) == 651 and len(planes_in(range(1, 64))) == 1395
+    assert len(lines_in(ALL_POINTS)) == 651 and len(planes_in(ALL_POINTS)) == 1395
 
 
 def test_projective_indices():
     assert projective_index(elliptic_quadric()) == 1
     assert projective_index(klein_quadric()) == 2
-    assert projective_index(frozenset()) == -1
-    assert projective_index({1}) == 0
+    assert projective_index(0) == -1
+    assert projective_index(1 << 1) == 0
     for m in atlas().points:
         assert projective_index(elliptic_quadric_at(m)) == 1
 
@@ -204,13 +207,14 @@ def test_line_counts_in_quadrics():
 
 
 def test_klein_quadric_is_the_singular_matrices():
-    assert {from_minor_coordinates(v) for v in klein_quadric()} == set(klein_matrix_points())
-    assert len(klein_matrix_points()) == 35
+    preimages = {from_minor_coordinates(v) for v in bit_indices(klein_quadric())}
+    assert preimages == set(bit_indices(klein_matrix_points()))
+    assert klein_matrix_points().bit_count() == 35
 
 
 def test_complement():
-    invertible = {s for s in range(1, 64) if sym_det(s) == 1}
-    assert klein_matrix_points() | invertible == set(range(1, 64))
+    invertible = point_mask(s for s in range(1, 64) if sym_det(s) == 1)
+    assert klein_matrix_points() | invertible == point_mask(range(1, 64))
     assert not klein_matrix_points() & invertible
 
 
@@ -229,38 +233,38 @@ def test_translation_classes():
     assert {translate(x) for x in at.u} == set(at.u)
     assert {translate(x) for x in at.v} == set(at.v)
     assert not {translate(x) for x in at.d} & set(at.points)
-    assert {translate(x) for x in at.points} == set(elliptic_matrix_points())
+    assert {translate(x) for x in at.points} == set(bit_indices(elliptic_matrix_points()))
 
 
 def test_quadric_class_split():
     at = atlas()
     quadric = elliptic_matrix_points()
-    assert quadric & set(at.points) == set(at.u) | set(at.v)
-    assert quadric & klein_matrix_points() == {translate(x) for x in at.d}
+    assert quadric & point_mask(at.points) == point_mask(at.u) | point_mask(at.v)
+    assert quadric & klein_matrix_points() == point_mask(translate(x) for x in at.d)
 
 
 def test_perp_hyperplane_of_identity():
     at = atlas()
     perp = perp_hyperplane(ALL_ONES)
-    assert len(perp) == 31
+    assert perp.bit_count() == 31
     wanted = (
         {ALL_ONES}
         | {minor_coordinates(x) for x in at.d}
         | {minor_coordinates(translate(x)) for x in at.d}
     )
-    assert perp == wanted
+    assert perp == point_mask(wanted)
 
 
 def test_every_perp_has_31_points():
     for p in range(1, 64):
-        assert len(perp_hyperplane(p)) == 31
+        assert perp_hyperplane(p).bit_count() == 31
 
 
 def test_tangent_matrix_lines():
     at = atlas()
     lines = matrix_lines_through(SYM_IDENTITY)
     assert len(lines) == 31
-    wanted = {frozenset((SYM_IDENTITY, x, translate(x))) for x in at.d}
+    wanted = {point_mask((SYM_IDENTITY, x, translate(x))) for x in at.d}
     assert set(tangent_matrix_lines_at_identity(elliptic_matrix_points())) == wanted
     assert set(tangent_matrix_lines_at_identity(klein_matrix_points())) == wanted
 
@@ -269,13 +273,60 @@ def test_qm_family_translation_bijection():
     at = atlas()
     for m in at.points[:6] + at.points[-3:]:
         quadric = elliptic_matrix_points_at(m)
-        assert len(quadric) == 27
+        assert quadric.bit_count() == 27
         # the translation by m sends every point except m itself into the
         # quadric, and misses exactly the point m + 1
-        image = {x ^ m for x in at.points if x != m}
-        assert image == quadric - {m ^ SYM_IDENTITY}
+        image = point_mask(x ^ m for x in at.points if x != m)
+        assert image == quadric & ~(1 << (m ^ SYM_IDENTITY))
 
 
 def test_quadric_points_of_constant_forms():
-    assert quadric_points(lambda v: 1) == frozenset()
-    assert quadric_points(lambda v: 0) == frozenset(range(1, 64))
+    assert quadric_points(lambda v: 1) == 0
+    assert quadric_points(lambda v: 0) == point_mask(range(1, 64))
+
+
+# every point-set function: its masks over the whole domain, and their popcount
+POINT_SET_FUNCTIONS = {
+    "quadric_points": (lambda: [quadric_points(hyperbolic_form)], 35),
+    "klein_quadric": (lambda: [klein_quadric()], 35),
+    "elliptic_quadric": (lambda: [elliptic_quadric()], 27),
+    "elliptic_quadric_at": (lambda: [elliptic_quadric_at(m) for m in atlas().points], 27),
+    "klein_matrix_points": (lambda: [klein_matrix_points()], 35),
+    "elliptic_matrix_points": (lambda: [elliptic_matrix_points()], 27),
+    "elliptic_matrix_points_at": (
+        lambda: [elliptic_matrix_points_at(m) for m in atlas().points],
+        27,
+    ),
+    "perp_hyperplane": (lambda: [perp_hyperplane(p) for p in range(1, 64)], 31),
+    "matrix_lines_through": (
+        lambda: [line for x in range(1, 64) for line in matrix_lines_through(x)],
+        3,
+    ),
+    "tangent_matrix_lines_at_identity": (
+        lambda: [
+            line
+            for quadric in (elliptic_matrix_points(), klein_matrix_points())
+            for line in tangent_matrix_lines_at_identity(quadric)
+        ],
+        3,
+    ),
+    "planes.plane_mask": (
+        lambda: [
+            plane_mask(p)
+            for p in [*map(plane_of, range(64)), PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]
+        ],
+        7,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", POINT_SET_FUNCTIONS)
+def test_point_sets_are_masks_without_bit_zero(name):
+    masks, size = POINT_SET_FUNCTIONS[name]
+    assert ALL_POINTS == point_mask(range(1, 64))
+    for mask in masks():
+        assert type(mask) is int
+        assert not mask & 1
+        assert not mask & ~ALL_POINTS
+        assert mask.bit_count() == size
+        assert point_mask(bit_indices(mask)) == mask

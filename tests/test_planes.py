@@ -24,10 +24,10 @@ from gqlab.planes import (
     is_totally_isotropic,
     make_plane,
     minor_profiles,
+    plane_mask,
     plane_minor,
     plane_of,
     plane_of_mat,
-    plane_points,
     plucker_unique_triples,
     rank_meet_identity_holds,
     raw_plane_rows,
@@ -56,7 +56,7 @@ def test_make_plane_rejects_low_rank():
 
 def test_plane_points_count():
     for plane in list(family_planes().values()) + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]:
-        assert len(plane_points(plane)) == 7
+        assert plane_mask(plane).bit_count() == 7
 
 
 def test_meet_with_identity_plane():
@@ -127,12 +127,12 @@ def test_spreads():
     for tag in ("U", "V"):
         planes = spread(tag)
         assert len(planes) == 9
-        covered = set()
+        covered = 0
         for i, p in enumerate(planes):
             for q in planes[i + 1 :]:
                 assert is_skew(p, q)
-            covered |= plane_points(p)
-        assert len(covered) == 63
+            covered |= plane_mask(p)
+        assert covered.bit_count() == 63
     assert set(spread("U")) & set(spread("V")) == {PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL}
     assert run_suite("sec5.spreads").passed
     with pytest.raises(ValueError):
