@@ -304,13 +304,31 @@ def _check_coordinates() -> str:
     return f"{len(images)} images, inverse ok {inv_ok}, identity -> {identity_image}"
 
 
+_ALL_64 = (1 << 64) - 1
+
+
+def _by_matrix(table: int) -> int:
+    """A coordinate-indexed value table re-indexed by matrix: bit x is bit
+    minor_coordinates(x) of table."""
+    return sum((table >> v & 1) << x for x, v in enumerate(pg.coordinates()))
+
+
+def _polarized(table: int) -> list[int]:
+    """Entry y has bit x equal to Q(x + y) + Q(x) + Q(y), for the form Q of
+    this value table."""
+    return [
+        shifted ^ table ^ (_ALL_64 if table >> y & 1 else 0)
+        for y, shifted in enumerate(pg.translates(table))
+    ]
+
+
 @check(
     "sec4.det-identity",
     "det X equals the hyperbolic form of the coordinates, for all 64 X",
     "0 mismatches over 64 matrices",
 )
 def _check_det_identity() -> str:
-    bad = sum(1 for x in range(64) if sym_det(x) != pg.hyperbolic_form(pg.minor_coordinates(x)))
+    bad = (pg.det_table() ^ _by_matrix(pg.hyperbolic_table())).bit_count()
     return f"{bad} mismatches over 64 matrices"
 
 
@@ -320,19 +338,13 @@ def _check_det_identity() -> str:
     "0 mismatches over 4096 pairs",
 )
 def _check_polarization() -> str:
-    bad = 0
-    coords = [pg.minor_coordinates(x) for x in range(64)]
-    dets = [sym_det(x) for x in range(64)]
-    for x in range(64):
-        for y in range(64):
-            if pg.polar_form(coords[x], coords[y]) != dets[x ^ y] ^ dets[x] ^ dets[y]:
-                bad += 1
+    # entry y: bit x of the polar side is B(coordinates of x, coordinates of y)
+    coords = pg.coordinates()
+    by_det = _polarized(pg.det_table())
+    bad = sum(
+        (_by_matrix(pg.polar_column(coords[y])) ^ by_det[y]).bit_count() for y in range(64)
+    )
     return f"{bad} mismatches over 4096 pairs"
-
-
-# bit y of _LOW_HALVES[k] is set iff bit k of y is clear
-_LOW_HALVES = tuple(sum(1 << y for y in range(64) if not y >> k & 1) for k in range(6))
-_ALL_64 = (1 << 64) - 1
 
 
 @check(
@@ -341,24 +353,12 @@ _ALL_64 = (1 << 64) - 1
     "0 mismatches over 28 forms x 4096 pairs",
 )
 def _check_forms_share_polar() -> str:
-    forms: list[Callable[[int], int]] = [pg.elliptic_form]
-    forms += [(lambda v, m=m: pg.elliptic_form_at(m, v)) for m in atlas().points]
-    # 64-bit tables: bit y of polar[x] is B(x, y), bit v of a value table is Q(v)
-    polar = [sum(pg.polar_form(x, y) << y for y in range(64)) for x in range(64)]
+    tables = [sum(pg.elliptic_form(v) << v for v in range(1, 64))]
+    tables += [sum(pg.elliptic_form_at(m, v) << v for v in range(1, 64)) for m in atlas().points]
+    polar = [pg.polar_column(y) for y in range(64)]
     bad = 0
-    for form in forms:
-        values = sum(form(v) << v for v in range(1, 64))
-        for x in range(64):
-            # bit y of shifted is Q(x + y): swap the halves of each 2^k-block
-            # for every bit k of x
-            shifted = values
-            for k, keep in enumerate(_LOW_HALVES):
-                if x >> k & 1:
-                    width = 1 << k
-                    shifted = (shifted >> width & keep) | (shifted & keep) << width
-            if values >> x & 1:
-                shifted ^= _ALL_64
-            bad += (shifted ^ values ^ polar[x]).bit_count()
+    for values in tables:
+        bad += sum((p ^ b).bit_count() for p, b in zip(_polarized(values), polar))
     return f"{bad} mismatches over 28 forms x 4096 pairs"
 
 

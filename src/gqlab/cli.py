@@ -7,9 +7,10 @@ Grammar::
     gqlab export --what atlas|incidence|quadric|planes|isomorphism
                  --format json|dot|csv --out <path>
 
-Exit codes: 0 success, 1 check failure or inconsistent atlas tables, 2
-usage error.  All behavior is controlled by flags; there is no
-configuration file and no environment variable.
+Exit codes: 0 success, 1 check failure or a failed start-up (inconsistent
+atlas tables, or any exception while building them), 2 usage error.  All
+behavior is controlled by flags; there is no configuration file and no
+environment variable.
 
 Each command imports only the modules it runs.  This module loads ``gf2``,
 ``atlas``, ``pg`` and ``quadrangle``, which is all ``classify`` needs;
@@ -109,6 +110,28 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+def _startup_failed(args: argparse.Namespace, exc: Exception) -> int:
+    """Report a failed start-up on stderr, and as a suite document that
+    passes nothing for ``verify --format json``.
+
+    An AtlasError is a diagnosed inconsistency and prints its message alone;
+    any other exception also prints its traceback.
+    """
+    if isinstance(exc, AtlasError):
+        message = str(exc)
+    else:
+        import traceback
+
+        traceback.print_exception(exc, file=sys.stderr)
+        message = f"{type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    if args.command == "verify" and args.format == "json":
+        import json
+
+        print(json.dumps({"schema": 1, "passed": False, "error": message, "checks": []}, indent=2))
+    return 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gqlab",
@@ -144,9 +167,8 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         atlas()  # fail loudly up front if the tables are inconsistent
-    except AtlasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # every start-up failure exits 1 on purpose
+        return _startup_failed(args, exc)
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "classify":

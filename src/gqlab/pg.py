@@ -25,6 +25,17 @@ a point set P iff it misses every point outside P, so ``lines_in(P)`` ORs
 the incidence masks of the points outside P and reads the clear bits out
 in ascending order, which is the order of ``pg_lines()`` and
 ``pg_planes()``, the public point-tuple forms.
+
+A form is evaluated once per vector, into a 64-bit value table: bit ``v``
+of a value table is the form at ``v``, for all 64 vectors ``v`` including
+0.  ``hyperbolic_table()`` and ``det_table()`` hold the hyperbolic form and
+``sym_det``, ``polar_column(y)`` holds ``polar_form(x, y)`` at bit ``x``,
+and ``coordinates()[x]`` is ``minor_coordinates(x)``.  Each is built from
+its scalar kernel on first use and cached, one polar column per centre.  A
+quadric is then the complement of a value table within ``ALL_POINTS``, and
+``translate_mask`` moves a table by XOR: bit ``x`` of
+``translate_mask(t, m)`` is bit ``x + m`` of ``t``; ``translates(t)`` lists
+all 64 translates at one block swap each.
 """
 
 from __future__ import annotations
@@ -82,29 +93,95 @@ def polar_form(x: int, y: int) -> int:
     ) & 1
 
 
-def _shifted_form(center: int, v: int) -> int:
-    """hyperbolic_form(v) + polar_form(v, center), for a coordinate vector center."""
-    return hyperbolic_form(v) ^ polar_form(v, center)
+def value_table(form: Callable[[int], int]) -> int:
+    """The 64-bit value table of a 0/1-valued form: bit v is form(v)."""
+    return sum(form(v) << v for v in range(64))
+
+
+@cache
+def coordinates() -> tuple[int, ...]:
+    """minor_coordinates(x) for all 64 SymMat3 values x, indexed by x."""
+    return tuple(minor_coordinates(x) for x in range(64))
+
+
+@cache
+def hyperbolic_table() -> int:
+    """Value table of hyperbolic_form."""
+    return value_table(hyperbolic_form)
+
+
+@cache
+def det_table() -> int:
+    """Value table of sym_det, indexed by the packed matrix."""
+    return value_table(sym_det)
+
+
+@cache
+def polar_column(y: int) -> int:
+    """Value table of polar_form(., y): bit x is polar_form(x, y)."""
+    return sum(polar_form(x, y) << x for x in range(64))
+
+
+# bit y of _LOW_HALVES[k] is set iff bit k of y is clear
+_LOW_HALVES = (
+    0x5555555555555555,
+    0x3333333333333333,
+    0x0F0F0F0F0F0F0F0F,
+    0x00FF00FF00FF00FF,
+    0x0000FFFF0000FFFF,
+    0x00000000FFFFFFFF,
+)
+
+
+def translate_mask(table: int, m: int) -> int:
+    """The 64-bit table whose bit x is bit x + m of table.
+
+    x + m is XOR of the indices, so one swap of the halves of every
+    2^k-block for each set bit k of m does it.
+    """
+    for k, low in enumerate(_LOW_HALVES):
+        if m >> k & 1:
+            width = 1 << k
+            table = table >> width & low | (table & low) << width
+    return table
+
+
+def translates(table: int) -> list[int]:
+    """translate_mask(table, m) for all 64 m, indexed by m.
+
+    Entry m + 2^k is entry m with its 2^k-blocks swapped, for m < 2^k, so
+    each entry costs one swap.
+    """
+    out = [table]
+    for k, low in enumerate(_LOW_HALVES):
+        width = 1 << k
+        out += [t >> width & low | (t & low) << width for t in out]
+    return out
+
+
+def _shifted_values(center: int) -> int:
+    """Value table of hyperbolic_form(v) + polar_form(v, center)."""
+    return hyperbolic_table() ^ polar_column(center)
 
 
 def elliptic_form(v: int) -> int:
     """The form whose quadric has 27 points and projective index 1."""
-    return _shifted_form(ALL_ONES, v)
+    return _shifted_values(ALL_ONES) >> v & 1
 
 
 def elliptic_form_at(m: int, v: int) -> int:
     """Member of the quadric family attached to the matrix point m."""
-    return _shifted_form(minor_coordinates(m), v)
+    return _shifted_values(coordinates()[m]) >> v & 1
 
 
 def elliptic_form_sym(x: int) -> int:
     """Matrix-side evaluation: det(X + 1) + 1."""
-    return sym_det(x ^ SYM_IDENTITY) ^ 1
+    return elliptic_form_sym_at(SYM_IDENTITY, x)
 
 
 def elliptic_form_sym_at(m: int, x: int) -> int:
     """Matrix-side evaluation: det(X + M) + 1."""
-    return sym_det(x ^ m) ^ 1
+    return det_table() >> (x ^ m) & 1 ^ 1
 
 
 @cache
@@ -214,48 +291,48 @@ def projective_index(points: int) -> int:
 
 def quadric_points(form: Callable[[int], int]) -> int:
     """Point mask of the zero set of a form among the 63 points."""
-    return point_mask(v for v in range(1, 64) if form(v) == 0)
+    return ALL_POINTS & ~value_table(form)
 
 
 @cache
 def klein_quadric() -> int:
     """The 35-point quadric of the hyperbolic form."""
-    return quadric_points(hyperbolic_form)
+    return ALL_POINTS & ~hyperbolic_table()
 
 
 @cache
 def elliptic_quadric() -> int:
     """The 27-point quadric; its coordinate preimages are X with det(X+1)=1."""
-    return quadric_points(elliptic_form)
+    return ALL_POINTS & ~_shifted_values(ALL_ONES)
 
 
 def elliptic_quadric_at(m: int) -> int:
     """The quadric of elliptic_form_at(m, .)."""
-    center = minor_coordinates(m)
-    return quadric_points(lambda v: _shifted_form(center, v))
+    return ALL_POINTS & ~_shifted_values(coordinates()[m])
 
 
 @cache
 def klein_matrix_points() -> int:
     """Matrix picture of the hyperbolic quadric: the 35 nonzero singular X."""
-    return quadric_points(sym_det)
+    return ALL_POINTS & ~det_table()
 
 
 @cache
 def elliptic_matrix_points() -> int:
     """Matrix picture of the 27-point quadric: nonzero X with det(X+1) = 1."""
-    return quadric_points(elliptic_form_sym)
+    return elliptic_matrix_points_at(SYM_IDENTITY)
 
 
 def elliptic_matrix_points_at(m: int) -> int:
-    return quadric_points(lambda s: elliptic_form_sym_at(m, s))
+    """Nonzero X with det(X + M) = 1, the zero set of elliptic_form_sym_at(m, .)."""
+    return ALL_POINTS & translate_mask(det_table(), m)
 
 
 def perp_hyperplane(p: int) -> int:
     """The 31 points perpendicular to p under the polar form."""
     if p == 0:
         raise ValueError("perpendicular hyperplane needs a nonzero point")
-    return quadric_points(lambda x: polar_form(x, p))
+    return ALL_POINTS & ~polar_column(p)
 
 
 def translate(x: int, m: int = SYM_IDENTITY) -> int:

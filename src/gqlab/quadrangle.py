@@ -30,12 +30,12 @@ from gqlab.gf2 import SYM_IDENTITY, bits6
 from gqlab.pg import (
     PgLine,
     bit_indices,
+    coordinates,
     elliptic_quadric,
     from_minor_coordinates,
     lines_in,
-    minor_coordinates,
     point_mask,
-    polar_form,
+    polar_column,
 )
 
 
@@ -224,9 +224,7 @@ def build_matrix_quadrangle() -> IncidenceStructure:
 def quadric_to_matrix_map() -> dict[str, str]:
     """The translation itself, as a label map from the matrix model onto the
     quadric model."""
-    return {
-        label_of(x): bits6(minor_coordinates(x ^ SYM_IDENTITY)) for x in atlas().points
-    }
+    return {label_of(x): bits6(coordinates()[x ^ SYM_IDENTITY]) for x in atlas().points}
 
 
 def _reject_non_points(x: int, y: int) -> None:
@@ -250,7 +248,8 @@ def collinear_matrices(x: int, y: int) -> bool:
         _reject_non_points(x, y)
     if x == y:
         raise ValueError("collinearity is defined for distinct points")
-    return polar_form(minor_coordinates(x ^ SYM_IDENTITY), minor_coordinates(y ^ SYM_IDENTITY)) == 0
+    coords = coordinates()
+    return not polar_column(coords[y ^ SYM_IDENTITY]) >> coords[x ^ SYM_IDENTITY] & 1
 
 
 def pair_label(i: int, j: int) -> str:
@@ -461,12 +460,11 @@ def _sections(axes: Iterable[int]) -> Iterator[tuple[int, list[int], list[PgLine
     The points are the quadric points perpendicular to the axis, ascending;
     the lines are the quadric lines made of such points, in pg_lines() order.
     """
-    quad = bit_indices(elliptic_quadric())
-    quad_lines = [(line, point_mask(line)) for line in lines_in(elliptic_quadric())]
+    quad = elliptic_quadric()
+    quad_lines = [(line, point_mask(line)) for line in lines_in(quad)]
     for axis in axes:
-        pts = [v for v in quad if polar_form(v, axis) == 0]
-        inside = point_mask(pts)
-        yield axis, pts, [line for line, mask in quad_lines if not mask & ~inside]
+        inside = quad & ~polar_column(axis)
+        yield axis, bit_indices(inside), [line for line, mask in quad_lines if not mask & ~inside]
 
 
 def quadric_section(axis: int) -> IncidenceStructure:

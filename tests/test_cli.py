@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import gqlab.atlas
+import gqlab.cli
 from gqlab.cli import main
 from gqlab.exports import EXPORTERS, render_export
 
@@ -58,19 +59,54 @@ def test_verify_unknown_check(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_inconsistent_atlas_exits_1(monkeypatch, capsys):
+def _run_with_corrupted_atlas(monkeypatch, argv):
     # U1 replaced by V1: the tables list one matrix twice
     corrupted = (gqlab.atlas._V_BITS[0],) + gqlab.atlas._U_BITS[1:]
     gqlab.atlas.atlas.cache_clear()
     try:
         monkeypatch.setattr(gqlab.atlas, "_U_BITS", corrupted)
-        assert main(["classify", "001100"]) == 1
+        return main(argv)
     finally:
         monkeypatch.undo()
         gqlab.atlas.atlas.cache_clear()
+
+
+def test_inconsistent_atlas_exits_1(monkeypatch, capsys):
+    assert _run_with_corrupted_atlas(monkeypatch, ["classify", "001100"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: atlas tables contain duplicates\n"
     assert captured.out == ""
+
+
+def test_inconsistent_atlas_verify_json_prints_a_failed_document(monkeypatch, capsys):
+    assert _run_with_corrupted_atlas(monkeypatch, ["verify", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: atlas tables contain duplicates\n"
+    payload = json.loads(captured.out)
+    assert payload == {
+        "schema": 1,
+        "passed": False,
+        "error": "atlas tables contain duplicates",
+        "checks": [],
+    }
+    assert _run_with_corrupted_atlas(monkeypatch, ["verify"]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_any_startup_exception_exits_1_with_json(monkeypatch, capsys):
+    def broken_atlas():
+        raise ValueError("planted start-up fault")
+
+    monkeypatch.setattr(gqlab.cli, "atlas", broken_atlas)
+    assert main(["verify", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith(
+        "ValueError: planted start-up fault\nerror: ValueError: planted start-up fault\n"
+    )
+    assert json.loads(captured.out)["error"] == "ValueError: planted start-up fault"
+    assert main(["classify", "001100"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_error_exit_code(capsys):

@@ -11,6 +11,8 @@ from gqlab.pg import (
     ALL_POINTS,
     UndefinedAtCenterError,
     bit_indices,
+    coordinates,
+    det_table,
     elliptic_form,
     elliptic_form_at,
     elliptic_form_sym,
@@ -21,6 +23,7 @@ from gqlab.pg import (
     elliptic_quadric_at,
     from_minor_coordinates,
     hyperbolic_form,
+    hyperbolic_table,
     klein_matrix_points,
     klein_quadric,
     lines_in,
@@ -33,11 +36,15 @@ from gqlab.pg import (
     planes_in,
     planes_through,
     point_mask,
+    polar_column,
     polar_form,
     projective_index,
     quadric_points,
     tangent_matrix_lines_at_identity,
     translate,
+    translate_mask,
+    translates,
+    value_table,
 )
 from gqlab.planes import PLANE_DIAGONAL, PLANE_LEFT, PLANE_RIGHT, plane_mask, plane_of
 
@@ -330,3 +337,72 @@ def test_point_sets_are_masks_without_bit_zero(name):
         assert not mask & ~ALL_POINTS
         assert mask.bit_count() == size
         assert point_mask(bit_indices(mask)) == mask
+
+
+# Value tables against their scalar kernels, and the quadrics read from them
+# against the point-by-point constructions they replaced.
+
+
+def test_polar_columns_match_polar_form_on_all_pairs():
+    for y in range(64):
+        column = polar_column(y)
+        assert 0 <= column < 1 << 64
+        for x in range(64):
+            assert column >> x & 1 == polar_form(x, y)
+
+
+def test_single_argument_tables_match_their_kernels():
+    assert coordinates() == tuple(minor_coordinates(x) for x in range(64))
+    for v in range(64):
+        assert hyperbolic_table() >> v & 1 == hyperbolic_form(v)
+        assert det_table() >> v & 1 == sym_det(v)
+    assert hyperbolic_table() < 1 << 64 and det_table() < 1 << 64
+    assert value_table(lambda v: v & 1) == 0xAAAAAAAAAAAAAAAA
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_translate_mask_matches_pointwise_translation(seed):
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(64) for _ in range(8)] + [0, 1, (1 << 64) - 1, ALL_POINTS]
+    for mask in masks:
+        every = translates(mask)
+        assert len(every) == 64
+        for m in range(64):
+            wanted = sum((mask >> (x ^ m) & 1) << x for x in range(64))
+            assert translate_mask(mask, m) == wanted
+            assert every[m] == wanted
+
+
+def _pointwise(form):
+    return point_mask(v for v in range(1, 64) if form(v) == 0)
+
+
+def test_quadrics_match_pointwise_constructions():
+    assert klein_quadric() == _pointwise(hyperbolic_form)
+    assert elliptic_quadric() == _pointwise(lambda v: hyperbolic_form(v) ^ polar_form(v, ALL_ONES))
+    assert klein_matrix_points() == _pointwise(sym_det)
+    assert elliptic_matrix_points() == _pointwise(lambda x: sym_det(x ^ SYM_IDENTITY) ^ 1)
+    for m in range(64):
+        center = minor_coordinates(m)
+        assert elliptic_quadric_at(m) == _pointwise(
+            lambda v: hyperbolic_form(v) ^ polar_form(v, center)
+        )
+        assert elliptic_matrix_points_at(m) == _pointwise(lambda x: sym_det(x ^ m) ^ 1)
+    for p in range(1, 64):
+        assert perp_hyperplane(p) == _pointwise(lambda x: polar_form(x, p))
+
+
+def test_form_reads_match_scalar_formulas():
+    for v in range(64):
+        assert elliptic_form(v) == hyperbolic_form(v) ^ polar_form(v, ALL_ONES)
+        assert elliptic_form_sym(v) == sym_det(v ^ SYM_IDENTITY) ^ 1
+    for m in range(64):
+        center = minor_coordinates(m)
+        for v in range(64):
+            assert elliptic_form_at(m, v) == hyperbolic_form(v) ^ polar_form(v, center)
+            assert elliptic_form_sym_at(m, v) == sym_det(v ^ m) ^ 1
+
+
+def test_perp_hyperplane_rejects_zero():
+    with pytest.raises(ValueError):
+        perp_hyperplane(0)
