@@ -373,3 +373,70 @@ def test_spreads_fails_on_one_dropped_plane_point(monkeypatch):
     report = _single_report("sec5.spreads")
     assert not report.passed
     assert report.actual == "U: covers 62 points"
+
+
+# Planted faults in the matrix algebra of sec3.jordan-closure: violators are
+# listed a ascending, the inverse of a before its products, then b ascending.
+
+
+@pytest.mark.parametrize(
+    "faulty, wanted",
+    [
+        (
+            (0b000011,),
+            "violations: ['001100*000011*001100', '001101*000011*001101', "
+            "'001110*000011*001110']",
+        ),
+        (
+            (0b000011, 0b000101),
+            "violations: ['001100*000011*001100', '001100*000101*001100', "
+            "'001101*000011*001101']",
+        ),
+    ],
+    ids=["one-b", "two-b"],
+)
+def test_jordan_closure_fails_on_a_non_symmetric_singular_b(monkeypatch, faulty, wanted):
+    # each faulty singular b expands with entry (1,2) flipped, so A*B*A is
+    # not symmetric for every invertible A
+    sym_to_mat = gqlab.gf2.sym_to_mat
+    monkeypatch.setattr(
+        gqlab.checks,
+        "sym_to_mat",
+        lambda s: sym_to_mat(s) ^ (0b010_000_000 if s in faulty else 0),
+    )
+    report = _single_report("sec3.jordan-closure")
+    assert not report.passed
+    assert report.actual == wanted
+
+
+def test_jordan_closure_fails_on_one_non_symmetric_inverse(monkeypatch):
+    inverse3, faulty = gqlab.gf2.inverse3, gqlab.gf2.sym_to_mat(0b001101)
+    monkeypatch.setattr(
+        gqlab.checks,
+        "inverse3",
+        lambda m: inverse3(m) ^ (0b010_000_000 if m == faulty else 0),
+    )
+    report = _single_report("sec3.jordan-closure")
+    assert not report.passed
+    assert report.actual == "violations: ['inverse(001101)']"
+
+
+@pytest.mark.parametrize("s", [0, 0b001100 ^ gqlab.gf2.SYM_IDENTITY], ids=["rank-0", "rank-1"])
+def test_rank_meet_identity_fails_on_one_wrong_rank(monkeypatch, s):
+    mat_rank, faulty = gqlab.planes.mat_rank, gqlab.gf2.sym_to_mat(s)
+    monkeypatch.setattr(gqlab.planes, "mat_rank", lambda m: mat_rank(m) ^ (m == faulty))
+    report = _single_report("sec5.rank-meet-identity")
+    assert not report.passed
+    assert report.actual == "identity fails"
+
+
+def test_rank_meet_identity_fails_on_two_swapped_planes(monkeypatch):
+    # U1 and V1 trade planes; pairs within the swap still pass, but some third
+    # matrix Y has rank(U1 + Y) != rank(V1 + Y)
+    at = gqlab.atlas.atlas()
+    swap = {at.u[0]: at.v[0], at.v[0]: at.u[0]}
+    plane_of = gqlab.planes.plane_of
+    monkeypatch.setattr(gqlab.planes, "plane_of", lambda x: plane_of(swap.get(x, x)))
+    report = _single_report("sec5.rank-meet-identity")
+    assert not report.passed
+    assert report.actual == "identity fails"
