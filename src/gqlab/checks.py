@@ -31,14 +31,20 @@ from gqlab.atlas import atlas, fano_action, label_of, multiplicative_closure
 from gqlab.gf2 import (
     MAT_IDENTITY,
     SYM_IDENTITY,
+    Lanes,
+    asymmetric_lanes,
     bits6,
+    broadcast_lanes,
     eigenspace_dim,
     inverse3,
     is_symmetric,
+    lane_matrix,
+    lanes_mul,
     mat_mul,
     mat_to_sym,
     sym_det,
     sym_to_mat,
+    to_lanes,
 )
 
 
@@ -279,13 +285,15 @@ def _check_singer() -> str:
 def _check_jordan_closure() -> str:
     bad = []
     mats = [sym_to_mat(b) for b in range(64)]
+    # lane b holds B, so one pair of lane products decides A*B*A for all 64 B
+    b_lanes = to_lanes(mats)
     for a in atlas_mod.enumerate_invertible_symmetric():
         am = mats[a]
         if not is_symmetric(inverse3(am)):
             bad.append(f"inverse({a:06b})")
-        for b, bm in enumerate(mats):
-            if not is_symmetric(mat_mul(mat_mul(am, bm), am)):
-                bad.append(f"{a:06b}*{b:06b}*{a:06b}")
+        a_lanes = broadcast_lanes(am, 64)
+        asymmetric = asymmetric_lanes(lanes_mul(lanes_mul(a_lanes, b_lanes), a_lanes))
+        bad.extend(f"{a:06b}*{b:06b}*{a:06b}" for b in range(64) if asymmetric >> b & 1)
     return "closed for all 28x64 pairs" if not bad else f"violations: {bad[:3]}"
 
 
@@ -688,22 +696,29 @@ def _check_group_action() -> str:
             mat_mul(mats[a], mats[b]) == mat_mul(mats[b], mats[a])
             for a, b in combinations(group, 2)
         )
-        domain = [sym_to_mat(x) for x in at.d + (at.v if tag == "U" else at.u)]
+        xs = at.d + (at.v if tag == "U" else at.u)
+        domain = to_lanes(sym_to_mat(x) for x in xs)
+
+        def conjugate_all(gm: int, lanes: Lanes) -> Lanes:
+            # G X G in every lane, for the len(xs) matrices X held in lanes
+            g_lanes = broadcast_lanes(gm, len(xs))
+            return lanes_mul(lanes_mul(g_lanes, lanes), g_lanes)
+
         # conjugates b x b and products ab are packed once: mat_to_sym raises
         # on a non-symmetric one, which fails the check
         image = {}
         for b, bm in mats.items():
-            for i, xm in enumerate(domain):
-                image[b, i] = bxb = mat_mul(mat_mul(bm, xm), bm)
-                mat_to_sym(bxb)
+            image[b] = conjugate_all(bm, domain)
+            asymmetric = asymmetric_lanes(image[b])
+            if asymmetric:
+                mat_to_sym(lane_matrix(image[b], (asymmetric & -asymmetric).bit_length() - 1))
         action = True
         for a, am in mats.items():
             for b, bm in mats.items():
                 abm = mat_mul(am, bm)
                 mat_to_sym(abm)
-                for i, xm in enumerate(domain):
-                    if mat_mul(mat_mul(abm, xm), abm) != mat_mul(mat_mul(am, image[b, i]), am):
-                        action = False
+                if conjugate_all(abm, domain) != conjugate_all(am, image[b]):
+                    action = False
         parts.append(f"{tag}: commutative {commutative}, action {action}")
     return "; ".join(parts)
 

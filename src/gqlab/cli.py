@@ -8,9 +8,9 @@ Grammar::
                  --format json|dot|csv --out <path>
 
 Exit codes: 0 success, 1 check failure or a failed start-up (inconsistent
-atlas tables, or any exception while building them), 2 usage error.  All
-behavior is controlled by flags; there is no configuration file and no
-environment variable.
+atlas tables, or any exception while building them or importing the
+command's modules), 2 usage error.  All behavior is controlled by flags;
+there is no configuration file and no environment variable.
 
 Each command imports only the modules it runs.  This module loads ``gf2``,
 ``atlas``, ``pg`` and ``quadrangle``, which is all ``classify`` needs;
@@ -167,6 +167,11 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         atlas()  # fail loudly up front if the tables are inconsistent
+        # a command's own modules load here, so a broken import fails start-up
+        if args.command == "verify":
+            import gqlab.checks  # noqa: F401
+        elif args.command == "export":
+            import gqlab.exports  # noqa: F401
     except Exception as exc:  # every start-up failure exits 1 on purpose
         return _startup_failed(args, exc)
     if args.command == "verify":

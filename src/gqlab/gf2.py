@@ -11,6 +11,11 @@ Packing conventions, fixed for the whole package:
 * ``GfVec6``: an int of 6 bits, bit 5 = first coordinate; text form is the
   bit string of the six coordinates.
 * Row vectors of length 3: ints 0..7, bit 2 = first coordinate.
+* ``Lanes``: many Mat3 at once, bit-sliced: a tuple of 9 ints where index
+  ``3i + j`` holds entry (i+1, j+1) and bit k of each int belongs to the
+  k-th matrix.  ``to_lanes``, ``broadcast_lanes``, ``lanes_mul``,
+  ``asymmetric_lanes`` and ``lane_matrix`` are the only code that knows
+  this layout.
 
 Everything here is a pure function on small ints, so the module is safe
 for unrestricted concurrent use.
@@ -99,6 +104,54 @@ def mat_mul(x: int, y: int) -> int:
     return combos[x >> 6 & 7] << 6 | combos[x >> 3 & 7] << 3 | combos[x & 7]
 
 
+Lanes = tuple[int, ...]
+
+
+def to_lanes(mats: Iterable[int]) -> Lanes:
+    """Bit-slice Mat3 values: bit k of each lane entry comes from mats[k]."""
+    entries = [0] * 9
+    for k, m in enumerate(mats):
+        for e in range(9):
+            entries[e] |= (m >> (8 - e) & 1) << k
+    return tuple(entries)
+
+
+def broadcast_lanes(m: int, n: int) -> Lanes:
+    """The Mat3 m repeated in n lanes."""
+    full = (1 << n) - 1
+    return tuple(full if m >> (8 - e) & 1 else 0 for e in range(9))
+
+
+def lanes_mul(x: Lanes, y: Lanes) -> Lanes:
+    """The lane-wise products x[k] * y[k]: 27 AND and 18 XOR word operations."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
+    return (
+        x0 & y0 ^ x1 & y3 ^ x2 & y6,
+        x0 & y1 ^ x1 & y4 ^ x2 & y7,
+        x0 & y2 ^ x1 & y5 ^ x2 & y8,
+        x3 & y0 ^ x4 & y3 ^ x5 & y6,
+        x3 & y1 ^ x4 & y4 ^ x5 & y7,
+        x3 & y2 ^ x4 & y5 ^ x5 & y8,
+        x6 & y0 ^ x7 & y3 ^ x8 & y6,
+        x6 & y1 ^ x7 & y4 ^ x8 & y7,
+        x6 & y2 ^ x7 & y5 ^ x8 & y8,
+    )
+
+
+def asymmetric_lanes(x: Lanes) -> int:
+    """Mask of the lanes whose matrix is not symmetric."""
+    return x[1] ^ x[3] | x[2] ^ x[6] | x[5] ^ x[7]
+
+
+def lane_matrix(x: Lanes, k: int) -> int:
+    """The Mat3 held in lane k."""
+    out = 0
+    for entry in x:
+        out = out << 1 | entry >> k & 1
+    return out
+
+
 def det3(m: int) -> int:
     """Determinant of a Mat3; over GF(2) all cofactor signs vanish."""
     a, b, c = m >> 8 & 1, m >> 7 & 1, m >> 6 & 1
@@ -111,25 +164,22 @@ def sym_det(s: int) -> int:
     return det3(sym_to_mat(s))
 
 
-def _minor2(m: int, row: int, col: int) -> int:
-    rows = [r for r in range(3) if r != row]
-    cols = [c for c in range(3) if c != col]
-
-    def entry(r: int, c: int) -> int:
-        return m >> (8 - 3 * r - c) & 1
-
-    return entry(rows[0], cols[0]) & entry(rows[1], cols[1]) ^ entry(rows[0], cols[1]) & entry(rows[1], cols[0])
+def _cross(u: int, v: int) -> int:
+    """Cross product of two row vectors; component k is u_{k+1} v_{k+2} + u_{k+2} v_{k+1}."""
+    # nu holds u_{k+1} at place k and au holds u_{k+2}; likewise for v
+    nu, au = (u << 1 | u >> 2) & 7, (u << 2 | u >> 1) & 7
+    nv, av = (v << 1 | v >> 2) & 7, (v << 2 | v >> 1) & 7
+    return nu & av ^ au & nv
 
 
 def inverse3(m: int) -> int:
-    """Inverse of a Mat3 via the adjugate (no signs over GF(2))."""
-    if det3(m) != 1:
+    """Inverse of a Mat3: its columns are the cross products of row pairs
+    (the adjugate, which over GF(2) has no signs)."""
+    r0, r1, r2 = m >> 6, m >> 3 & 7, m & 7
+    c0 = _cross(r1, r2)
+    if (r0 & c0).bit_count() & 1 == 0:
         raise SingularMatrixError(f"matrix {m:09b} is singular")
-    out = 0
-    for r in range(3):
-        for c in range(3):
-            out |= _minor2(m, c, r) << (8 - 3 * r - c)
-    return out
+    return mat_transpose(c0 << 6 | _cross(r2, r0) << 3 | _cross(r0, r1))
 
 
 def rref(rows: Iterable[int]) -> tuple[int, ...]:
@@ -139,18 +189,19 @@ def rref(rows: Iterable[int]) -> tuple[int, ...]:
     the unique RREF with rows ordered by descending leading bit.  Zero
     rows are dropped.
     """
-    pivots: dict[int, int] = {}
+    # the basis stays reduced: no row holds another row's leading bit, so
+    # one pass in any order clears them all, and row ^ b < row says that
+    # row holds the leading bit of b
+    basis: list[int] = []
     for row in rows:
-        for bit in sorted(pivots, reverse=True):
-            if row >> bit & 1:
-                row ^= pivots[bit]
+        for b in basis:
+            if row ^ b < row:
+                row ^= b
         if row:
-            lead = row.bit_length() - 1
-            for bit, prow in list(pivots.items()):
-                if prow >> lead & 1:
-                    pivots[bit] = prow ^ row
-            pivots[lead] = row
-    return tuple(pivots[bit] for bit in sorted(pivots, reverse=True))
+            basis = [b ^ row if b ^ row < b else b for b in basis]
+            basis.append(row)
+    basis.sort(reverse=True)
+    return tuple(basis)
 
 
 def row_rank(rows: Iterable[int]) -> int:

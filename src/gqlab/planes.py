@@ -200,17 +200,19 @@ def group_orbits(tag: str) -> OrbitDecomposition:
 
 
 @cache
-def _block_collineation(u: int) -> tuple[int, int]:
-    """The blocks (U, U^-1) of the collineation attached to u."""
+def _block_collineation(u: int) -> tuple[int, ...]:
+    """Image of each 6-bit row (v|w) under the blocks (U, U^-1) attached to u."""
     um = sym_to_mat(u)
-    return um, inverse3(um)
+    uinv = inverse3(um)
+    left = [row_times_mat(v, um) << 3 for v in range(8)]
+    right = [row_times_mat(w, uinv) for w in range(8)]
+    return tuple(lv | rw for lv in left for rw in right)
 
 
 def collineation_action(u: int, p: Plane) -> Plane:
     """Image of a plane under the block-diagonal collineation (U, U^-1)."""
-    um, uinv = _block_collineation(u)
-    rows = [row_times_mat(r >> 3, um) << 3 | row_times_mat(r & 7, uinv) for r in p]
-    return make_plane(rows)
+    image = _block_collineation(u)
+    return make_plane(image[r] for r in p)
 
 
 class MeetProfile(NamedTuple):
@@ -283,12 +285,12 @@ def rank_meet_identity_holds() -> bool:
     The rank comes from row reduction, the meet from the plane masks.
     """
     ranks = [mat_rank(sym_to_mat(s)) for s in range(64)]
-    planes = [plane_of(x) for x in range(64)]
-    for x in range(64):
-        for y in range(64):
-            if ranks[x ^ y] + intersection_dim(planes[x], planes[y]) != 3:
-                return False
-    return True
+    masks = [plane_mask(plane_of(x)) for x in range(64)]
+    return all(
+        ranks[x ^ y] + (mx & my).bit_count().bit_length() == 3
+        for x, mx in enumerate(masks)
+        for y, my in enumerate(masks)
+    )
 
 
 __all__ = [

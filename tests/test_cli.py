@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import gqlab.atlas
 import gqlab.cli
@@ -107,6 +108,30 @@ def test_any_startup_exception_exits_1_with_json(monkeypatch, capsys):
     assert json.loads(captured.out)["error"] == "ValueError: planted start-up fault"
     assert main(["classify", "001100"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_broken_verify_import_exits_1_with_json(monkeypatch, capsys):
+    # None in sys.modules makes importing gqlab.checks raise ImportError
+    monkeypatch.setitem(sys.modules, "gqlab.checks", None)
+    assert main(["verify", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["passed"] is False
+    assert payload["checks"] == []
+    # ModuleNotFoundError is the ImportError subclass raised for this import
+    assert payload["error"].startswith("ModuleNotFoundError: ")
+    assert "gqlab.checks" in payload["error"]
+    assert captured.err.endswith(f"error: {payload['error']}\n")
+
+
+def test_broken_export_import_exits_1(monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(sys.modules, "gqlab.exports", None)
+    out = tmp_path / "atlas.csv"
+    assert main(["export", "--what", "atlas", "--format", "csv", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: ModuleNotFoundError: " in captured.err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

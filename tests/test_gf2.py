@@ -1,17 +1,23 @@
 """Exact-value and exhaustive-property tests for the GF(2) kernels."""
 
+import random
+
 import pytest
 
 from gqlab.gf2 import (
     MAT_IDENTITY,
     SYM_IDENTITY,
     SingularMatrixError,
+    asymmetric_lanes,
     bits6,
+    broadcast_lanes,
     det3,
     eigenspace_dim,
     eigenspace_one,
     inverse3,
     is_symmetric,
+    lane_matrix,
+    lanes_mul,
     mat_mul,
     mat_rank,
     mat_to_sym,
@@ -22,7 +28,9 @@ from gqlab.gf2 import (
     rref,
     sym_det,
     sym_to_mat,
+    to_lanes,
 )
+from gqlab.pg import pg_planes
 
 D1 = parse_bits6("001100")
 U1 = parse_bits6("111100")
@@ -193,3 +201,112 @@ def test_invertible_symmetric_dichotomy():
         if sym_det(s) == 1 and s != SYM_IDENTITY:
             has_eigenvector = eigenspace_dim(sym_to_mat(s)) >= 1
             assert has_eigenvector == (sym_det(s ^ SYM_IDENTITY) == 0)
+
+
+# The lane kernels against the scalar ones, on every matrix and every pair.
+
+GROUPS = [range(64 * g, 64 * g + 64) for g in range(8)]
+
+
+def _reference_lanes(mats):
+    """Lanes by string transposition: the bit string of lane entry e lists
+    entry e of every matrix, the last matrix first."""
+    return tuple(int("".join(col), 2) for col in zip(*(format(m, "09b") for m in reversed(mats))))
+
+
+def test_lanes_round_trip_and_broadcast():
+    for ms in GROUPS:
+        lanes = to_lanes(ms)
+        assert lanes == _reference_lanes(ms)
+        assert [lane_matrix(lanes, k) for k in range(64)] == list(ms)
+    for m in range(512):
+        for n in (1, 21, 64):
+            assert broadcast_lanes(m, n) == _reference_lanes([m] * n)
+
+
+def test_lanes_mul_matches_mat_mul_on_all_pairs():
+    # lane k pairs x-group i at k with y-group j rotated by r at k + r, so
+    # the 8 x 8 x 64 products meet every (x, y) pair once
+    rotated = {}
+    for j, ys in enumerate(GROUPS):
+        for r in range(64):
+            rotated[j, r] = [ys[(k + r) % 64] for k in range(64)]
+    y_lanes = {key: to_lanes(ys) for key, ys in rotated.items()}
+    for xs in GROUPS:
+        x_lanes = to_lanes(xs)
+        for key, ys in rotated.items():
+            want = _reference_lanes([mat_mul(x, y) for x, y in zip(xs, ys)])
+            assert lanes_mul(x_lanes, y_lanes[key]) == want
+
+
+def test_asymmetric_lanes_matches_is_symmetric():
+    for ms in GROUPS:
+        want = sum((not is_symmetric(m)) << k for k, m in enumerate(ms))
+        assert asymmetric_lanes(to_lanes(ms)) == want
+
+
+def _reference_rref(rows):
+    """Pivot-dict row reduction, reducing each row by the pivots in
+    descending order and every earlier pivot row by each new one."""
+    pivots = {}
+    for row in rows:
+        for bit in sorted(pivots, reverse=True):
+            if row >> bit & 1:
+                row ^= pivots[bit]
+        if row:
+            lead = row.bit_length() - 1
+            for bit, prow in list(pivots.items()):
+                if prow >> lead & 1:
+                    pivots[bit] = prow ^ row
+            pivots[lead] = row
+    return tuple(pivots[bit] for bit in sorted(pivots, reverse=True))
+
+
+def test_rref_matches_reference_on_all_planes():
+    # the 7 points of each plane in both orders, and their 3 highest
+    for points in pg_planes():
+        for rows in (points, points[::-1], points[4:]):
+            assert rref(rows) == _reference_rref(rows)
+
+
+def test_rref_matches_reference_on_random_stacks():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        width = rng.randint(3, 20)
+        rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+        # repeated rows and sums of rows reach the cancelling branches
+        if len(rows) >= 2:
+            rows.append(rows[0] ^ rows[1])
+            rows.append(rows[-1])
+        assert rref(rows) == _reference_rref(rows)
+
+
+def _reference_inverse3(m):
+    """The adjugate entry by entry: entry (r, c) is the 2x2 minor of m
+    without row c and column r."""
+    if det3(m) != 1:
+        raise SingularMatrixError(f"matrix {m:09b} is singular")
+    out = 0
+    for r in range(3):
+        for c in range(3):
+            rows = [i for i in range(3) if i != c]
+            cols = [j for j in range(3) if j != r]
+            minor = _entry(m, rows[0], cols[0]) & _entry(m, rows[1], cols[1]) ^ _entry(
+                m, rows[0], cols[1]
+            ) & _entry(m, rows[1], cols[0])
+            out |= minor << (8 - 3 * r - c)
+    return out
+
+
+def test_inverse3_matches_reference_on_all_512():
+    singular = 0
+    for m in range(512):
+        if det3(m):
+            assert inverse3(m) == _reference_inverse3(m)
+        else:
+            singular += 1
+            with pytest.raises(SingularMatrixError, match=f"matrix {m:09b} is singular"):
+                inverse3(m)
+            with pytest.raises(SingularMatrixError):
+                _reference_inverse3(m)
+    assert singular == 344
