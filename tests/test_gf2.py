@@ -289,11 +289,9 @@ def _reference_inverse3(m):
     out = 0
     for r in range(3):
         for c in range(3):
-            rows = [i for i in range(3) if i != c]
-            cols = [j for j in range(3) if j != r]
-            minor = _entry(m, rows[0], cols[0]) & _entry(m, rows[1], cols[1]) ^ _entry(
-                m, rows[0], cols[1]
-            ) & _entry(m, rows[1], cols[0])
+            i0, i1 = (i for i in range(3) if i != c)
+            j0, j1 = (j for j in range(3) if j != r)
+            minor = _entry(m, i0, j0) & _entry(m, i1, j1) ^ _entry(m, i0, j1) & _entry(m, i1, j0)
             out |= minor << (8 - 3 * r - c)
     return out
 
