@@ -375,6 +375,25 @@ def test_spreads_fails_on_one_dropped_plane_point(monkeypatch):
     assert report.actual == "U: covers 62 points"
 
 
+@pytest.mark.parametrize(
+    "cls, wanted",
+    [("u", "U: not a field; V: GF(8)"), ("v", "U: GF(8); V: not a field")],
+)
+def test_gf8_fields_fails_on_one_product_outside_the_closure(monkeypatch, cls, wanted):
+    # the square of the class's first matrix gains a non-symmetric entry, so
+    # it leaves the closure while addition and commutativity still hold
+    mat_mul = gqlab.gf2.mat_mul
+    faulty = gqlab.gf2.sym_to_mat(getattr(gqlab.atlas.atlas(), cls)[0])
+    monkeypatch.setattr(
+        gqlab.checks,
+        "mat_mul",
+        lambda a, b: mat_mul(a, b) ^ (0b010_000_000 if a == b == faulty else 0),
+    )
+    report = _single_report("sec3.gf8-fields")
+    assert not report.passed
+    assert report.actual == wanted
+
+
 # Planted faults in the matrix algebra of sec3.jordan-closure: violators are
 # listed a ascending, the inverse of a before its products, then b ascending.
 
