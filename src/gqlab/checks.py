@@ -212,9 +212,8 @@ def _is_gf8(closure: frozenset[int]) -> bool:
     add_closed = all(a ^ b in field for a in field for b in field)
     elems = sorted(closure)
     mats = {x: sym_to_mat(x) for x in elems}
-    mul_closed = all(
-        mat_mul(mats[a], mats[b]) in {sym_to_mat(c) for c in closure} for a in elems for b in elems
-    )
+    closure_mats = set(mats.values())
+    mul_closed = all(mat_mul(mats[a], mats[b]) in closure_mats for a in elems for b in elems)
     commutative = all(
         mat_mul(mats[a], mats[b]) == mat_mul(mats[b], mats[a]) for a in elems for b in elems
     )
