@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+from json.encoder import encode_basestring_ascii as _string
 
 from gqlab.atlas import atlas, classify, label_of
 from gqlab.gf2 import MAT_IDENTITY, SYM_IDENTITY, bits6, eigenspace_dim, mat_mul, sym_to_mat
@@ -28,10 +28,37 @@ from gqlab.quadrangle import (
 )
 
 _CLASS_COLORS = {"D": "lightblue", "U": "palegreen", "V": "lightsalmon"}
+_BITS = tuple(bits6(v) for v in range(64))
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _dump(value: object, newline: str) -> str:
+    """Lay out ``value`` as ``json`` does with ``indent=2``, nested after ``newline``.
+
+    Takes dict (str keys), list, tuple, str, int, bool and None; strings go
+    through ``json``'s C escaper, the one its ``ensure_ascii`` mode uses.
+    """
+    if isinstance(value, str):
+        return _string(value)
+    if value is None or isinstance(value, bool):
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        body = ("," + inner).join(_string(k) + ": " + _dump(v, inner) for k, v in value.items())
+        return "{" + inner + body + newline + "}" if body else "{}"
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if all(isinstance(item, str) for item in value):
+        body = ("," + inner).join(map(_string, value))
+    else:
+        body = ("," + inner).join(_dump(item, inner) for item in value)
+    return "[" + inner + body + newline + "]" if body else "[]"
 
 
 def _json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _dump(payload, "\n") + "\n"
 
 
 def _atlas_rows() -> list[dict]:
@@ -42,7 +69,7 @@ def _atlas_rows() -> list[dict]:
         rows.append(
             {
                 "label": label_of(x),
-                "bits": bits6(x),
+                "bits": _BITS[x],
                 "class": classify(x).value,
                 "eigenspace_dim": eigenspace_dim(m),
                 "involution": mat_mul(m, m) == MAT_IDENTITY,
@@ -93,8 +120,8 @@ def incidence_dot() -> str:
 def _quadric_record(form_name: str, points: int) -> dict:
     return {
         "form": form_name,
-        "points": [bits6(v) for v in bit_indices(points)],
-        "lines_contained": [[bits6(v) for v in line] for line in lines_in(points)],
+        "points": [_BITS[v] for v in bit_indices(points)],
+        "lines_contained": [[_BITS[v] for v in line] for line in lines_in(points)],
     }
 
 
@@ -116,8 +143,8 @@ def planes_json() -> str:
         records.append(
             {
                 "label": label_of(x),
-                "matrix_rows": [bits6(r) for r in raw],
-                "echelon": [bits6(r) for r in echelon],
+                "matrix_rows": [_BITS[r] for r in raw],
+                "echelon": [_BITS[r] for r in echelon],
                 "class": classify(x).value,
             }
         )
@@ -125,8 +152,8 @@ def planes_json() -> str:
         records.append(
             {
                 "label": label,
-                "matrix_rows": [bits6(r) for r in plane],
-                "echelon": [bits6(r) for r in plane],
+                "matrix_rows": [_BITS[r] for r in plane],
+                "echelon": [_BITS[r] for r in plane],
                 "class": "distinguished",
             }
         )
