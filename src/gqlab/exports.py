@@ -50,9 +50,9 @@ def _dump(value: object, newline: str) -> str:
         return "{" + inner + body + newline + "}" if body else "{}"
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if all(isinstance(item, str) for item in value):
+    try:  # a list of strings joins in one pass; the escaper raises on anything else
         body = ("," + inner).join(map(_string, value))
-    else:
+    except TypeError:
         body = ("," + inner).join(_dump(item, inner) for item in value)
     return "[" + inner + body + newline + "]" if body else "[]"
 
