@@ -16,15 +16,20 @@ below say which one they use.
 
 Every point set is a 64-bit point mask: bit ``v`` is set iff the point
 ``v`` is in the set, so bit 0 (the zero vector) is never set and every
-mask lies inside ``ALL_POINTS``.  ``bit_indices`` lists a mask's points in
-ascending order where labels or exports need them.  Lines and planes
-inside a point set are found through per-point incidence masks: bit ``i``
-of ``lines_through()[v]`` is set iff ``pg_lines()[i]`` contains ``v``, and
-``planes_through()`` does the same for ``pg_planes()``.  A subspace lies in
-a point set P iff it misses every point outside P, so ``lines_in(P)`` ORs
-the incidence masks of the points outside P and reads the clear bits out
-in ascending order, which is the order of ``pg_lines()`` and
-``pg_planes()``, the public point-tuple forms.
+mask lies inside ``ALL_POINTS``; the functions that take a point set
+raise ``ValueError`` on any other int.  ``bit_indices`` lists a mask's
+points in ascending order where labels or exports need them.  Lines and
+planes inside a point set are found through per-point incidence masks:
+bit ``i`` of ``lines_through()[v]`` is set iff ``pg_lines()[i]`` contains
+``v``, and ``planes_through()`` does the same for ``pg_planes()``.  A
+subspace lies in a point set P iff it misses every point outside P, so
+``lines_in(P)`` ORs the incidence masks of the points outside P and reads
+the clear bits out in ascending order, which is the order of
+``pg_lines()`` and ``pg_planes()``, the public point-tuple forms.
+``projective_index`` needs neither the 1395 planes nor their masks: a
+plane lies in P iff some line (x, y, z) inside P has a point w of P off
+it with w + x, w + y and w + z in P, which one AND of four translates of
+P decides per line.
 
 A form is evaluated once per vector, into a 64-bit value table: bit ``v``
 of a value table is the form at ``v``, for all 64 vectors ``v`` including
@@ -259,6 +264,8 @@ def bit_indices(mask: int) -> list[int]:
 
 
 def _subspaces_in(subspaces: tuple, through: tuple[int, ...], points: int) -> tuple:
+    if points & ~ALL_POINTS:
+        raise ValueError(f"not a point mask inside ALL_POINTS: {points:#x}")
     hit = 0
     for v in bit_indices(ALL_POINTS & ~points):
         hit |= through[v]
@@ -277,16 +284,21 @@ def planes_in(points: int) -> tuple[tuple[int, ...], ...]:
 def projective_index(points: int) -> int:
     """Largest dimension of a projective subspace inside the point set.
 
-    Searched exhaustively over the 1395 planes and 651 lines; -1 for the
-    empty set.
+    Searched exhaustively over the lines inside the set; -1 for the empty
+    set.  Each plane inside it holds an inside line (x, y, z) and a point
+    w off that line with w + x, w + y and w + z inside, so bit w of
+    points & T[x] & T[y] & T[z], with T = translates(points), finds the
+    plane.  The points of the line itself never show there, since bit 0
+    of a point mask is clear.
     """
-    if not points:
-        return -1
-    if planes_in(points):
-        return 2
-    if lines_in(points):
-        return 1
-    return 0
+    lines = lines_in(points)
+    if not lines:
+        return 0 if points else -1
+    shifted = translates(points)
+    for x, y, z in lines:
+        if points & shifted[x] & shifted[y] & shifted[z]:
+            return 2
+    return 1
 
 
 def quadric_points(form: Callable[[int], int]) -> int:
@@ -330,8 +342,8 @@ def elliptic_matrix_points_at(m: int) -> int:
 
 def perp_hyperplane(p: int) -> int:
     """The 31 points perpendicular to p under the polar form."""
-    if p == 0:
-        raise ValueError("perpendicular hyperplane needs a nonzero point")
+    if not 0 < p < 64:
+        raise ValueError(f"perpendicular hyperplane needs a point 1..63, got {p}")
     return ALL_POINTS & ~polar_column(p)
 
 

@@ -17,7 +17,8 @@ is ``inc.points[i]``, each line is a tuple of point indices and a point mask
 (bit i set iff point i is on it), and each point has the point mask of its
 collinear neighbours and their number.  The labels are read back only to
 write witnesses and results.  The hyperplane survey compiles its 36 sections
-straight from quadric points and quadric lines, without labelling them.
+straight from quadric points and quadric lines, renumbered through one
+64-entry rank list, without building labelled structures.
 """
 
 from __future__ import annotations
@@ -169,13 +170,16 @@ def _gq_order(c: CompiledStructure) -> tuple[int, int]:
                         "at most one joining line", f"points {labels[a]}, {labels[b]}"
                     )
                 joined[a] |= bit
+    # an ordered collinear pair counts once in the degrees and once per line
+    # through it in the sizes, so equal sums mean no two lines share two points
     line_points = c.line_points
-    for i, mask in enumerate(line_points):
-        for j in range(i + 1, len(line_points)):
-            if (mask & line_points[j]).bit_count() > 1:
-                raise AxiomViolationError(
-                    "at most one common point", f"lines {written(i)}, {written(j)}"
-                )
+    if sum(n * (n - 1) for n in map(int.bit_count, line_points)) != sum(c.degrees):
+        for i, mask in enumerate(line_points):
+            for j in range(i + 1, len(line_points)):
+                if (mask & line_points[j]).bit_count() > 1:
+                    raise AxiomViolationError(
+                        "at most one common point", f"lines {written(i)}, {written(j)}"
+                    )
 
     # bit-sliced counters over each line's points as written (a point named
     # twice counts twice): the points collinear with at least one / two of them
@@ -469,8 +473,8 @@ def _sections(axes: Iterable[int]) -> Iterator[tuple[int, list[int], list[PgLine
 
 def quadric_section(axis: int) -> IncidenceStructure:
     """Incidence structure on the quadric points inside the hyperplane of axis."""
-    if axis == 0:
-        raise ValueError("perpendicular hyperplane needs a nonzero point")
+    if not 0 < axis < 64:
+        raise ValueError(f"perpendicular hyperplane needs a point 1..63, got {axis}")
     ((_, pts, lines),) = _sections([axis])
     labelled = [tuple(bits6(v) for v in line) for line in lines]
     return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in pts), labelled)
@@ -483,17 +487,20 @@ def hyperplane_section_survey() -> SurveySummary:
     every other one cuts a 15-point subquadrangle of order (2,2).
     """
     quad = elliptic_quadric()
+    names = [bits6(v) for v in range(64)]
+    rank = [0] * 64  # rank[v]: the index of point v in the current section
     sections = []
     all_pass = True
     for axis, pts, lines in _sections(range(1, 64)):
         if quad >> axis & 1:
-            sections.append(HyperplaneSection(bits6(axis), "tangent", len(pts), len(lines)))
+            sections.append(HyperplaneSection(names[axis], "tangent", len(pts), len(lines)))
             continue
-        index = {v: i for i, v in enumerate(pts)}
+        for i, v in enumerate(pts):
+            rank[v] = i
         section = _compile(
-            f"section-{bits6(axis)}",
-            tuple(bits6(v) for v in pts),
-            tuple(tuple(index[v] for v in line) for line in lines),
+            f"section-{names[axis]}",
+            tuple([names[v] for v in pts]),
+            tuple([(rank[x], rank[y], rank[z]) for x, y, z in lines]),
         )
         try:
             order = _gq_order(section)
@@ -501,7 +508,7 @@ def hyperplane_section_survey() -> SurveySummary:
             order = None
         if order != (2, 2) or len(pts) != 15 or len(lines) != 15:
             all_pass = False
-        sections.append(HyperplaneSection(bits6(axis), "gq22", len(pts), len(lines)))
+        sections.append(HyperplaneSection(names[axis], "gq22", len(pts), len(lines)))
     tangent = sum(1 for s in sections if s.kind == "tangent")
     return SurveySummary(
         tangent=tangent,

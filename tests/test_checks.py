@@ -89,7 +89,7 @@ def test_readme_check_table_matches_registry():
     assert _readme_check_table() == registered
 
 
-def _raise_planted_fault(x):
+def _raise_planted_fault(*args):
     raise ValueError("planted fault")
 
 
@@ -115,13 +115,29 @@ def test_raising_check_makes_verify_exit_1(monkeypatch, capsys):
     assert sum(1 for entry in payload["checks"] if not entry["pass"]) == 2
 
 
-def test_suite_json_is_pinned():
+SUITE_SHA256 = "5ecce014526a145c4d38cfce8f6f20dd84233f2b46b6c308dfbcda08ad86f826"
+
+
+def _suite_digest(suite):
     # ids, order, descriptions, expected and actual strings, timing removed
-    payload = suite_to_dict(run_suite())
+    payload = suite_to_dict(suite)
     for entry in payload["checks"]:
         del entry["elapsed_ms"]
-    digest = hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
-    assert digest == "5ecce014526a145c4d38cfce8f6f20dd84233f2b46b6c308dfbcda08ad86f826"
+    return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
+
+
+def test_suite_json_is_pinned():
+    assert _suite_digest(run_suite()) == SUITE_SHA256
+
+
+def test_cold_suite_builds_no_plane_table(monkeypatch):
+    # every projective index is decided from lines and translates, so the
+    # 1395 planes and their incidence masks are never built
+    monkeypatch.setattr(gqlab.pg, "pg_planes", _raise_planted_fault)
+    monkeypatch.setattr(gqlab.pg, "planes_through", _raise_planted_fault)
+    suite = run_suite()
+    assert suite.passed
+    assert _suite_digest(suite) == SUITE_SHA256
 
 
 def test_suite_json_schema():
@@ -297,6 +313,32 @@ def test_hyperplane_survey_fails_on_one_flipped_polar_value(monkeypatch, in_sect
 # point added to or dropped from its mask.  The dropped singular matrix is a
 # D translate and the added one is U1, so both also change the overlap of
 # the two matrix quadrics.
+
+
+@pytest.mark.parametrize(
+    "translates, check_id, wanted",
+    [
+        # no translate has a point: no plane is found, even in the Klein quadric
+        (
+            lambda table: [0] * 64,
+            "sec4.klein-quadric",
+            "35 points, index 1, 105 lines, singular preimages True",
+        ),
+        # every translate is the set itself: every line seems to lie in a plane
+        (lambda table: [table] * 64, "sec4.elliptic-quadric", "27 points, index 2, 45 lines"),
+        (
+            lambda table: [table] * 64,
+            "sec4.qm-family",
+            "27 quadrics: 27 points True, index 1 False, translation bijection True",
+        ),
+    ],
+    ids=["zeroed-klein", "untranslated-elliptic", "untranslated-qm-family"],
+)
+def test_index_checks_fail_on_faulty_translates(monkeypatch, translates, check_id, wanted):
+    monkeypatch.setattr(gqlab.pg, "translates", translates)
+    report = _single_report(check_id)
+    assert not report.passed
+    assert report.actual == wanted
 
 
 @pytest.mark.parametrize(

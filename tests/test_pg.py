@@ -197,6 +197,38 @@ def test_subspaces_in_match_superset_reference():
     assert len(lines_in(ALL_POINTS)) == 651 and len(planes_in(ALL_POINTS)) == 1395
 
 
+@pytest.mark.parametrize(
+    "mask", [1, 1 | 1 << 5, ALL_POINTS | 1, -1, -(1 << 10), 1 << 64, 1 << 70 | 2]
+)
+def test_point_set_functions_reject_masks_outside_all_points(mask):
+    # bit 0 (the zero vector), a negative int and bits from 64 up are not points
+    for read in (lines_in, planes_in, projective_index):
+        with pytest.raises(ValueError, match="ALL_POINTS"):
+            read(mask)
+
+
+def _reference_projective_index(points):
+    pts = frozenset(bit_indices(points))
+    if any(pts.issuperset(plane) for plane in pg_planes()):
+        return 2
+    if any(pts.issuperset(line) for line in pg_lines()):
+        return 1
+    return 0 if pts else -1
+
+
+def test_projective_index_matches_plane_reference_on_hand_made_sets():
+    # one plane alone, the plane minus each of its points, and the plane
+    # plus a line that meets it in a point or misses it
+    for plane in pg_planes()[::31]:
+        mask = point_mask(plane)
+        cases = [(mask, 2)] + [(mask & ~(1 << v), 1) for v in plane]
+        meeting = next(line for line in pg_lines() if (point_mask(line) & mask).bit_count() == 1)
+        missing = next(line for line in pg_lines() if not point_mask(line) & mask)
+        cases += [(mask | point_mask(meeting), 2), (mask | point_mask(missing), 2)]
+        for points, wanted in cases:
+            assert projective_index(points) == _reference_projective_index(points) == wanted
+
+
 def test_projective_indices():
     assert projective_index(elliptic_quadric()) == 1
     assert projective_index(klein_quadric()) == 2
@@ -404,5 +436,7 @@ def test_form_reads_match_scalar_formulas():
 
 
 def test_perp_hyperplane_rejects_zero():
-    with pytest.raises(ValueError):
-        perp_hyperplane(0)
+    # and every other int outside the 63 points
+    for p in (0, -1, 64, 1 << 70):
+        with pytest.raises(ValueError, match="1..63"):
+            perp_hyperplane(p)

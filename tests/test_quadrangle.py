@@ -574,6 +574,34 @@ AXIOM_MUTANTS = {
 }
 
 
+def _repeated_lines(inc, reverse, every):
+    """inc with its first line, or every line, named a second time at the
+    end, as written or reversed.  Built directly, so repeats stay."""
+    repeats = inc.lines if every else inc.lines[:1]
+    return IncidenceStructure(
+        inc.name, inc.points, inc.lines + tuple(line[::-1] if reverse else line for line in repeats)
+    )
+
+
+@pytest.mark.parametrize(
+    "reverse, every, axiom",
+    [
+        (False, False, "uniform point degree"),
+        (True, False, "uniform point degree"),
+        # every point keeps one degree, and no ordered pair repeats, so only
+        # the scan for two lines sharing two points can see the repeats
+        (True, True, "at most one common point"),
+        (False, True, "at most one joining line"),
+    ],
+)
+def test_repeated_lines_give_the_reference_axiom_and_witness(reverse, every, axiom):
+    for base in (grid_gq21(), doily_substructure(), build_quadric_quadrangle()):
+        inc = _repeated_lines(base, reverse, every)
+        outcome = _axiom_outcome(verify_gq_axioms, inc)
+        assert outcome == _axiom_outcome(_reference_verify_gq_axioms, inc)
+        assert outcome[0] == axiom
+
+
 @pytest.mark.parametrize("name", sorted(AXIOM_MUTANTS))
 def test_bitset_axioms_match_reference_on_mutants(name):
     build, axiom = AXIOM_MUTANTS[name]
@@ -641,5 +669,6 @@ def test_hyperplane_survey_matches_reference():
 def test_quadric_section_matches_reference():
     for axis in range(1, 64):
         assert quadric_section(axis) == _reference_section(axis)
-    with pytest.raises(ValueError):
-        quadric_section(0)
+    for axis in (0, -1, 64, 1 << 70):
+        with pytest.raises(ValueError, match="1..63"):
+            quadric_section(axis)
