@@ -130,11 +130,13 @@ def spread(tag: str) -> tuple[Plane, ...]:
 
 def plane_minor(rows: tuple[int, int, int], cols: tuple[int, int, int]) -> int:
     """3x3 minor of a 3x6 matrix at the given columns (0-based from the left)."""
-    m = 0
-    for r in range(3):
-        for k, c in enumerate(cols):
-            m |= (rows[r] >> (5 - c) & 1) << (8 - 3 * r - k)
-    return det3(m)
+    r0, r1, r2 = rows
+    a, b, c = 5 - cols[0], 5 - cols[1], 5 - cols[2]
+    return det3(
+        (r0 >> a & 1) << 8 | (r0 >> b & 1) << 7 | (r0 >> c & 1) << 6
+        | (r1 >> a & 1) << 5 | (r1 >> b & 1) << 4 | (r1 >> c & 1) << 3
+        | (r2 >> a & 1) << 2 | (r2 >> b & 1) << 1 | r2 >> c & 1
+    )
 
 
 def minor_profiles() -> dict[tuple[int, int, int], tuple[int, ...]]:

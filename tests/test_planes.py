@@ -5,7 +5,7 @@ import pytest
 import gqlab.quadrangle
 from gqlab.atlas import WrongClassError, atlas, label_of, matrix_of
 from gqlab.checks import run_suite
-from gqlab.gf2 import SYM_IDENTITY, mat_rank, row_rank, sym_to_mat
+from gqlab.gf2 import SYM_IDENTITY, det3, mat_rank, row_rank, sym_to_mat
 from gqlab.planes import (
     COLUMN_TRIPLES,
     PLANE_DIAGONAL,
@@ -148,6 +148,22 @@ def test_plucker_minor_examples():
     assert plane_minor(rows, (3, 4, 5)) == 1
     # columns {1,5,6} pick out the entry a = 0 for D1
     assert plane_minor(rows, (0, 4, 5)) == 0
+
+
+def _reference_plane_minor(rows, cols):
+    """plane_minor as a loop over the 9 entries, kept as its oracle."""
+    m = 0
+    for r in range(3):
+        for k, c in enumerate(cols):
+            m |= (rows[r] >> (5 - c) & 1) << (8 - 3 * r - k)
+    return det3(m)
+
+
+def test_plane_minor_matches_loop_reference():
+    row_sets = [raw_plane_rows(m) for m in range(512)] + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]
+    for rows in row_sets:
+        for cols in COLUMN_TRIPLES:
+            assert plane_minor(rows, cols) == _reference_plane_minor(rows, cols)
 
 
 def test_plucker_unique_triples_frozen():
