@@ -168,6 +168,8 @@ def atlas() -> Atlas:
 
 def classify(x: int) -> MatrixClass:
     """Class of an invertible SymMat3; raises NotInvertibleError on det 0."""
+    if not 0 <= x < 64:
+        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x}")
     if sym_det(x) != 1:
         raise NotInvertibleError(f"matrix {x:06b} has determinant 0")
     if x == SYM_IDENTITY:
@@ -199,6 +201,8 @@ def multiplicative_closure(x: int) -> frozenset[int]:
 
 def fano_action(x: int) -> FanoAction:
     """Permutation of the 7 points of the Fano plane induced from the right."""
+    if not 0 <= x < 64:
+        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x}")
     if sym_det(x) != 1:
         raise NotInvertibleError(f"matrix {x:06b} has determinant 0")
     m = sym_to_mat(x)

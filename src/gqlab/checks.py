@@ -651,7 +651,7 @@ def _check_spreads() -> str:
                 problems.append(f"{tag}: planes meet")
         covered = 0
         for p in planes:
-            covered |= planes_mod.plane_mask(p)
+            covered |= p
         if covered != pg.ALL_POINTS:
             problems.append(f"{tag}: covers {covered.bit_count()} points")
     overlap = set(planes_mod.spread("U")) & set(planes_mod.spread("V"))
@@ -762,8 +762,7 @@ def _check_collineation() -> str:
 
     def meets(planes: list[planes_mod.Plane]) -> list[int]:
         # points shared by each pair of planes, one count per meet dimension
-        masks = [planes_mod.plane_mask(p) for p in planes]
-        return [(masks[i] & masks[j]).bit_count() for i, j in pairs]
+        return [(planes[i] & planes[j]).bit_count() for i, j in pairs]
 
     before = meets(all_planes)
     maps_ok = dims_ok = True

@@ -20,7 +20,7 @@ from gqlab.pg import (
     klein_quadric,
     lines_in,
 )
-from gqlab.planes import DISTINGUISHED, family_planes, intersection_statistics, raw_plane_rows
+from gqlab.planes import DISTINGUISHED, echelon, intersection_statistics, plane_of, raw_plane_rows
 from gqlab.quadrangle import (
     DOUBLE_SIX_ISOMORPHISM,
     build_matrix_quadrangle,
@@ -139,21 +139,21 @@ def planes_json() -> str:
     records = []
     for x in atlas().points:
         raw = raw_plane_rows(sym_to_mat(x))
-        echelon = family_planes()[label_of(x)]
         records.append(
             {
                 "label": label_of(x),
                 "matrix_rows": [_BITS[r] for r in raw],
-                "echelon": [_BITS[r] for r in echelon],
+                "echelon": [_BITS[r] for r in echelon(plane_of(x))],
                 "class": classify(x).value,
             }
         )
     for plane, label in DISTINGUISHED.items():
+        rows = [_BITS[r] for r in echelon(plane)]
         records.append(
             {
                 "label": label,
-                "matrix_rows": [_BITS[r] for r in plane],
-                "echelon": [_BITS[r] for r in plane],
+                "matrix_rows": rows,
+                "echelon": rows,
                 "class": "distinguished",
             }
         )

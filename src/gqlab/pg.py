@@ -56,10 +56,6 @@ ALL_POINTS = (1 << 64) - 2  # the point mask of all 63 points
 PgLine = tuple[int, int, int]
 
 
-class UndefinedAtCenterError(ValueError):
-    """The translation by m is not defined at the point m itself."""
-
-
 def minor_coordinates(x: int) -> int:
     """Coordinates (X11, cof11, X22, cof22, X33, cof33) of a SymMat3.
 
@@ -345,14 +341,6 @@ def perp_hyperplane(p: int) -> int:
     if not 0 < p < 64:
         raise ValueError(f"perpendicular hyperplane needs a point 1..63, got {p}")
     return ALL_POINTS & ~polar_column(p)
-
-
-def translate(x: int, m: int = SYM_IDENTITY) -> int:
-    """Matrix translation x -> x + m; the third point on the matrix line
-    joining x and m.  Undefined at x = m, which would land on 0."""
-    if x == m:
-        raise UndefinedAtCenterError(f"translation by {m:06b} is undefined at {x:06b}")
-    return x ^ m
 
 
 def matrix_lines_through(x: int) -> tuple[int, ...]:

@@ -1,14 +1,14 @@
 """The plane representation: quadrangle points as planes (X|1) in PG(5,2).
 
-A plane is the row space of a rank-3 binary 3x6 matrix; its canonical form
-is the reduced row echelon form, packed as a tuple of three 6-bit rows
-(leftmost column = highest bit).  The left block of a row lives in bits
-5..3, the right block in bits 2..0.  The echelon tuple is kept as the
-identity of a plane (hashable, comparable, and exported as the echelon
-field); meets are computed on the plane's point mask instead, which
-follows the one point-set convention of gqlab.pg: bit v is set iff the
-nonzero vector v lies in the plane, so two planes share 0, 1, 3 or 7
-points and the bit length of that count is the dimension of their meet.
+A plane is the row space of a rank-3 binary 3x6 matrix, and it is held
+as its point mask, the one point-set convention of gqlab.pg: bit v is set
+iff the nonzero vector v lies in the plane, so a plane has 7 bits and
+bit 0 is never set.  A 6-bit row (leftmost column = highest bit) keeps
+its left block in bits 5..3 and its right block in bits 2..0.  Two
+planes share 0, 1, 3 or 7 points, and the bit length of that count is
+the dimension of their meet.  ``echelon`` gives the reduced row echelon
+basis of a plane, which the planes export prints and the isotropy test
+reads.
 """
 
 from __future__ import annotations
@@ -32,20 +32,30 @@ from gqlab.gf2 import (
     rref,
     sym_to_mat,
 )
-from gqlab.pg import minor_coordinates, point_mask
+from gqlab.pg import bit_indices, minor_coordinates, point_mask
 from gqlab.quadrangle import IncidenceStructure, build_matrix_quadrangle, make_structure
 
-Plane = tuple[int, int, int]
+Plane = int
 
 COLUMN_TRIPLES = tuple(combinations(range(6), 3))
 
 
 def make_plane(rows: Iterable[int]) -> Plane:
-    """Canonical (reduced row echelon) form of a plane; requires rank 3."""
-    basis = rref(rows)
-    if len(basis) != 3:
-        raise ValueError(f"rows span dimension {len(basis)}, not a plane")
-    return basis
+    """The point mask of the span of 6-bit rows; requires rank 3."""
+    span = [0]
+    for row in rows:
+        if row not in span:
+            if not 0 < row < 64:
+                raise ValueError(f"a 6-bit row is an int in 0..63, got {row}")
+            span += [v ^ row for v in span]
+    if len(span) != 8:
+        raise ValueError(f"rows span dimension {len(span).bit_length() - 1}, not a plane")
+    return point_mask(span[1:])
+
+
+def echelon(p: Plane) -> tuple[int, ...]:
+    """The reduced row echelon basis of a plane: three 6-bit rows."""
+    return rref(bit_indices(p))
 
 
 def raw_plane_rows(m: int) -> tuple[int, int, int]:
@@ -60,26 +70,21 @@ def plane_of_mat(m: int) -> Plane:
 @cache
 def plane_of(x: int) -> Plane:
     """The plane (X|1) of a packed SymMat3."""
+    if not 0 <= x < 64:
+        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x}")
     return plane_of_mat(sym_to_mat(x))
 
 
-PLANE_LEFT: Plane = (0b100000, 0b010000, 0b001000)
-PLANE_RIGHT: Plane = (0b000100, 0b000010, 0b000001)
-PLANE_DIAGONAL: Plane = (0b100100, 0b010010, 0b001001)
+PLANE_LEFT: Plane = make_plane((0b100000, 0b010000, 0b001000))
+PLANE_RIGHT: Plane = make_plane((0b000100, 0b000010, 0b000001))
+PLANE_DIAGONAL: Plane = make_plane((0b100100, 0b010010, 0b001001))
 
 DISTINGUISHED = {PLANE_LEFT: "(1|0)", PLANE_RIGHT: "(0|1)", PLANE_DIAGONAL: "(1|1)"}
 
 
-@cache
-def plane_mask(p: Plane) -> int:
-    """The point mask of the 7 nonzero vectors of the row space."""
-    r0, r1, r2 = p
-    return point_mask((r0, r1, r2, r0 ^ r1, r0 ^ r2, r1 ^ r2, r0 ^ r1 ^ r2))
-
-
 def intersection_dim(p: Plane, q: Plane) -> int:
     """Vector-space dimension of the intersection of two planes."""
-    return (plane_mask(p) & plane_mask(q)).bit_count().bit_length()
+    return (p & q).bit_count().bit_length()
 
 
 def is_skew(p: Plane, q: Plane) -> bool:
@@ -94,7 +99,7 @@ def symplectic_product(r1: int, r2: int) -> int:
 
 
 def is_totally_isotropic(p: Plane) -> bool:
-    r0, r1, r2 = p
+    r0, r1, r2 = echelon(p)
     return (
         symplectic_product(r0, r1) == 0
         and symplectic_product(r0, r2) == 0
@@ -214,7 +219,7 @@ def _block_collineation(u: int) -> tuple[int, ...]:
 def collineation_action(u: int, p: Plane) -> Plane:
     """Image of a plane under the block-diagonal collineation (U, U^-1)."""
     image = _block_collineation(u)
-    return make_plane(image[r] for r in p)
+    return point_mask(image[v] for v in bit_indices(p))
 
 
 class MeetProfile(NamedTuple):
@@ -287,11 +292,11 @@ def rank_meet_identity_holds() -> bool:
     The rank comes from row reduction, the meet from the plane masks.
     """
     ranks = [mat_rank(sym_to_mat(s)) for s in range(64)]
-    masks = [plane_mask(plane_of(x)) for x in range(64)]
+    planes = [plane_of(x) for x in range(64)]
     return all(
-        ranks[x ^ y] + (mx & my).bit_count().bit_length() == 3
-        for x, mx in enumerate(masks)
-        for y, my in enumerate(masks)
+        ranks[x ^ y] + (p & q).bit_count().bit_length() == 3
+        for x, p in enumerate(planes)
+        for y, q in enumerate(planes)
     )
 
 
@@ -309,6 +314,7 @@ __all__ = [
     "collineation_action",
     "conjugate",
     "conjugating_group",
+    "echelon",
     "family_planes",
     "group_orbits",
     "intersection_dim",
@@ -317,7 +323,6 @@ __all__ = [
     "is_totally_isotropic",
     "make_plane",
     "minor_profiles",
-    "plane_mask",
     "plane_minor",
     "plane_of",
     "plane_of_mat",

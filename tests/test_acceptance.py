@@ -36,7 +36,6 @@ from gqlab.planes import (
     is_totally_isotropic,
     family_planes,
     minor_profiles,
-    plane_mask,
     plane_of,
     plucker_unique_triples,
     skew_partner,
@@ -174,7 +173,7 @@ def test_criterion_08_plane_model_identities():
         for i, p in enumerate(family):
             for q in family[i + 1 :]:
                 assert intersection_dim(p, q) == 0
-            covered |= plane_mask(p)
+            covered |= p
         assert covered.bit_count() == 63
     for plane in list(family_planes().values()) + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]:
         assert is_totally_isotropic(plane)

@@ -406,11 +406,11 @@ def test_perp_checks_fail_on_one_flipped_point(monkeypatch, flip, check_id, want
 
 
 def test_spreads_fails_on_one_dropped_plane_point(monkeypatch):
-    plane = gqlab.planes.class_planes("U")[0]
-    plane_mask = gqlab.planes.plane_mask
-    lowest = plane_mask(plane) & -plane_mask(plane)
+    target = gqlab.atlas.atlas().u[0]
+    plane_of = gqlab.planes.plane_of
+    lowest = plane_of(target) & -plane_of(target)
     monkeypatch.setattr(
-        gqlab.planes, "plane_mask", lambda p: plane_mask(p) ^ (lowest if p == plane else 0)
+        gqlab.planes, "plane_of", lambda x: plane_of(x) ^ (lowest if x == target else 0)
     )
     report = _single_report("sec5.spreads")
     assert not report.passed

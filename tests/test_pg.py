@@ -9,7 +9,6 @@ from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, sym_det
 from gqlab.pg import (
     ALL_ONES,
     ALL_POINTS,
-    UndefinedAtCenterError,
     bit_indices,
     coordinates,
     det_table,
@@ -41,12 +40,11 @@ from gqlab.pg import (
     projective_index,
     quadric_points,
     tangent_matrix_lines_at_identity,
-    translate,
     translate_mask,
     translates,
     value_table,
 )
-from gqlab.planes import PLANE_DIAGONAL, PLANE_LEFT, PLANE_RIGHT, plane_mask, plane_of
+from gqlab.planes import PLANE_DIAGONAL, PLANE_LEFT, PLANE_RIGHT, plane_of
 
 D1 = parse_bits6("001100")
 U1 = parse_bits6("111100")
@@ -257,29 +255,19 @@ def test_complement():
     assert not klein_matrix_points() & invertible
 
 
-def test_translate():
-    # D1 + 1 = [[1,0,1],[0,0,0],[1,0,1]] packed as 101001
-    assert bits6(translate(D1)) == "101001"
-    assert translate(U1) in atlas().u
-    with pytest.raises(UndefinedAtCenterError):
-        translate(SYM_IDENTITY)
-    with pytest.raises(UndefinedAtCenterError):
-        translate(D1, D1)
-
-
 def test_translation_classes():
     at = atlas()
-    assert {translate(x) for x in at.u} == set(at.u)
-    assert {translate(x) for x in at.v} == set(at.v)
-    assert not {translate(x) for x in at.d} & set(at.points)
-    assert {translate(x) for x in at.points} == set(bit_indices(elliptic_matrix_points()))
+    assert {x ^ SYM_IDENTITY for x in at.u} == set(at.u)
+    assert {x ^ SYM_IDENTITY for x in at.v} == set(at.v)
+    assert not {x ^ SYM_IDENTITY for x in at.d} & set(at.points)
+    assert {x ^ SYM_IDENTITY for x in at.points} == set(bit_indices(elliptic_matrix_points()))
 
 
 def test_quadric_class_split():
     at = atlas()
     quadric = elliptic_matrix_points()
     assert quadric & point_mask(at.points) == point_mask(at.u) | point_mask(at.v)
-    assert quadric & klein_matrix_points() == point_mask(translate(x) for x in at.d)
+    assert quadric & klein_matrix_points() == point_mask(x ^ SYM_IDENTITY for x in at.d)
 
 
 def test_perp_hyperplane_of_identity():
@@ -289,7 +277,7 @@ def test_perp_hyperplane_of_identity():
     wanted = (
         {ALL_ONES}
         | {minor_coordinates(x) for x in at.d}
-        | {minor_coordinates(translate(x)) for x in at.d}
+        | {minor_coordinates(x ^ SYM_IDENTITY) for x in at.d}
     )
     assert perp == point_mask(wanted)
 
@@ -303,7 +291,7 @@ def test_tangent_matrix_lines():
     at = atlas()
     lines = matrix_lines_through(SYM_IDENTITY)
     assert len(lines) == 31
-    wanted = {point_mask((SYM_IDENTITY, x, translate(x))) for x in at.d}
+    wanted = {point_mask((SYM_IDENTITY, x, x ^ SYM_IDENTITY)) for x in at.d}
     assert set(tangent_matrix_lines_at_identity(elliptic_matrix_points())) == wanted
     assert set(tangent_matrix_lines_at_identity(klein_matrix_points())) == wanted
 
@@ -349,11 +337,8 @@ POINT_SET_FUNCTIONS = {
         ],
         3,
     ),
-    "planes.plane_mask": (
-        lambda: [
-            plane_mask(p)
-            for p in [*map(plane_of, range(64)), PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]
-        ],
+    "planes.plane_of": (
+        lambda: [*map(plane_of, range(64)), PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL],
         7,
     ),
 }

@@ -3,19 +3,30 @@
 import pytest
 
 import gqlab.quadrangle
-from gqlab.atlas import WrongClassError, atlas, label_of, matrix_of
+from gqlab.atlas import (
+    WrongClassError,
+    atlas,
+    classify,
+    fano_action,
+    label_of,
+    matrix_of,
+    multiplicative_closure,
+)
 from gqlab.checks import run_suite
-from gqlab.gf2 import SYM_IDENTITY, det3, mat_rank, row_rank, sym_to_mat
+from gqlab.gf2 import SYM_IDENTITY, det3, mat_rank, row_rank, rref, sym_to_mat
+from gqlab.pg import pg_planes, point_mask
 from gqlab.planes import (
     COLUMN_TRIPLES,
     PLANE_DIAGONAL,
     PLANE_LEFT,
     PLANE_RIGHT,
+    _block_collineation,
     build_plane_model,
     class_planes,
     collineation_action,
     conjugate,
     conjugating_group,
+    echelon,
     family_planes,
     group_orbits,
     intersection_dim,
@@ -24,7 +35,6 @@ from gqlab.planes import (
     is_totally_isotropic,
     make_plane,
     minor_profiles,
-    plane_mask,
     plane_minor,
     plane_of,
     plane_of_mat,
@@ -35,7 +45,7 @@ from gqlab.planes import (
     spread,
     symplectic_product,
 )
-from gqlab.quadrangle import AxiomViolationError, verify_gq_axioms
+from gqlab.quadrangle import AxiomViolationError, collinear_matrices, verify_gq_axioms
 
 
 def test_plane_of_zero_is_right_block():
@@ -45,18 +55,69 @@ def test_plane_of_zero_is_right_block():
 def test_plane_canonical_form_unique():
     # the same row space in a different basis reduces to the same plane
     p = plane_of(matrix_of("D1"))
-    r0, r1, r2 = p
+    r0, r1, r2 = echelon(p)
     assert make_plane((r0 ^ r1, r1 ^ r2, r2)) == p
 
 
 def test_make_plane_rejects_low_rank():
-    with pytest.raises(ValueError):
-        make_plane((0b100000, 0b100000, 0b010000))
+    for rows in [
+        (0b100000,),
+        (0b100000, 0b100000),
+        (0, 0b100000, 0b010000),
+        (0b100000, 0b100000, 0b010000),
+        (0b100000, 0b010000, 0b110000),
+    ]:
+        with pytest.raises(ValueError, match="not a plane"):
+            make_plane(rows)
+
+
+def test_make_plane_accepts_four_rows_spanning_a_plane():
+    rows = (0b100100, 0b010010, 0b110110, 0b001001)
+    assert make_plane(rows) == PLANE_DIAGONAL
+    assert make_plane(iter(rows)) == PLANE_DIAGONAL
+    # four independent rows span a solid, not a plane
+    with pytest.raises(ValueError, match="dimension 4"):
+        make_plane((0b100000, 0b010000, 0b001000, 0b000100))
+
+
+def test_make_plane_rejects_rows_outside_6_bits():
+    for row in (64, 0b1_000001, -1):
+        with pytest.raises(ValueError, match="0..63"):
+            make_plane((0b100000, 0b010000, row))
+
+
+def test_echelon_is_the_rref_of_the_spanning_rows():
+    # (plane, rows spanning it): the 64 planes (X|1) with their raw rows,
+    # the three distinguished planes with their echelon rows, and all 1395
+    # planes with their 7 points
+    cases = [(plane_of(x), raw_plane_rows(sym_to_mat(x))) for x in range(64)]
+    cases += [
+        (PLANE_LEFT, (0b100000, 0b010000, 0b001000)),
+        (PLANE_RIGHT, (0b000100, 0b000010, 0b000001)),
+        (PLANE_DIAGONAL, (0b100100, 0b010010, 0b001001)),
+    ]
+    cases += [(point_mask(points), points) for points in pg_planes()]
+    assert len(cases) == 64 + 3 + 1395
+    for plane, rows in cases:
+        assert plane.bit_count() == 7 and not plane & 1
+        assert echelon(plane) == rref(rows)
+        assert make_plane(echelon(plane)) == plane == make_plane(rows)
+
+
+def test_collineation_action_matches_the_echelon_row_rule():
+    # the rule it replaced: map the three echelon rows, then span them
+    group = conjugating_group("U") + conjugating_group("V")[1:]
+    planes = list(family_planes().values()) + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]
+    assert len(group) == 13 and len(planes) == 30
+    for u in group:
+        image = _block_collineation(u)
+        for p in planes:
+            assert collineation_action(u, p) == make_plane(image[r] for r in echelon(p))
 
 
 def test_plane_points_count():
     for plane in list(family_planes().values()) + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]:
-        assert plane_mask(plane).bit_count() == 7
+        assert plane.bit_count() == 7
 
 
 def test_meet_with_identity_plane():
@@ -88,7 +149,7 @@ def test_mask_meet_matches_stacked_rank():
     planes = [plane_of(x) for x in range(64)] + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]
     for p in planes:
         for q in planes:
-            assert intersection_dim(p, q) == 6 - row_rank(p + q)
+            assert intersection_dim(p, q) == 6 - row_rank(echelon(p) + echelon(q))
 
 
 def test_rank_meet_spot_values():
@@ -131,7 +192,7 @@ def test_spreads():
         for i, p in enumerate(planes):
             for q in planes[i + 1 :]:
                 assert is_skew(p, q)
-            covered |= plane_mask(p)
+            covered |= p
         assert covered.bit_count() == 63
     assert set(spread("U")) & set(spread("V")) == {PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL}
     assert run_suite("sec5.spreads").passed
@@ -160,7 +221,8 @@ def _reference_plane_minor(rows, cols):
 
 
 def test_plane_minor_matches_loop_reference():
-    row_sets = [raw_plane_rows(m) for m in range(512)] + [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]
+    row_sets = [raw_plane_rows(m) for m in range(512)]
+    row_sets += [echelon(p) for p in (PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL)]
     for rows in row_sets:
         for cols in COLUMN_TRIPLES:
             assert plane_minor(rows, cols) == _reference_plane_minor(rows, cols)
@@ -303,3 +365,30 @@ def test_class_planes_counts():
     assert len(class_planes("U")) == len(class_planes("V")) == 6
     with pytest.raises(ValueError):
         class_planes("X")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        classify,
+        fano_action,
+        plane_of,
+        intersection_statistics,
+        skew_partner,
+        multiplicative_closure,
+        lambda x: collinear_matrices(x, matrix_of("D1")),
+    ],
+    ids=[
+        "classify",
+        "fano_action",
+        "plane_of",
+        "intersection_statistics",
+        "skew_partner",
+        "multiplicative_closure",
+        "collinear_matrices",
+    ],
+)
+@pytest.mark.parametrize("x", [64 + matrix_of("U1"), -1], ids=["64+U1", "-1"])
+def test_packed_matrices_outside_0_63_are_rejected(call, x):
+    with pytest.raises(ValueError, match="0..63"):
+        call(x)
