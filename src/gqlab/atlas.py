@@ -109,6 +109,7 @@ class FanoAction(NamedTuple):
         return tuple(out)
 
 
+@cache
 def enumerate_invertible_symmetric() -> tuple[int, ...]:
     """All 28 invertible packed SymMat3 values, in ascending packed order."""
     return tuple(s for s in range(64) if sym_det(s) == 1)
@@ -149,12 +150,9 @@ def atlas() -> Atlas:
             raise AtlasError(f"D{i + 1} has eigenspace dimension != {want}")
 
     labels: dict[int, str] = {}
-    for i, x in enumerate(_D_BITS):
-        labels[x] = f"D{i + 1}"
-    for i, x in enumerate(_U_BITS):
-        labels[x] = f"U{i + 1}"
-    for i, x in enumerate(_V_BITS):
-        labels[x] = f"V{i + 1}"
+    for tag, members in (("D", _D_BITS), ("U", _U_BITS), ("V", _V_BITS)):
+        for i, x in enumerate(members):
+            labels[x] = f"{tag}{i + 1}"
     by_label = {lab: x for x, lab in labels.items()}
     return Atlas(
         d=_D_BITS,
@@ -166,12 +164,16 @@ def atlas() -> Atlas:
     )
 
 
-def classify(x: int) -> MatrixClass:
-    """Class of an invertible SymMat3; raises NotInvertibleError on det 0."""
+def _require_invertible(x: int) -> None:
     if not 0 <= x < 64:
         raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x}")
     if sym_det(x) != 1:
         raise NotInvertibleError(f"matrix {x:06b} has determinant 0")
+
+
+def classify(x: int) -> MatrixClass:
+    """Class of an invertible SymMat3; raises NotInvertibleError on det 0."""
+    _require_invertible(x)
     if x == SYM_IDENTITY:
         return MatrixClass.IDENTITY
     if sym_det(x ^ SYM_IDENTITY) == 0:
@@ -201,29 +203,8 @@ def multiplicative_closure(x: int) -> frozenset[int]:
 
 def fano_action(x: int) -> FanoAction:
     """Permutation of the 7 points of the Fano plane induced from the right."""
-    if not 0 <= x < 64:
-        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x}")
-    if sym_det(x) != 1:
-        raise NotInvertibleError(f"matrix {x:06b} has determinant 0")
+    _require_invertible(x)
     m = sym_to_mat(x)
     images = tuple(row_times_mat(v, m) for v in range(1, 8))
     fixed = tuple(v for v in range(1, 8) if images[v - 1] == v)
     return FanoAction(images=images, fixed_points=fixed)
-
-
-__all__ = [
-    "Atlas",
-    "AtlasError",
-    "FanoAction",
-    "MatrixClass",
-    "NotInvertibleError",
-    "WrongClassError",
-    "atlas",
-    "classify",
-    "enumerate_invertible_symmetric",
-    "fano_action",
-    "label_key",
-    "label_of",
-    "matrix_of",
-    "multiplicative_closure",
-]

@@ -360,8 +360,8 @@ def _check_polarization() -> str:
     "0 mismatches over 28 forms x 4096 pairs",
 )
 def _check_forms_share_polar() -> str:
-    tables = [sum(pg.elliptic_form(v) << v for v in range(1, 64))]
-    tables += [sum(pg.elliptic_form_at(m, v) << v for v in range(1, 64)) for m in atlas().points]
+    forms = atlas_mod.enumerate_invertible_symmetric()
+    tables = [sum(pg.elliptic_form_at(m, v) << v for v in range(1, 64)) for m in forms]
     polar = [pg.polar_column(y) for y in range(64)]
     bad = 0
     for values in tables:
@@ -376,13 +376,12 @@ def _check_forms_share_polar() -> str:
 )
 def _check_translation_form() -> str:
     coords = [pg.minor_coordinates(x) for x in range(64)]
-    bad = sum(1 for x, v in enumerate(coords) if pg.elliptic_form(v) != pg.elliptic_form_sym(x))
-    for m in atlas().points:
-        bad += sum(
-            1
-            for x, v in enumerate(coords)
-            if pg.elliptic_form_at(m, v) != pg.elliptic_form_sym_at(m, x)
-        )
+    bad = sum(
+        1
+        for m in atlas_mod.enumerate_invertible_symmetric()
+        for x, v in enumerate(coords)
+        if pg.elliptic_form_at(m, v) != pg.elliptic_form_sym_at(m, x)
+    )
     return f"{bad} mismatches over 28 forms x 64 matrices"
 
 
@@ -785,20 +784,13 @@ def _check_collineation() -> str:
 def _check_statistics() -> str:
     at = atlas()
     bad = []
-    for versus in ("U", "V"):
-        opposite = at.v if versus == "U" else at.u
-        for x in at.d[:3]:
-            prof = planes_mod.intersection_statistics(x, versus)
-            if (prof.points, prof.lines, prof.skew) != (4, 0, 2):
-                bad.append(f"{prof.label} vs {versus}")
-        for x in at.d[3:]:
-            prof = planes_mod.intersection_statistics(x, versus)
-            if (prof.points, prof.lines, prof.skew) != (3, 1, 2):
-                bad.append(f"{prof.label} vs {versus}")
-        for x in opposite:
-            prof = planes_mod.intersection_statistics(x, versus)
-            if (prof.points, prof.lines, prof.skew) != (4, 1, 1):
-                bad.append(f"{prof.label} vs {versus}")
+    for versus, opposite in (("U", at.v), ("V", at.u)):
+        profiles = ((at.d[:3], (4, 0, 2)), (at.d[3:], (3, 1, 2)), (opposite, (4, 1, 1)))
+        for members, wanted in profiles:
+            for x in members:
+                prof = planes_mod.intersection_statistics(x, versus)
+                if (prof.points, prof.lines, prof.skew) != wanted:
+                    bad.append(f"{prof.label} vs {versus}")
     return "profiles (4,0,2)/(3,1,2)/(4,1,1) in both orientations" if not bad else f"wrong: {bad}"
 
 

@@ -85,11 +85,9 @@ def atlas_json() -> str:
 def atlas_csv() -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "bits", "class", "eigenspace_dim", "involution"])
-    for row in _atlas_rows():
-        writer.writerow(
-            [row["label"], row["bits"], row["class"], row["eigenspace_dim"], row["involution"]]
-        )
+    rows = _atlas_rows()
+    writer.writerow(rows[0].keys())
+    writer.writerows(row.values() for row in rows)
     return buf.getvalue()
 
 

@@ -41,6 +41,10 @@ quadric is then the complement of a value table within ``ALL_POINTS``, and
 ``translate_mask`` moves a table by XOR: bit ``x`` of
 ``translate_mask(t, m)`` is bit ``x + m`` of ``t``; ``translates(t)`` lists
 all 64 translates at one block swap each.
+
+The paper's form Q is Q_1, the identity member of the 28-form family
+Q_M = ``elliptic_form_at(m, .)`` over invertible m, since ``ALL_ONES`` is
+``coordinates()[SYM_IDENTITY]``.
 """
 
 from __future__ import annotations
@@ -165,23 +169,17 @@ def _shifted_values(center: int) -> int:
     return hyperbolic_table() ^ polar_column(center)
 
 
-def elliptic_form(v: int) -> int:
-    """The form whose quadric has 27 points and projective index 1."""
-    return _shifted_values(ALL_ONES) >> v & 1
-
-
 def elliptic_form_at(m: int, v: int) -> int:
-    """Member of the quadric family attached to the matrix point m."""
+    """Member Q_M of the 28-form family at the vector v; Q is Q_1."""
+    if not 0 <= m < 64 > v >= 0:
+        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {v if 0 <= m < 64 else m}")
     return _shifted_values(coordinates()[m]) >> v & 1
-
-
-def elliptic_form_sym(x: int) -> int:
-    """Matrix-side evaluation: det(X + 1) + 1."""
-    return elliptic_form_sym_at(SYM_IDENTITY, x)
 
 
 def elliptic_form_sym_at(m: int, x: int) -> int:
     """Matrix-side evaluation: det(X + M) + 1."""
+    if not 0 <= m < 64 > x >= 0:
+        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x if 0 <= m < 64 else m}")
     return det_table() >> (x ^ m) & 1 ^ 1
 
 
@@ -311,11 +309,13 @@ def klein_quadric() -> int:
 @cache
 def elliptic_quadric() -> int:
     """The 27-point quadric; its coordinate preimages are X with det(X+1)=1."""
-    return ALL_POINTS & ~_shifted_values(ALL_ONES)
+    return elliptic_quadric_at(SYM_IDENTITY)
 
 
 def elliptic_quadric_at(m: int) -> int:
     """The quadric of elliptic_form_at(m, .)."""
+    if not 0 <= m < 64:
+        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {m}")
     return ALL_POINTS & ~_shifted_values(coordinates()[m])
 
 
@@ -333,6 +333,8 @@ def elliptic_matrix_points() -> int:
 
 def elliptic_matrix_points_at(m: int) -> int:
     """Nonzero X with det(X + M) = 1, the zero set of elliptic_form_sym_at(m, .)."""
+    if not 0 <= m < 64:
+        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {m}")
     return ALL_POINTS & translate_mask(det_table(), m)
 
 

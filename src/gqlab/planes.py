@@ -113,17 +113,16 @@ def family_planes() -> dict[str, Plane]:
     return {label_of(x): plane_of(x) for x in atlas().points}
 
 
-def class_planes(tag: str) -> tuple[Plane, ...]:
+def _members() -> dict[str, tuple[int, ...]]:
     at = atlas()
-    if tag == "D":
-        members = at.d
-    elif tag == "U":
-        members = at.u
-    elif tag == "V":
-        members = at.v
-    else:
+    return {"D": at.d, "U": at.u, "V": at.v}
+
+
+def class_planes(tag: str) -> tuple[Plane, ...]:
+    members = _members()
+    if tag not in members:
         raise ValueError(f"unknown class {tag!r}")
-    return tuple(plane_of(x) for x in members)
+    return tuple(plane_of(x) for x in members[tag])
 
 
 def spread(tag: str) -> tuple[Plane, ...]:
@@ -171,12 +170,9 @@ def plucker_unique_triples(
 
 def conjugating_group(tag: str) -> tuple[int, ...]:
     """The order-7 group {1} + U (tag "U") or {1} + V (tag "V")."""
-    at = atlas()
-    if tag == "U":
-        return (SYM_IDENTITY,) + at.u
-    if tag == "V":
-        return (SYM_IDENTITY,) + at.v
-    raise ValueError(f"unknown group tag {tag!r}")
+    if tag not in ("U", "V"):
+        raise ValueError(f"unknown group tag {tag!r}")
+    return (SYM_IDENTITY,) + _members()[tag]
 
 
 def conjugate(u: int, x: int) -> int:
@@ -262,12 +258,9 @@ def skew_partner(x: int) -> int:
     """The unique matrix of the opposite eigenvalue-free class whose plane
     is skew to (X|1)."""
     cls = classify(x)
-    if cls is MatrixClass.U:
-        pool = atlas().v
-    elif cls is MatrixClass.V:
-        pool = atlas().u
-    else:
+    if cls not in (MatrixClass.U, MatrixClass.V):
         raise WrongClassError("skew partners pair the classes U and V")
+    pool = _members()["V" if cls is MatrixClass.U else "U"]
     mine = plane_of(x)
     partners = [y for y in pool if is_skew(mine, plane_of(y))]
     if len(partners) != 1:
@@ -298,38 +291,3 @@ def rank_meet_identity_holds() -> bool:
         for x, p in enumerate(planes)
         for y, q in enumerate(planes)
     )
-
-
-__all__ = [
-    "COLUMN_TRIPLES",
-    "DISTINGUISHED",
-    "MeetProfile",
-    "OrbitDecomposition",
-    "PLANE_DIAGONAL",
-    "PLANE_LEFT",
-    "PLANE_RIGHT",
-    "Plane",
-    "build_plane_model",
-    "class_planes",
-    "collineation_action",
-    "conjugate",
-    "conjugating_group",
-    "echelon",
-    "family_planes",
-    "group_orbits",
-    "intersection_dim",
-    "intersection_statistics",
-    "is_skew",
-    "is_totally_isotropic",
-    "make_plane",
-    "minor_profiles",
-    "plane_minor",
-    "plane_of",
-    "plane_of_mat",
-    "plucker_unique_triples",
-    "rank_meet_identity_holds",
-    "raw_plane_rows",
-    "skew_partner",
-    "spread",
-    "symplectic_product",
-]

@@ -35,6 +35,7 @@ from gqlab.pg import (
     elliptic_quadric,
     from_minor_coordinates,
     lines_in,
+    perp_hyperplane,
     point_mask,
     polar_column,
 )
@@ -467,14 +468,12 @@ def _sections(axes: Iterable[int]) -> Iterator[tuple[int, list[int], list[PgLine
     quad = elliptic_quadric()
     quad_lines = [(line, point_mask(line)) for line in lines_in(quad)]
     for axis in axes:
-        inside = quad & ~polar_column(axis)
+        inside = quad & perp_hyperplane(axis)
         yield axis, bit_indices(inside), [line for line, mask in quad_lines if not mask & ~inside]
 
 
 def quadric_section(axis: int) -> IncidenceStructure:
     """Incidence structure on the quadric points inside the hyperplane of axis."""
-    if not 0 < axis < 64:
-        raise ValueError(f"perpendicular hyperplane needs a point 1..63, got {axis}")
     ((_, pts, lines),) = _sections([axis])
     labelled = [tuple(bits6(v) for v in line) for line in lines]
     return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in pts), labelled)

@@ -151,11 +151,9 @@ def test_suite_json_schema():
 def _pairwise_polar_mismatches():
     """The forms-share-polar count, one (form, x, y) triple at a time."""
     pg = gqlab.pg
-    forms = [pg.elliptic_form]
-    forms += [(lambda v, m=m: pg.elliptic_form_at(m, v)) for m in gqlab.atlas.atlas().points]
     bad = 0
-    for form in forms:
-        values = [form(v) if v else 0 for v in range(64)]
+    for m in gqlab.atlas.enumerate_invertible_symmetric():
+        values = [pg.elliptic_form_at(m, v) if v else 0 for v in range(64)]
         for x in range(64):
             for y in range(64):
                 bad += values[x ^ y] ^ values[x] ^ values[y] != pg.polar_form(x, y)
@@ -163,13 +161,14 @@ def _pairwise_polar_mismatches():
 
 
 @pytest.mark.parametrize(
-    "seed, n_polar, n_form", [(1, 3, 0), (2, 0, 3), (3, 2, 2), (4, 1, 5)]
+    # seed 11 flips a value of the identity's form
+    "seed, n_polar, n_form", [(1, 3, 0), (2, 0, 3), (3, 2, 2), (4, 1, 5), (11, 1, 2)]
 )
 def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_form):
     rng = random.Random(seed)
-    points = gqlab.atlas.atlas().points
+    forms = gqlab.atlas.enumerate_invertible_symmetric()
     polar_flips = {(rng.randrange(64), rng.randrange(64)) for _ in range(n_polar)}
-    form_flips = {(rng.choice(points), rng.randrange(1, 64)) for _ in range(n_form)}
+    form_flips = {(rng.choice(forms), rng.randrange(1, 64)) for _ in range(n_form)}
     polar_form, elliptic_form_at = gqlab.pg.polar_form, gqlab.pg.elliptic_form_at
     monkeypatch.setattr(
         gqlab.pg, "polar_form", lambda x, y: polar_form(x, y) ^ ((x, y) in polar_flips)
@@ -182,6 +181,17 @@ def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_f
     (report,) = run_suite("sec4.forms-share-polar").reports
     assert not report.passed
     assert report.actual == f"{want} mismatches over 28 forms x 4096 pairs"
+
+
+def test_translation_form_counts_a_fault_in_the_identity_form(monkeypatch):
+    # the paper's form Q is the identity member of the family, read like the other 27
+    elliptic_form_at = gqlab.pg.elliptic_form_at
+    flipped = (gqlab.gf2.SYM_IDENTITY, 0b101101)
+    monkeypatch.setattr(
+        gqlab.pg, "elliptic_form_at", lambda m, v: elliptic_form_at(m, v) ^ ((m, v) == flipped)
+    )
+    (report,) = run_suite("sec4.translation-form").reports
+    assert report.actual == "1 mismatches over 28 forms x 64 matrices"
 
 
 # Planted faults in the inputs of the hot checks: each check must still see

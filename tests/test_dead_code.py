@@ -1,10 +1,12 @@
-"""No public function or class of gqlab goes unused.
+"""No public function or class of gqlab goes unused, and no private helper.
 
 A public module-level function or class of ``src/gqlab`` must be named
 somewhere besides its own definition and ``__all__``: in code, imports,
 attribute access or a string constant (the benchmark looks names up with
 ``getattr``) anywhere in ``src/``, ``tests/`` or ``perfbench/``, or as a
-word of ``README.md``.
+word of ``README.md``.  A private module-level function without a
+decorator must be named the same way; a decorated one, such as a ``@check``
+body, is reached through its decorator.
 """
 
 import ast
@@ -14,14 +16,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _public_definitions() -> list[tuple[str, str]]:
-    """(module, name) of every public module-level def and class."""
+def _definitions(private: bool) -> list[tuple[str, str]]:
+    """(module, name) of every public module-level def and class, or with
+    private=True of every private module-level def without a decorator.
+    Module hooks such as ``__getattr__`` are neither."""
     found = []
     for path in sorted((ROOT / "src" / "gqlab").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    found.append((path.stem, node.name))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.endswith("__") or node.name.startswith("_") != private:
+                continue
+            if not private or (isinstance(node, ast.FunctionDef) and not node.decorator_list):
+                found.append((path.stem, node.name))
     return found
 
 
@@ -58,8 +65,21 @@ def _references() -> set[str]:
 
 def test_every_public_definition_is_referenced():
     used = _references()
-    unused = [f"{module}.{name}" for module, name in _public_definitions() if name not in used]
+    unused = [f"{module}.{name}" for module, name in _definitions(False) if name not in used]
     assert unused == []
+
+
+def test_every_undecorated_private_helper_is_referenced():
+    used = _references()
+    unused = [f"{module}.{name}" for module, name in _definitions(True) if name not in used]
+    assert unused == []
+
+
+def test_decorated_private_functions_are_exempt():
+    helpers = set(_definitions(True))
+    assert ("planes", "_members") in helpers
+    assert ("checks", "_check_statistics") not in helpers  # registered by @check
+    assert ("planes", "_block_collineation") not in helpers
 
 
 def test_names_in_all_alone_do_not_count():

@@ -12,9 +12,7 @@ from gqlab.pg import (
     bit_indices,
     coordinates,
     det_table,
-    elliptic_form,
     elliptic_form_at,
-    elliptic_form_sym,
     elliptic_form_sym_at,
     elliptic_matrix_points,
     elliptic_matrix_points_at,
@@ -111,15 +109,13 @@ def test_bilinear_example_d1_identity():
 
 def test_elliptic_form_examples():
     # U1 + 1 is invertible, D1 + 1 is singular
-    assert elliptic_form_sym(U1) == 0
-    assert elliptic_form_sym(D1) == 1
-    assert elliptic_form_sym(D1 ^ SYM_IDENTITY) == 0  # det(D1) + 1 = 0
+    assert elliptic_form_sym_at(SYM_IDENTITY, U1) == 0
+    assert elliptic_form_sym_at(SYM_IDENTITY, D1) == 1
+    assert elliptic_form_sym_at(SYM_IDENTITY, D1 ^ SYM_IDENTITY) == 0  # det(D1) + 1 = 0
 
 
 def test_elliptic_form_matches_matrix_side():
-    for x in range(64):
-        assert elliptic_form(minor_coordinates(x)) == elliptic_form_sym(x)
-    for m in atlas().points[:5]:
+    for m in (SYM_IDENTITY,) + atlas().points[:5]:
         for x in range(64):
             assert elliptic_form_at(m, minor_coordinates(x)) == elliptic_form_sym_at(m, x)
 
@@ -410,14 +406,31 @@ def test_quadrics_match_pointwise_constructions():
 
 
 def test_form_reads_match_scalar_formulas():
-    for v in range(64):
-        assert elliptic_form(v) == hyperbolic_form(v) ^ polar_form(v, ALL_ONES)
-        assert elliptic_form_sym(v) == sym_det(v ^ SYM_IDENTITY) ^ 1
+    # m = SYM_IDENTITY is the paper's form Q, centred at ALL_ONES
     for m in range(64):
         center = minor_coordinates(m)
         for v in range(64):
             assert elliptic_form_at(m, v) == hyperbolic_form(v) ^ polar_form(v, center)
             assert elliptic_form_sym_at(m, v) == sym_det(v ^ m) ^ 1
+
+
+@pytest.mark.parametrize("bad", [-1, 64])
+@pytest.mark.parametrize(
+    "read",
+    [
+        elliptic_quadric_at,
+        elliptic_matrix_points_at,
+        lambda m: elliptic_form_at(m, 5),
+        lambda m: elliptic_form_sym_at(m, 3),
+        lambda v: elliptic_form_at(5, v),
+        lambda x: elliptic_form_sym_at(SYM_IDENTITY, x),
+    ],
+    ids=["quadric-m", "matrix-points-m", "form-m", "form-sym-m", "form-v", "form-sym-x"],
+)
+def test_at_readers_reject_indices_outside_0_to_63(read, bad):
+    # unchecked, -1 would wrap in coordinates() and 64 alias 0 in translate_mask
+    with pytest.raises(ValueError, match=f"a packed SymMat3 is an int in 0..63, got {bad}"):
+        read(bad)
 
 
 def test_perp_hyperplane_rejects_zero():
