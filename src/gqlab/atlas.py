@@ -10,6 +10,9 @@ The classes are
   together with 0 and the identity each class forms a field with 8
   elements.
 
+This module alone knows the class tags: ``Atlas.members`` reads a class by
+its tag, and ``opposite``, the one U/V switch, rejects every other tag.
+
 The index assignment inside each class is data, not derivable: the
 explicit double-six isomorphism depends on it.  The tables below are the
 canonical atlas; construction re-derives everything and fails loudly on
@@ -28,6 +31,7 @@ from gqlab.gf2 import (
     eigenspace_dim,
     mat_mul,
     mat_to_sym,
+    require_sym,
     row_times_mat,
     sym_det,
     sym_to_mat,
@@ -81,6 +85,19 @@ class Atlas(NamedTuple):
     points: tuple[int, ...]
     labels: Mapping[int, str]
     by_label: Mapping[str, int]
+
+    def members(self, tag: str) -> tuple[int, ...]:
+        """The matrices of the class "D", "U" or "V", in label order."""
+        if tag not in _CLASS_ORDER:
+            raise ValueError(f"unknown class {tag!r}, expected D, U or V")
+        return self[_CLASS_ORDER[tag]]  # d, u and v are the first three fields
+
+
+def opposite(tag: str) -> str:
+    """The other eigenvalue-free class: "V" for "U" and "U" for "V"."""
+    if tag not in ("U", "V"):
+        raise WrongClassError(f"{tag!r} is not an eigenvalue-free class: must be U or V")
+    return "V" if tag == "U" else "U"
 
 
 class FanoAction(NamedTuple):
@@ -140,10 +157,9 @@ def atlas() -> Atlas:
     for x in _U_BITS + _V_BITS:
         if sym_det(x ^ SYM_IDENTITY) != 1:
             raise AtlasError(f"{x:06b} listed in U/V has eigenvalue 1")
-    if _powers(_U_BITS[0]) != frozenset((SYM_IDENTITY, *_U_BITS)):
-        raise AtlasError("U is not the multiplicative closure of U1")
-    if _powers(_V_BITS[0]) != frozenset((SYM_IDENTITY, *_V_BITS)):
-        raise AtlasError("V is not the multiplicative closure of V1")
+    for tag, bits in (("U", _U_BITS), ("V", _V_BITS)):
+        if _powers(bits[0]) != frozenset((SYM_IDENTITY, *bits)):
+            raise AtlasError(f"{tag} is not the multiplicative closure of {tag}1")
     for i, x in enumerate(_D_BITS):
         want = 2 if i < 3 else 1
         if eigenspace_dim(sym_to_mat(x)) != want:
@@ -165,8 +181,7 @@ def atlas() -> Atlas:
 
 
 def _require_invertible(x: int) -> None:
-    if not 0 <= x < 64:
-        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x}")
+    require_sym(x)
     if sym_det(x) != 1:
         raise NotInvertibleError(f"matrix {x:06b} has determinant 0")
 

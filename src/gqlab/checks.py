@@ -27,7 +27,7 @@ from gqlab import atlas as atlas_mod
 from gqlab import pg
 from gqlab import planes as planes_mod
 from gqlab import quadrangle as quad
-from gqlab.atlas import atlas, fano_action, label_of, multiplicative_closure
+from gqlab.atlas import atlas, fano_action, label_of, multiplicative_closure, opposite
 from gqlab.gf2 import (
     MAT_IDENTITY,
     SYM_IDENTITY,
@@ -227,11 +227,10 @@ def _is_gf8(closure: frozenset[int]) -> bool:
 )
 def _check_gf8() -> str:
     at = atlas()
-    u_cl = multiplicative_closure(at.u[0])
-    v_cl = multiplicative_closure(at.v[0])
     parts = []
-    for tag, cl, members in (("U", u_cl, at.u), ("V", v_cl, at.v)):
-        ok = cl == frozenset((SYM_IDENTITY, *members)) and _is_gf8(cl)
+    for tag in ("U", "V"):
+        cl = multiplicative_closure(at.members(tag)[0])
+        ok = cl == frozenset((SYM_IDENTITY, *at.members(tag))) and _is_gf8(cl)
         parts.append(f"{tag}: {'GF(8)' if ok else 'not a field'}")
     return "; ".join(parts)
 
@@ -264,9 +263,9 @@ def _check_fano_fixed() -> str:
 def _check_singer() -> str:
     at = atlas()
     parts = []
-    for tag, members in (("U", at.u), ("V", at.v)):
-        cycles = all([len(c) for c in fano_action(x).cycles()] == [7] for x in members)
-        actions = [fano_action(g) for g in multiplicative_closure(members[0])]
+    for tag in ("U", "V"):
+        cycles = all([len(c) for c in fano_action(x).cycles()] == [7] for x in at.members(tag))
+        actions = [fano_action(g) for g in multiplicative_closure(at.members(tag)[0])]
         regular = all(
             sum(1 for action in actions if action.image_of(p) == q) == 1
             for p in range(1, 8)
@@ -694,7 +693,7 @@ def _check_group_action() -> str:
             mat_mul(mats[a], mats[b]) == mat_mul(mats[b], mats[a])
             for a, b in combinations(group, 2)
         )
-        xs = at.d + (at.v if tag == "U" else at.u)
+        xs = at.d + at.members(opposite(tag))
         domain = to_lanes(sym_to_mat(x) for x in xs)
 
         def conjugate_all(gm: int, lanes: Lanes) -> Lanes:
@@ -725,7 +724,7 @@ def _orbit_shape(tag: str) -> str:
     d_labels = {label_of(x) for x in atlas().d}
     inv_labels = {"D1", "D2", "D3"}
     shapes = []
-    for orbit in planes_mod.group_orbits(tag).orbits:
+    for orbit in planes_mod.group_orbits(tag):
         from_d = sum(1 for lab in orbit if lab in d_labels)
         invs = sorted(set(orbit) & inv_labels)
         shapes.append(f"{len(orbit)} elements, {from_d} from D, involutions {invs}")
@@ -784,8 +783,9 @@ def _check_collineation() -> str:
 def _check_statistics() -> str:
     at = atlas()
     bad = []
-    for versus, opposite in (("U", at.v), ("V", at.u)):
-        profiles = ((at.d[:3], (4, 0, 2)), (at.d[3:], (3, 1, 2)), (opposite, (4, 1, 1)))
+    for versus in ("U", "V"):
+        others = at.members(opposite(versus))
+        profiles = ((at.d[:3], (4, 0, 2)), (at.d[3:], (3, 1, 2)), (others, (4, 1, 1)))
         for members, wanted in profiles:
             for x in members:
                 prof = planes_mod.intersection_statistics(x, versus)

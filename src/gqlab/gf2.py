@@ -46,6 +46,13 @@ def parse_bits6(text: str) -> int:
     return int(text, 2)
 
 
+def require_sym(*values: int) -> None:
+    """Raise ValueError naming the first value that is not a packed SymMat3."""
+    for x in values:
+        if not 0 <= x < 64:
+            raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x}")
+
+
 def sym_entries(s: int) -> tuple[int, int, int, int, int, int]:
     """The upper-triangle bits (a, b, c, d, e, f) of a packed SymMat3."""
     return (s >> 5 & 1, s >> 4 & 1, s >> 3 & 1, s >> 2 & 1, s >> 1 & 1, s & 1)

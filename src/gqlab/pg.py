@@ -52,7 +52,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, Iterable
 
-from gqlab.gf2 import SYM_IDENTITY, sym_det, sym_entries
+from gqlab.gf2 import SYM_IDENTITY, require_sym, sym_det, sym_entries
 
 ALL_ONES = 0b111111
 ALL_POINTS = (1 << 64) - 2  # the point mask of all 63 points
@@ -171,15 +171,16 @@ def _shifted_values(center: int) -> int:
 
 def elliptic_form_at(m: int, v: int) -> int:
     """Member Q_M of the 28-form family at the vector v; Q is Q_1."""
+    # the _at readers pay one chained comparison; require_sym only raises
     if not 0 <= m < 64 > v >= 0:
-        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {v if 0 <= m < 64 else m}")
+        require_sym(m, v)
     return _shifted_values(coordinates()[m]) >> v & 1
 
 
 def elliptic_form_sym_at(m: int, x: int) -> int:
     """Matrix-side evaluation: det(X + M) + 1."""
     if not 0 <= m < 64 > x >= 0:
-        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x if 0 <= m < 64 else m}")
+        require_sym(m, x)
     return det_table() >> (x ^ m) & 1 ^ 1
 
 
@@ -315,7 +316,7 @@ def elliptic_quadric() -> int:
 def elliptic_quadric_at(m: int) -> int:
     """The quadric of elliptic_form_at(m, .)."""
     if not 0 <= m < 64:
-        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {m}")
+        require_sym(m)
     return ALL_POINTS & ~_shifted_values(coordinates()[m])
 
 
@@ -334,7 +335,7 @@ def elliptic_matrix_points() -> int:
 def elliptic_matrix_points_at(m: int) -> int:
     """Nonzero X with det(X + M) = 1, the zero set of elliptic_form_sym_at(m, .)."""
     if not 0 <= m < 64:
-        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {m}")
+        require_sym(m)
     return ALL_POINTS & translate_mask(det_table(), m)
 
 

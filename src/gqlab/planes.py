@@ -18,7 +18,7 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
-from gqlab.atlas import MatrixClass, WrongClassError, atlas, classify, label_key, label_of
+from gqlab.atlas import MatrixClass, WrongClassError, atlas, classify, label_key, label_of, opposite
 from gqlab.gf2 import (
     SYM_IDENTITY,
     bits6,
@@ -28,6 +28,7 @@ from gqlab.gf2 import (
     mat_rank,
     mat_row,
     mat_to_sym,
+    require_sym,
     row_times_mat,
     rref,
     sym_to_mat,
@@ -70,8 +71,7 @@ def plane_of_mat(m: int) -> Plane:
 @cache
 def plane_of(x: int) -> Plane:
     """The plane (X|1) of a packed SymMat3."""
-    if not 0 <= x < 64:
-        raise ValueError(f"a packed SymMat3 is an int in 0..63, got {x}")
+    require_sym(x)
     return plane_of_mat(sym_to_mat(x))
 
 
@@ -113,22 +113,13 @@ def family_planes() -> dict[str, Plane]:
     return {label_of(x): plane_of(x) for x in atlas().points}
 
 
-def _members() -> dict[str, tuple[int, ...]]:
-    at = atlas()
-    return {"D": at.d, "U": at.u, "V": at.v}
-
-
 def class_planes(tag: str) -> tuple[Plane, ...]:
-    members = _members()
-    if tag not in members:
-        raise ValueError(f"unknown class {tag!r}")
-    return tuple(plane_of(x) for x in members[tag])
+    return tuple(plane_of(x) for x in atlas().members(tag))
 
 
 def spread(tag: str) -> tuple[Plane, ...]:
     """The nine planes (1|0), (0|1), (1|1) plus one eigenvalue-free class."""
-    if tag not in ("U", "V"):
-        raise ValueError(f"spreads exist for the classes U and V, not {tag!r}")
+    opposite(tag)  # raises WrongClassError unless tag is U or V
     return (PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL) + class_planes(tag)
 
 
@@ -170,9 +161,8 @@ def plucker_unique_triples(
 
 def conjugating_group(tag: str) -> tuple[int, ...]:
     """The order-7 group {1} + U (tag "U") or {1} + V (tag "V")."""
-    if tag not in ("U", "V"):
-        raise ValueError(f"unknown group tag {tag!r}")
-    return (SYM_IDENTITY,) + _members()[tag]
+    opposite(tag)  # raises WrongClassError unless tag is U or V
+    return (SYM_IDENTITY,) + atlas().members(tag)
 
 
 def conjugate(u: int, x: int) -> int:
@@ -181,15 +171,10 @@ def conjugate(u: int, x: int) -> int:
     return mat_to_sym(mat_mul(mat_mul(um, xm), um))
 
 
-class OrbitDecomposition(NamedTuple):
-    group: str
-    orbits: tuple[tuple[str, ...], ...]
-
-
-def group_orbits(tag: str) -> OrbitDecomposition:
+def group_orbits(tag: str) -> tuple[tuple[str, ...], ...]:
     """Orbits of X -> UXU on the 21 matrices outside the acting group."""
     at = atlas()
-    domain = at.d + (at.v if tag == "U" else at.u)
+    domain = at.d + at.members(opposite(tag))
     group = conjugating_group(tag)
     seen: set[int] = set()
     orbits = []
@@ -199,7 +184,7 @@ def group_orbits(tag: str) -> OrbitDecomposition:
         orbit = {conjugate(g, x) for g in group}
         seen |= orbit
         orbits.append(tuple(sorted((label_of(m) for m in orbit), key=label_key)))
-    return OrbitDecomposition(tag, tuple(orbits))
+    return tuple(orbits)
 
 
 @cache
@@ -229,38 +214,29 @@ class MeetProfile(NamedTuple):
 def intersection_statistics(x: int, versus: str | None = None) -> MeetProfile:
     """How (X|1) meets the six planes of one eigenvalue-free class.
 
-    Returns the counts of point-meets, line-meets and skew pairs; by
-    default the class opposite to x (U for x in D or V, V for x in U).
+    Returns the counts of point-meets, line-meets and skew pairs; versus
+    must be U or V, by default the class opposite to x (U for x in D).
     """
     cls = classify(x)
-    if cls not in (MatrixClass.D, MatrixClass.U, MatrixClass.V):
+    if cls is MatrixClass.IDENTITY:
         raise WrongClassError("statistics are defined for the 27 quadrangle points")
     if versus is None:
-        versus = "V" if cls is MatrixClass.U else "U"
-    if versus not in ("U", "V"):
-        raise ValueError(f"unknown class {versus!r}")
+        versus = "U" if cls is MatrixClass.D else opposite(cls.value)
+    opposite(versus)  # raises WrongClassError unless versus is U or V
     if cls.value == versus:
         raise WrongClassError(f"{label_of(x)} lies in the class it is measured against")
     mine = plane_of(x)
-    points = lines = skew = 0
-    for other in class_planes(versus):
-        dim = intersection_dim(mine, other)
-        if dim == 0:
-            skew += 1
-        elif dim == 1:
-            points += 1
-        elif dim == 2:
-            lines += 1
-    return MeetProfile(label_of(x), versus, points, lines, skew)
+    dims = [intersection_dim(mine, other) for other in class_planes(versus)]
+    return MeetProfile(label_of(x), versus, dims.count(1), dims.count(2), dims.count(0))
 
 
 def skew_partner(x: int) -> int:
     """The unique matrix of the opposite eigenvalue-free class whose plane
     is skew to (X|1)."""
-    cls = classify(x)
-    if cls not in (MatrixClass.U, MatrixClass.V):
-        raise WrongClassError("skew partners pair the classes U and V")
-    pool = _members()["V" if cls is MatrixClass.U else "U"]
+    try:
+        pool = atlas().members(opposite(classify(x).value))
+    except WrongClassError as err:
+        raise WrongClassError(f"{label_of(x)} is not in U or V, which skew partners pair") from err
     mine = plane_of(x)
     partners = [y for y in pool if is_skew(mine, plane_of(y))]
     if len(partners) != 1:

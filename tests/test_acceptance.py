@@ -192,9 +192,9 @@ def test_criterion_09_group_orbits():
     at = atlas()
     d_labels = {label_of(x) for x in at.d}
     for tag in ("U", "V"):
-        dec = group_orbits(tag)
-        assert len(dec.orbits) == 3
-        for k, orbit in enumerate(dec.orbits):
+        orbits = group_orbits(tag)
+        assert len(orbits) == 3
+        for k, orbit in enumerate(orbits):
             assert len(orbit) == 7
             from_d = {lab for lab in orbit if lab in d_labels}
             assert len(from_d) == 5

@@ -13,6 +13,7 @@ from gqlab.atlas import (
     label_of,
     matrix_of,
     multiplicative_closure,
+    opposite,
 )
 from gqlab.checks import run_suite
 from gqlab.gf2 import SYM_IDENTITY, eigenspace_one, parse_bits6, sym_to_mat
@@ -30,6 +31,21 @@ def test_class_sizes():
     assert (len(at.d), len(at.u), len(at.v)) == (15, 6, 6)
     assert len(set(at.points)) == 27
     assert SYM_IDENTITY not in at.points
+
+
+def test_members_reads_each_class():
+    at = atlas()
+    assert (at.members("D"), at.members("U"), at.members("V")) == (at.d, at.u, at.v)
+    for tag in ("X", "", "d", "1"):
+        with pytest.raises(ValueError, match="unknown class"):
+            at.members(tag)
+
+
+def test_opposite_switches_u_and_v_only():
+    assert (opposite("U"), opposite("V")) == ("V", "U")
+    for tag in ("D", "X", "", "u", "identity"):
+        with pytest.raises(WrongClassError, match="must be U or V"):
+            opposite(tag)
 
 
 def test_classify_examples():

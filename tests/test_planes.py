@@ -261,10 +261,10 @@ def test_group_orbits_structure():
     at = atlas()
     d_labels = {label_of(x) for x in at.d}
     for tag in ("U", "V"):
-        dec = group_orbits(tag)
-        assert len(dec.orbits) == 3
+        orbits = group_orbits(tag)
+        assert len(orbits) == 3
         seen = set()
-        for k, orbit in enumerate(dec.orbits):
+        for k, orbit in enumerate(orbits):
             assert len(orbit) == 7
             from_d = {lab for lab in orbit if lab in d_labels}
             assert len(from_d) == 5
@@ -315,13 +315,27 @@ def test_intersection_statistics_rejects_own_class():
         intersection_statistics(SYM_IDENTITY)
 
 
+@pytest.mark.parametrize("read", [spread, conjugating_group, group_orbits])
+def test_eigenvalue_free_readers_reject_other_tags(read):
+    for tag in ("D", "X"):
+        with pytest.raises(WrongClassError, match="must be U or V"):
+            read(tag)
+
+
+def test_intersection_statistics_versus_must_be_eigenvalue_free():
+    # D is a class, but the statistics are taken against U or V only
+    with pytest.raises(WrongClassError, match="must be U or V"):
+        intersection_statistics(matrix_of("U1"), versus="D")
+
+
 def test_skew_partner_pairing():
     at = atlas()
     for i in range(6):
         assert skew_partner(at.u[i]) == at.v[i]
         assert skew_partner(at.v[i]) == at.u[i]
-    with pytest.raises(WrongClassError):
-        skew_partner(matrix_of("D1"))
+    for label in ("D1", "1"):
+        with pytest.raises(WrongClassError, match=f"^{label} is not in U or V"):
+            skew_partner(matrix_of(label))
 
 
 def test_plane_model():
