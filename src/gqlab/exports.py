@@ -50,10 +50,19 @@ def _dump(value: object, newline: str) -> str:
         return "{" + inner + body + newline + "}" if body else "{}"
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    sep = "," + inner
     try:  # a list of strings joins in one pass; the escaper raises on anything else
-        body = ("," + inner).join(map(_string, value))
+        body = sep.join(map(_string, value))
     except TypeError:
-        body = ("," + inner).join(_dump(item, inner) for item in value)
+        body = None
+    if body is None and all(isinstance(row, (list, tuple)) and row for row in value):
+        row_open, row_sep, row_close = "[" + inner + "  ", sep + "  ", inner + "]"
+        try:  # so does each row of a list of nonempty rows of strings
+            body = sep.join(row_open + row_sep.join(map(_string, row)) + row_close for row in value)
+        except TypeError:
+            pass
+    if body is None:
+        body = sep.join(_dump(item, inner) for item in value)
     return "[" + inner + body + newline + "]" if body else "[]"
 
 
@@ -119,7 +128,7 @@ def _quadric_record(form_name: str, points: int) -> dict:
     return {
         "form": form_name,
         "points": [_BITS[v] for v in bit_indices(points)],
-        "lines_contained": [[_BITS[v] for v in line] for line in lines_in(points)],
+        "lines_contained": [[_BITS[x], _BITS[y], _BITS[z]] for x, y, z in lines_in(points)],
     }
 
 

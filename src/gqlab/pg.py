@@ -88,19 +88,17 @@ def hyperbolic_form(v: int) -> int:
 
 def polar_form(x: int, y: int) -> int:
     """The symmetric bilinear form shared by every quadratic form here."""
-    return (
-        (x >> 5) & (y >> 4)
-        ^ (x >> 4) & (y >> 5)
-        ^ (x >> 3) & (y >> 2)
-        ^ (x >> 2) & (y >> 3)
-        ^ (x >> 1) & (y & 1)
-        ^ (x & 1) & (y >> 1)
-    ) & 1
+    # x1*y2 + x2*y1 + ...: the parity of x AND y with y's coordinate pairs swapped
+    return (x & (y >> 1 & 0b010101 | (y & 0b010101) << 1)).bit_count() & 1
 
 
 def value_table(form: Callable[[int], int]) -> int:
     """The 64-bit value table of a 0/1-valued form: bit v is form(v)."""
-    return sum(form(v) << v for v in range(64))
+    table = 0
+    for v in range(64):
+        if form(v):
+            table |= 1 << v
+    return table
 
 
 @cache
@@ -124,7 +122,11 @@ def det_table() -> int:
 @cache
 def polar_column(y: int) -> int:
     """Value table of polar_form(., y): bit x is polar_form(x, y)."""
-    return sum(polar_form(x, y) << x for x in range(64))
+    column = 0
+    for x in range(64):
+        if polar_form(x, y):
+            column |= 1 << x
+    return column
 
 
 # bit y of _LOW_HALVES[k] is set iff bit k of y is clear

@@ -61,6 +61,17 @@ EDGE_CASES = [
     [[s] for s in ESCAPES],
     {s: s for s in ESCAPES},
     {s + "key": {s: [s, 1]} for s in ESCAPES},
+    # lists of rows, which join a row of strings in one pass, and the
+    # lists next to them that must fall back to one item at a time
+    [["a"], []],
+    [[], ["a"]],
+    [("a", "b"), ["c"]],
+    ["ab", ["c"]],
+    [["a"], "b"],
+    [["a"], {"k": "v"}],
+    [["a", 1]],
+    [["a", ["b"]]],
+    [[s, s] for s in ESCAPES],
 ]
 
 
@@ -81,8 +92,8 @@ def test_tuples_are_laid_out_as_lists(payload):
 
 @pytest.mark.parametrize(
     "payload",
-    [{1: "a"}, {"a": {2: []}}, {1, 2}, [1.5], {"a": object()}],
-    ids=["int-key", "nested-int-key", "set", "float", "object"],
+    [{1: "a"}, {"a": {2: []}}, {1, 2}, [1.5], {"a": object()}, [["a", 1.5]], [["a"], [object()]]],
+    ids=["int-key", "nested-int-key", "set", "float", "object", "float-in-row", "object-in-row"],
 )
 def test_emitter_rejects_other_types(payload):
     with pytest.raises(TypeError):

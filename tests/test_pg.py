@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import gqlab.pg
 from gqlab.atlas import atlas
 from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, sym_det
 from gqlab.pg import (
@@ -354,6 +355,45 @@ def test_point_sets_are_masks_without_bit_zero(name):
 
 # Value tables against their scalar kernels, and the quadrics read from them
 # against the point-by-point constructions they replaced.
+
+
+def _reference_polar_form(x, y):
+    """x1*y2 + x2*y1 + x3*y4 + x4*y3 + x5*y6 + x6*y5, term by term."""
+    return (
+        (x >> 5) & (y >> 4)
+        ^ (x >> 4) & (y >> 5)
+        ^ (x >> 3) & (y >> 2)
+        ^ (x >> 2) & (y >> 3)
+        ^ (x >> 1) & (y & 1)
+        ^ (x & 1) & (y >> 1)
+    ) & 1
+
+
+def test_polar_form_matches_reference_on_all_pairs():
+    for x in range(64):
+        for y in range(64):
+            assert polar_form(x, y) == _reference_polar_form(x, y)
+
+
+def test_tables_call_their_scalar_kernel_once_per_entry(monkeypatch, clear_gqlab_caches):
+    # a planted fault in a kernel reaches every entry only if each entry
+    # is read from the kernel, not derived from other entries
+    calls = []
+    kernel = gqlab.pg.polar_form
+
+    def counting_polar_form(x, y):
+        calls.append((x, y))
+        return kernel(x, y)
+
+    monkeypatch.setattr(gqlab.pg, "polar_form", counting_polar_form)
+    clear_gqlab_caches()
+    for y in range(64):
+        polar_column(y)
+    assert sorted(calls) == [(x, y) for x in range(64) for y in range(64)]
+
+    seen = []
+    value_table(lambda v: seen.append(v) or hyperbolic_form(v))
+    assert seen == list(range(64))
 
 
 def test_polar_columns_match_polar_form_on_all_pairs():
