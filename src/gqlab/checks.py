@@ -313,10 +313,27 @@ def _check_coordinates() -> str:
 _ALL_64 = (1 << 64) - 1
 
 
-def _by_matrix(table: int) -> int:
-    """A coordinate-indexed value table re-indexed by matrix: bit x is bit
-    minor_coordinates(x) of table."""
-    return sum((table >> v & 1) << x for x, v in enumerate(pg.coordinates()))
+def _by_matrix(tables: Iterable[int]) -> list[int]:
+    """Coordinate-indexed value tables re-indexed by matrix: bit x of each
+    entry is bit minor_coordinates(x) of its table."""
+    where = [0] * 64
+    for x, v in enumerate(pg.coordinates()):
+        where[v] |= 1 << x
+    # entry n of nibbles[k] ORs where[4k + b] over the set bits b of n
+    nibbles = []
+    for k in range(0, 64, 4):
+        row = [0]
+        for v in range(k, k + 4):
+            row += [r | where[v] for r in row]
+        nibbles.append(row)
+    out = []
+    for table in tables:
+        by_matrix = 0
+        for row in nibbles:
+            by_matrix |= row[table & 15]
+            table >>= 4
+        out.append(by_matrix)
+    return out
 
 
 def _polarized(table: int) -> list[int]:
@@ -334,7 +351,8 @@ def _polarized(table: int) -> list[int]:
     "0 mismatches over 64 matrices",
 )
 def _check_det_identity() -> str:
-    bad = (pg.det_table() ^ _by_matrix(pg.hyperbolic_table())).bit_count()
+    (by_matrix,) = _by_matrix([pg.hyperbolic_table()])
+    bad = (pg.det_table() ^ by_matrix).bit_count()
     return f"{bad} mismatches over 64 matrices"
 
 
@@ -345,11 +363,9 @@ def _check_det_identity() -> str:
 )
 def _check_polarization() -> str:
     # entry y: bit x of the polar side is B(coordinates of x, coordinates of y)
-    coords = pg.coordinates()
     by_det = _polarized(pg.det_table())
-    bad = sum(
-        (_by_matrix(pg.polar_column(coords[y])) ^ by_det[y]).bit_count() for y in range(64)
-    )
+    by_polar = _by_matrix(pg.polar_column(v) for v in pg.coordinates())
+    bad = sum((p ^ d).bit_count() for p, d in zip(by_polar, by_det))
     return f"{bad} mismatches over 4096 pairs"
 
 
@@ -360,7 +376,7 @@ def _check_polarization() -> str:
 )
 def _check_forms_share_polar() -> str:
     forms = atlas_mod.enumerate_invertible_symmetric()
-    tables = [sum(pg.elliptic_form_at(m, v) << v for v in range(1, 64)) for m in forms]
+    tables = [pg.ALL_POINTS & pg.elliptic_table(m) for m in forms]
     polar = [pg.polar_column(y) for y in range(64)]
     bad = 0
     for values in tables:
@@ -374,12 +390,11 @@ def _check_forms_share_polar() -> str:
     "0 mismatches over 28 forms x 64 matrices",
 )
 def _check_translation_form() -> str:
-    coords = [pg.minor_coordinates(x) for x in range(64)]
+    # bit x of the matrix side is det(X + M) + 1
+    forms = atlas_mod.enumerate_invertible_symmetric()
     bad = sum(
-        1
-        for m in atlas_mod.enumerate_invertible_symmetric()
-        for x, v in enumerate(coords)
-        if pg.elliptic_form_at(m, v) != pg.elliptic_form_sym_at(m, x)
+        (t ^ pg.translate_mask(pg.det_table(), m) ^ _ALL_64).bit_count()
+        for m, t in zip(forms, _by_matrix(pg.elliptic_table(m) for m in forms))
     )
     return f"{bad} mismatches over 28 forms x 64 matrices"
 
@@ -580,7 +595,9 @@ def _check_matrix_quadrangle() -> str:
 )
 def _check_plane_family() -> str:
     planes = planes_mod.family_planes()
-    rank_ok = len(planes) == 27
+    rank_ok = len(planes) == 27 and all(
+        p.bit_count() == 7 and len(planes_mod.echelon(p)) == 3 for p in planes.values()
+    )
     skew_ok = all(
         planes_mod.is_skew(p, planes_mod.PLANE_LEFT)
         and planes_mod.is_skew(p, planes_mod.PLANE_RIGHT)

@@ -42,9 +42,9 @@ quadric is then the complement of a value table within ``ALL_POINTS``, and
 ``translate_mask(t, m)`` is bit ``x + m`` of ``t``; ``translates(t)`` lists
 all 64 translates at one block swap each.
 
-The paper's form Q is Q_1, the identity member of the 28-form family
-Q_M = ``elliptic_form_at(m, .)`` over invertible m, since ``ALL_ONES`` is
-``coordinates()[SYM_IDENTITY]``.
+Each member Q_M of the 28-form family over invertible m is read from its
+value table ``elliptic_table(m)``.  The paper's form Q is Q_1, the identity
+member, since ``ALL_ONES`` is ``coordinates()[SYM_IDENTITY]``.
 """
 
 from __future__ import annotations
@@ -166,17 +166,20 @@ def translates(table: int) -> list[int]:
     return out
 
 
-def _shifted_values(center: int) -> int:
-    """Value table of hyperbolic_form(v) + polar_form(v, center)."""
-    return hyperbolic_table() ^ polar_column(center)
+def elliptic_table(m: int) -> int:
+    """Value table of Q_M: hyperbolic_form(v) + polar_form(v, coordinates()[m])."""
+    # the _at readers pay one comparison per index; require_sym only raises
+    if not 0 <= m < 64:
+        require_sym(m)
+    return hyperbolic_table() ^ polar_column(coordinates()[m])
 
 
 def elliptic_form_at(m: int, v: int) -> int:
     """Member Q_M of the 28-form family at the vector v; Q is Q_1."""
-    # the _at readers pay one chained comparison; require_sym only raises
-    if not 0 <= m < 64 > v >= 0:
-        require_sym(m, v)
-    return _shifted_values(coordinates()[m]) >> v & 1
+    table = elliptic_table(m)
+    if not 0 <= v < 64:
+        require_sym(v)
+    return table >> v & 1
 
 
 def elliptic_form_sym_at(m: int, x: int) -> int:
@@ -317,9 +320,7 @@ def elliptic_quadric() -> int:
 
 def elliptic_quadric_at(m: int) -> int:
     """The quadric of elliptic_form_at(m, .)."""
-    if not 0 <= m < 64:
-        require_sym(m)
-    return ALL_POINTS & ~_shifted_values(coordinates()[m])
+    return ALL_POINTS & ~elliptic_table(m)
 
 
 @cache

@@ -169,12 +169,15 @@ def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_f
     forms = gqlab.atlas.enumerate_invertible_symmetric()
     polar_flips = {(rng.randrange(64), rng.randrange(64)) for _ in range(n_polar)}
     form_flips = {(rng.choice(forms), rng.randrange(1, 64)) for _ in range(n_form)}
-    polar_form, elliptic_form_at = gqlab.pg.polar_form, gqlab.pg.elliptic_form_at
+    polar_form, elliptic_table = gqlab.pg.polar_form, gqlab.pg.elliptic_table
     monkeypatch.setattr(
         gqlab.pg, "polar_form", lambda x, y: polar_form(x, y) ^ ((x, y) in polar_flips)
     )
+    # elliptic_form_at reads the table, so the reference below sees the same flips
     monkeypatch.setattr(
-        gqlab.pg, "elliptic_form_at", lambda m, v: elliptic_form_at(m, v) ^ ((m, v) in form_flips)
+        gqlab.pg,
+        "elliptic_table",
+        lambda m: elliptic_table(m) ^ sum(1 << v for n, v in form_flips if n == m),
     )
     want = _pairwise_polar_mismatches()
     assert want > 0
@@ -185,13 +188,30 @@ def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_f
 
 def test_translation_form_counts_a_fault_in_the_identity_form(monkeypatch):
     # the paper's form Q is the identity member of the family, read like the other 27
-    elliptic_form_at = gqlab.pg.elliptic_form_at
-    flipped = (gqlab.gf2.SYM_IDENTITY, 0b101101)
+    elliptic_table = gqlab.pg.elliptic_table
+    flipped_m, flipped_v = gqlab.gf2.SYM_IDENTITY, 0b101101
     monkeypatch.setattr(
-        gqlab.pg, "elliptic_form_at", lambda m, v: elliptic_form_at(m, v) ^ ((m, v) == flipped)
+        gqlab.pg,
+        "elliptic_table",
+        lambda m: elliptic_table(m) ^ (1 << flipped_v if m == flipped_m else 0),
     )
     (report,) = run_suite("sec4.translation-form").reports
     assert report.actual == "1 mismatches over 28 forms x 64 matrices"
+
+
+def _by_matrix_per_bit(table):
+    return sum((table >> v & 1) << x for x, v in enumerate(gqlab.pg.coordinates()))
+
+
+def test_by_matrix_matches_the_per_bit_reindex(monkeypatch):
+    rng = random.Random(7)
+    tables = [1 << v for v in range(64)] + [rng.getrandbits(64) for _ in range(64)]
+    assert gqlab.checks._by_matrix(tables) == [_by_matrix_per_bit(t) for t in tables]
+    # a non-injective coordinate map: matrix 5 takes the vector of matrix 9
+    planted = list(gqlab.pg.coordinates())
+    planted[5] = planted[9]
+    monkeypatch.setattr(gqlab.pg, "coordinates", lambda: tuple(planted))
+    assert gqlab.checks._by_matrix(iter(tables)) == [_by_matrix_per_bit(t) for t in tables]
 
 
 # Planted faults in the inputs of the hot checks: each check must still see
@@ -413,6 +433,17 @@ def test_perp_checks_fail_on_one_flipped_point(monkeypatch, flip, check_id, want
     report = _single_report(check_id)
     assert not report.passed
     assert report.actual == wanted
+
+
+def test_plane_family_fails_on_a_line_in_place_of_a_plane(monkeypatch):
+    # a line inside D1's plane is still skew to (1|0) and (0|1), but has rank 2
+    family_planes = gqlab.planes.family_planes
+    x, y = gqlab.pg.bit_indices(family_planes()["D1"])[:2]
+    line = 1 << x | 1 << y | 1 << (x ^ y)
+    monkeypatch.setattr(gqlab.planes, "family_planes", lambda: {**family_planes(), "D1": line})
+    report = _single_report("sec5.plane-family")
+    assert not report.passed
+    assert report.actual == "27 rank-3 planes False, all skew to (1|0) and (0|1) True"
 
 
 def test_spreads_fails_on_one_dropped_plane_point(monkeypatch):

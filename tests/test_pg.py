@@ -19,6 +19,7 @@ from gqlab.pg import (
     elliptic_matrix_points_at,
     elliptic_quadric,
     elliptic_quadric_at,
+    elliptic_table,
     from_minor_coordinates,
     hyperbolic_form,
     hyperbolic_table,
@@ -454,18 +455,25 @@ def test_form_reads_match_scalar_formulas():
             assert elliptic_form_sym_at(m, v) == sym_det(v ^ m) ^ 1
 
 
+def test_elliptic_table_holds_the_form_at_every_vector():
+    for m in range(64):
+        table = elliptic_table(m)
+        assert [table >> v & 1 for v in range(64)] == [elliptic_form_at(m, v) for v in range(64)]
+
+
 @pytest.mark.parametrize("bad", [-1, 64])
 @pytest.mark.parametrize(
     "read",
     [
         elliptic_quadric_at,
         elliptic_matrix_points_at,
+        elliptic_table,
         lambda m: elliptic_form_at(m, 5),
         lambda m: elliptic_form_sym_at(m, 3),
         lambda v: elliptic_form_at(5, v),
         lambda x: elliptic_form_sym_at(SYM_IDENTITY, x),
     ],
-    ids=["quadric-m", "matrix-points-m", "form-m", "form-sym-m", "form-v", "form-sym-x"],
+    ids=["quadric-m", "matrix-points-m", "table-m", "form-m", "form-sym-m", "form-v", "form-sym-x"],
 )
 def test_at_readers_reject_indices_outside_0_to_63(read, bad):
     # unchecked, -1 would wrap in coordinates() and 64 alias 0 in translate_mask
