@@ -238,6 +238,22 @@ def test_group_action_fails_with_a_non_group_element(monkeypatch):
     assert report.actual.endswith(" is not symmetric")
 
 
+def test_group_action_fails_on_one_wrong_product(monkeypatch):
+    # U1 U2 is U3, but one call computes it as U4: the check must conjugate
+    # by the product it computed, and commutativity breaks on the same pair
+    at = gqlab.atlas.atlas()
+    u1, u2, u4 = (gqlab.gf2.sym_to_mat(at.u[i]) for i in (0, 1, 3))
+    mat_mul = gqlab.checks.mat_mul
+    monkeypatch.setattr(
+        gqlab.checks, "mat_mul", lambda a, b: u4 if (a, b) == (u1, u2) else mat_mul(a, b)
+    )
+    report = _single_report("sec5.group-action")
+    assert not report.passed
+    assert report.actual == (
+        "U: commutative False, action False; V: commutative True, action True"
+    )
+
+
 @pytest.mark.parametrize(
     "faulty, wanted",
     [
@@ -539,6 +555,31 @@ def test_rank_meet_identity_fails_on_two_swapped_planes(monkeypatch):
     swap = {at.u[0]: at.v[0], at.v[0]: at.u[0]}
     plane_of = gqlab.planes.plane_of
     monkeypatch.setattr(gqlab.planes, "plane_of", lambda x: plane_of(swap.get(x, x)))
+    report = _single_report("sec5.rank-meet-identity")
+    assert not report.passed
+    assert report.actual == "identity fails"
+
+
+def _three_space(plane):
+    # the 15-point 3-space spanned by a plane and its smallest point off it
+    w = next(v for v in range(1, 64) if not plane >> v & 1)
+    return plane | 1 << w | gqlab.pg.translate_mask(plane, w)
+
+
+def _plane_and_zero(plane):
+    # 15 bits whose only meet that changes is the self-meet: the zero vector
+    # and the seven points (v|0), which lie on no plane (X|1)
+    return plane | 1 | sum(1 << (v << 3) for v in range(1, 8))
+
+
+@pytest.mark.parametrize("grow", [_three_space, _plane_and_zero], ids=["3-space", "self-meet-15"])
+def test_rank_meet_identity_fails_on_one_oversized_plane(monkeypatch, grow):
+    # 15 shared points must not read as 7, the meet of rank 0
+    x, plane_of = gqlab.atlas.atlas().d[4], gqlab.planes.plane_of
+    monkeypatch.setattr(
+        gqlab.planes, "plane_of", lambda y: grow(plane_of(y)) if y == x else plane_of(y)
+    )
+    assert gqlab.planes.plane_of(x).bit_count() >= 15
     report = _single_report("sec5.rank-meet-identity")
     assert not report.passed
     assert report.actual == "identity fails"

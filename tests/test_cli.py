@@ -40,6 +40,19 @@ def test_classify_parse_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+# sha256 of the stdout of `gqlab classify` on all 64 6-bit strings in order,
+# as UTF-8; it pins every label, class, coordinate and collinear line
+CLASSIFY_ALL_SHA256 = "a207733c28e30509e972a6da977b092f175b975d725f52895cfd1c378a2d3202"
+
+
+def test_classify_all_64_pinned(capsys):
+    for x in range(64):
+        assert main(["classify", format(x, "06b")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == CLASSIFY_ALL_SHA256
+
+
 def test_verify_all_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out

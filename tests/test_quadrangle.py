@@ -29,6 +29,7 @@ from gqlab.quadrangle import (
     collinear_matrices,
     collinearity,
     collinearity_graph_edges,
+    compile_structure,
     doily_substructure,
     find_isomorphism,
     hyperplane_section_survey,
@@ -410,6 +411,24 @@ def test_identity_section_isomorphic_to_doily():
 def test_collinearity_graph_edge_count():
     edges = collinearity_graph_edges()
     assert len(edges) == 135  # 27 * 10 / 2
+
+
+def test_collinearity_graph_edges_match_collinearity():
+    inc = build_matrix_quadrangle()
+    adj = collinearity(inc)
+    edges = {tuple(sorted((p, q))) for p in inc.points for q in adj[p]}
+    assert len(edges) == 135
+    assert collinearity_graph_edges() == tuple(sorted(edges))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_quadric_quadrangle, build_matrix_quadrangle, build_double_six_model, build_plane_model],
+)
+def test_compiled_degrees_match_collinearity(build):
+    inc = build()
+    adj = collinearity(inc)
+    assert compile_structure(inc).degrees == tuple(len(adj[p]) for p in inc.points)
 
 
 def test_d_partners_structure():
