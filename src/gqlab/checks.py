@@ -113,8 +113,7 @@ def _order_of(inc: quad.IncidenceStructure) -> str:
 def _gq24_order(inc: quad.IncidenceStructure) -> str:
     """The order of inc, flagged if some point is not collinear with exactly 10."""
     actual = _order_of(inc)
-    adj = quad.collinearity(inc)
-    if any(len(adj[p]) != 10 for p in inc.points):
+    if any(degree != 10 for degree in quad.compile_structure(inc).degrees):
         actual += "; wrong collinearity degree"
     return actual
 
@@ -726,12 +725,16 @@ def _check_group_action() -> str:
             asymmetric = asymmetric_lanes(image[b])
             if asymmetric:
                 mat_to_sym(lane_matrix(image[b], (asymmetric & -asymmetric).bit_length() - 1))
+        # conjugation by each distinct product ab, keyed by ab as computed
+        by_product = dict(image)
         action = True
         for a, am in mats.items():
             for b, bm in mats.items():
                 abm = mat_mul(am, bm)
-                mat_to_sym(abm)
-                if conjugate_all(abm, domain) != conjugate_all(am, image[b]):
+                ab = mat_to_sym(abm)
+                if ab not in by_product:
+                    by_product[ab] = conjugate_all(abm, domain)
+                if by_product[ab] != conjugate_all(am, image[b]):
                     action = False
         parts.append(f"{tag}: commutative {commutative}, action {action}")
     return "; ".join(parts)
@@ -773,11 +776,10 @@ def _check_collineation() -> str:
         planes_mod.PLANE_RIGHT,
         planes_mod.PLANE_DIAGONAL,
     ]
-    pairs = list(combinations(range(len(all_planes)), 2))
 
     def meets(planes: list[planes_mod.Plane]) -> list[int]:
         # points shared by each pair of planes, one count per meet dimension
-        return [(planes[i] & planes[j]).bit_count() for i, j in pairs]
+        return [(p & q).bit_count() for i, p in enumerate(planes) for q in planes[i + 1 :]]
 
     before = meets(all_planes)
     maps_ok = dims_ok = True
@@ -842,21 +844,19 @@ def _check_collinearity_transfer() -> str:
         want = meet if (x in dset) == (y in dset) else not meet
         if quad.collinear_matrices(x, y) != want:
             transfer_ok = False
-    inc = quad.build_matrix_quadrangle()
-    adj = quad.collinearity(inc)
-    degree_ok = all(len(adj[p]) == 10 for p in inc.points)
+    c = quad.compile_structure(quad.build_matrix_quadrangle())
+    degree_ok = all(degree == 10 for degree in c.degrees)
+    index = {label: i for i, label in enumerate(c.labels)}
+    bit = {x: 1 << index[label_of(x)] for x in at.points}
+    u_mask, v_mask, d_mask = (sum(bit[x] for x in xs) for xs in (at.u, at.v, at.d))
+    partner = {bit[x]: bit[planes_mod.skew_partner(x)] for x in at.u}
     partners_ok = True
-    u_labels = {label_of(x) for x in at.u}
-    v_labels = {label_of(x) for x in at.v}
-    d_labels = {label_of(x) for x in at.d}
-    partner = {label_of(x): label_of(planes_mod.skew_partner(x)) for x in at.u}
     for y in at.d:
-        near = adj[label_of(y)]
-        from_u = sorted(near & u_labels)
-        from_v = sorted(near & v_labels)
-        in_d = sum(1 for lab in near if lab in d_labels)
-        paired = {partner[lab] for lab in from_u}
-        if len(from_u) != 2 or len(from_v) != 2 or in_d != 6 or paired != set(from_v):
+        near = c.adjacency[index[label_of(y)]]
+        from_v = near & v_mask
+        paired = sum({v for u, v in partner.items() if near & u})
+        counts = ((near & u_mask).bit_count(), from_v.bit_count(), (near & d_mask).bit_count())
+        if counts != (2, 2, 6) or paired != from_v:
             partners_ok = False
     return (
         f"meet/skew transfer {transfer_ok}, degree 10 {degree_ok}, "
@@ -894,16 +894,16 @@ def _check_pi_plane_model() -> str:
         if planes_mod.is_skew(planes_mod.plane_of(y), planes_mod.PLANE_DIAGONAL)
     }
     set_ok = translated == characterized
-    adj = quad.collinearity(model)
+    c = quad.compile_structure(model)
     law_ok = True
     members = sorted(translated)
     dets = {x: sym_det(x) for x in members}
-    labels = {x: bits6(x) for x in members}
+    index = {x: c.labels.index(bits6(x)) for x in members}
     for i, x in enumerate(members):
-        near = adj[labels[x]]
+        near = c.adjacency[index[x]]
         for y in members[i + 1 :]:
-            collinear = labels[y] in near
-            wanted = (sym_det(x ^ y) ^ dets[x] ^ dets[y]) == 0
+            collinear = near >> index[y] & 1
+            wanted = sym_det(x ^ y) ^ dets[x] ^ dets[y] ^ 1
             if collinear != wanted:
                 law_ok = False
     try:

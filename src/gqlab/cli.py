@@ -26,8 +26,8 @@ from pathlib import Path
 
 from gqlab.atlas import AtlasError, MatrixClass, atlas, classify, label_key, label_of
 from gqlab.gf2 import bits6, eigenspace_dim, mat_row, parse_bits6, sym_det, sym_to_mat
-from gqlab.pg import minor_coordinates
-from gqlab.quadrangle import build_matrix_quadrangle, collinearity
+from gqlab.pg import bit_indices, minor_coordinates
+from gqlab.quadrangle import build_matrix_quadrangle, compile_structure
 
 USAGE_ERROR = 2
 
@@ -86,8 +86,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if cls is MatrixClass.IDENTITY:
         print("note            the identity is not a quadrangle point")
         return 0
-    adj = collinearity(build_matrix_quadrangle())
-    partners = sorted(adj[label_of(x)], key=label_key)
+    c = compile_structure(build_matrix_quadrangle())
+    near = c.adjacency[c.labels.index(label_of(x))]
+    partners = sorted((c.labels[i] for i in bit_indices(near)), key=label_key)
     print(f"collinear       {' '.join(partners)}")
     return 0
 

@@ -33,7 +33,7 @@ from gqlab.gf2 import (
     rref,
     sym_to_mat,
 )
-from gqlab.pg import bit_indices, minor_coordinates, point_mask
+from gqlab.pg import bit_indices, minor_coordinates, point_mask, translates
 from gqlab.quadrangle import IncidenceStructure, build_matrix_quadrangle, make_structure
 
 Plane = int
@@ -199,8 +199,15 @@ def _block_collineation(u: int) -> tuple[int, ...]:
 
 def collineation_action(u: int, p: Plane) -> Plane:
     """Image of a plane under the block-diagonal collineation (U, U^-1)."""
+    if p < 0:
+        raise ValueError(f"a plane is a nonnegative point mask, got {p}")
     image = _block_collineation(u)
-    return point_mask(image[v] for v in bit_indices(p))
+    out = 0
+    while p:
+        low = p & -p
+        out |= 1 << image[low.bit_length() - 1]
+        p ^= low
+    return out
 
 
 class MeetProfile(NamedTuple):
@@ -258,12 +265,29 @@ def build_plane_model() -> IncidenceStructure:
 def rank_meet_identity_holds() -> bool:
     """rank(X+Y) + dim((X|1) cap (Y|1)) = 3 over all symmetric pairs.
 
-    The rank comes from row reduction, the meet from the plane masks.
+    The rank comes from row reduction, the meet from the transposed plane
+    masks: bit y of ``holders[v]`` is set iff plane y holds point v.  The
+    holder rows of plane x's points add up, in lane y of the 4-bit
+    counters c0..c3 (c0 the lowest bit, c3 saturating so that no count
+    wraps), to the points planes x and y share.  7, 3, 1 or 0 shared
+    points mean rank 0, 1, 2 or 3: bit k is set iff rank(X+Y) <= 2 - k.
     """
     ranks = [mat_rank(sym_to_mat(s)) for s in range(64)]
-    planes = [plane_of(x) for x in range(64)]
-    return all(
-        ranks[x ^ y] + (p & q).bit_count().bit_length() == 3
-        for x, p in enumerate(planes)
-        for y, q in enumerate(planes)
-    )
+    # within[r][x]: bit y set iff rank(x + y) <= r
+    within = [translates(point_mask(s for s in range(64) if ranks[s] <= r)) for r in range(3)]
+    points = [bit_indices(plane_of(x)) for x in range(64)]
+    holders = [0] * 64
+    for y, on in enumerate(points):
+        for v in on:
+            holders[v] |= 1 << y
+    for x, on in enumerate(points):
+        c0 = c1 = c2 = c3 = 0
+        for v in on:
+            h = holders[v]
+            h, c0 = c0 & h, c0 ^ h
+            h, c1 = c1 & h, c1 ^ h
+            h, c2 = c2 & h, c2 ^ h
+            c3 |= h
+        if c3 or c2 != within[0][x] or c1 != within[1][x] or c0 != within[2][x]:
+            return False
+    return True

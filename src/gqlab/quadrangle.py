@@ -123,7 +123,8 @@ def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
 
 
 def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
-    """Point -> set of points sharing a line with it."""
+    """Point -> set of collinear points, read from ``compile_structure(inc)``;
+    kept only as the tests' reference, as no gqlab code calls it."""
     c = compile_structure(inc)
     label = c.labels.__getitem__
     return {
@@ -519,7 +520,11 @@ def hyperplane_section_survey() -> SurveySummary:
 
 def collinearity_graph_edges() -> tuple[tuple[str, str], ...]:
     """The 135 collinear pairs of the matrix model, sorted."""
-    inc = build_matrix_quadrangle()
-    adj = collinearity(inc)
-    edges = {tuple(sorted((p, q))) for p in inc.points for q in adj[p]}
-    return tuple(sorted(edges))
+    c = compile_structure(build_matrix_quadrangle())
+    label = c.labels  # sorted, so i < j lists each pair once and in order
+    return tuple(
+        (label[i], label[j])
+        for i, near in enumerate(c.adjacency)
+        for j in bit_indices(near)
+        if i < j
+    )

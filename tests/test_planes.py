@@ -273,6 +273,11 @@ def test_group_orbits_structure():
         assert len(seen) == 21
 
 
+def test_collineation_action_rejects_a_negative_mask():
+    with pytest.raises(ValueError, match="nonnegative point mask"):
+        collineation_action(SYM_IDENTITY, -1)
+
+
 def test_collineation_action_matches_conjugation():
     at = atlas()
     u = at.u[2]
