@@ -835,29 +835,23 @@ def _check_skew_pairing() -> str:
 )
 def _check_collinearity_transfer() -> str:
     at = atlas()
-    dset = set(at.d)
-    transfer_ok = True
-    planes = {x: planes_mod.plane_of(x) for x in at.points}
-    for x, y in combinations(at.points, 2):
-        meet = planes_mod.intersection_dim(planes[x], planes[y]) > 0
-        # the classes are D and U+V
-        want = meet if (x in dset) == (y in dset) else not meet
-        if quad.collinear_matrices(x, y) != want:
-            transfer_ok = False
     c = quad.compile_structure(quad.build_matrix_quadrangle())
-    degree_ok = all(degree == 10 for degree in c.degrees)
-    index = {label: i for i, label in enumerate(c.labels)}
-    bit = {x: 1 << index[label_of(x)] for x in at.points}
-    u_mask, v_mask, d_mask = (sum(bit[x] for x in xs) for xs in (at.u, at.v, at.d))
+    xs = [at.by_label[label] for label in c.labels]
+    bit = {x: 1 << i for i, x in enumerate(xs)}
+    u_mask, v_mask, d_mask = (sum(map(bit.get, cls)) for cls in (at.u, at.v, at.d))
     partner = {bit[x]: bit[planes_mod.skew_partner(x)] for x in at.u}
-    partners_ok = True
-    for y in at.d:
-        near = c.adjacency[index[label_of(y)]]
-        from_v = near & v_mask
-        paired = sum({v for u, v in partner.items() if near & u})
-        counts = ((near & u_mask).bit_count(), from_v.bit_count(), (near & d_mask).bit_count())
-        if counts != (2, 2, 6) or paired != from_v:
-            partners_ok = False
+    transfer_ok = partners_ok = True
+    meets = planes_mod.meet_rows([planes_mod.plane_of(x) for x in xs])
+    for i, (near, meet) in enumerate(zip(c.adjacency, meets)):
+        # collinear iff the planes meet, flipped across the classes D and U+V
+        in_d = d_mask >> i & 1
+        transfer_ok &= near == meet ^ (u_mask | v_mask if in_d else d_mask) ^ 1 << i
+        if in_d:
+            from_v = near & v_mask
+            paired = sum({v for u, v in partner.items() if near & u})
+            counts = ((near & u_mask).bit_count(), from_v.bit_count(), (near & d_mask).bit_count())
+            partners_ok &= counts == (2, 2, 6) and paired == from_v
+    degree_ok = all(degree == 10 for degree in c.degrees)
     return (
         f"meet/skew transfer {transfer_ok}, degree 10 {degree_ok}, "
         f"D partners 2+2 paired and 6 in D {partners_ok}"
@@ -886,26 +880,21 @@ def _check_iso_table() -> str:
 )
 def _check_pi_plane_model() -> str:
     model = planes_mod.build_plane_model()
-    translated = {x ^ SYM_IDENTITY for x in atlas().points}
+    translated = pg.point_mask(x ^ SYM_IDENTITY for x in atlas().points)
     # characterization: planes (Y|1) skew to (1|1), other than (0|1)
-    characterized = {
-        y
-        for y in range(1, 64)
-        if planes_mod.is_skew(planes_mod.plane_of(y), planes_mod.PLANE_DIAGONAL)
-    }
-    set_ok = translated == characterized
+    diagonal = planes_mod.PLANE_DIAGONAL
+    set_ok = translated == pg.point_mask(
+        y for y in range(1, 64) if planes_mod.is_skew(planes_mod.plane_of(y), diagonal)
+    )
     c = quad.compile_structure(model)
+    dets = pg.det_table()
+    ys = [int(label, 2) for label in c.labels]
     law_ok = True
-    members = sorted(translated)
-    dets = {x: sym_det(x) for x in members}
-    index = {x: c.labels.index(bits6(x)) for x in members}
-    for i, x in enumerate(members):
-        near = c.adjacency[index[x]]
-        for y in members[i + 1 :]:
-            collinear = near >> index[y] & 1
-            wanted = sym_det(x ^ y) ^ dets[x] ^ dets[y] ^ 1
-            if collinear != wanted:
-                law_ok = False
+    for y, near in zip(ys, c.adjacency):
+        # Z ~ Y iff det(Y+Z) + det Z, bit z of the law, equals det Y
+        law = pg.translate_mask(dets, y) ^ dets
+        wanted = translated & (law if dets >> y & 1 else ~law) & ~(1 << y)
+        law_ok &= pg.point_mask(ys[j] for j in pg.bit_indices(near)) == wanted
     try:
         order = quad.verify_gq_axioms(model)
     except quad.AxiomViolationError:

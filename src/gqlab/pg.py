@@ -182,13 +182,6 @@ def elliptic_form_at(m: int, v: int) -> int:
     return table >> v & 1
 
 
-def elliptic_form_sym_at(m: int, x: int) -> int:
-    """Matrix-side evaluation: det(X + M) + 1."""
-    if not 0 <= m < 64 > x >= 0:
-        require_sym(m, x)
-    return det_table() >> (x ^ m) & 1 ^ 1
-
-
 @cache
 def pg_lines() -> tuple[PgLine, ...]:
     """All 651 lines of PG(5,2) as ascending coordinate-XOR triples."""
@@ -336,7 +329,8 @@ def elliptic_matrix_points() -> int:
 
 
 def elliptic_matrix_points_at(m: int) -> int:
-    """Nonzero X with det(X + M) = 1, the zero set of elliptic_form_sym_at(m, .)."""
+    """Nonzero X with det(X + M) = 1: the matrix-side zero set of Q_M, whose
+    value at the coordinates of X is det(X + M) + 1."""
     if not 0 <= m < 64:
         require_sym(m)
     return ALL_POINTS & translate_mask(det_table(), m)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from gqlab.atlas import MatrixClass, WrongClassError, atlas, classify, label_key, label_of, opposite
 from gqlab.gf2 import (
@@ -34,7 +34,7 @@ from gqlab.gf2 import (
     sym_to_mat,
 )
 from gqlab.pg import bit_indices, minor_coordinates, point_mask, translates
-from gqlab.quadrangle import IncidenceStructure, build_matrix_quadrangle, make_structure
+from gqlab.quadrangle import IncidenceStructure, make_structure, triangles
 
 Plane = int
 
@@ -89,6 +89,11 @@ def intersection_dim(p: Plane, q: Plane) -> int:
 
 def is_skew(p: Plane, q: Plane) -> bool:
     return intersection_dim(p, q) == 0
+
+
+def meet_rows(planes: Sequence[Plane]) -> list[int]:
+    """Bit j of entry i is set iff planes[i] and planes[j] meet."""
+    return [point_mask(j for j, q in enumerate(planes) if p & q) for p in planes]
 
 
 def symplectic_product(r1: int, r2: int) -> int:
@@ -254,12 +259,19 @@ def skew_partner(x: int) -> int:
 @cache
 def build_plane_model() -> IncidenceStructure:
     """The translated model: points are the planes (Y|1) with Y = X + 1,
-    X a quadrangle matrix; labels are the 6-bit strings of Y."""
-    source = build_matrix_quadrangle()
-    relabel = {label_of(x): bits6(x ^ SYM_IDENTITY) for x in atlas().points}
-    points = [relabel[p] for p in source.points]
-    lines = [tuple(relabel[p] for p in line) for line in source.lines]
-    return make_structure("planes", points, lines)
+    X a quadrangle matrix, labelled by the 6-bit strings of Y.  Two are
+    collinear iff they meet exactly when both or neither are skew to
+    (0|1), that is det(Y+Z) + det Y + det Z = 0; the lines are the triangles."""
+    ys = sorted(x ^ SYM_IDENTITY for x in atlas().points)
+    planes = [plane_of(y) for y in ys]
+    skew_right = point_mask(i for i, p in enumerate(planes) if is_skew(p, PLANE_RIGHT))
+    meet_right = (1 << len(planes)) - 1 ^ skew_right
+    rows = []
+    for i, meets in enumerate(meet_rows(planes)):
+        # collinear iff the planes meet, flipped where exactly one is skew to (0|1)
+        rows.append(meets ^ (meet_right if skew_right >> i & 1 else skew_right) ^ 1 << i)
+    labels = [bits6(y) for y in ys]
+    return make_structure("planes", labels, triangles(rows, labels))
 
 
 def rank_meet_identity_holds() -> bool:

@@ -1,15 +1,17 @@
 """Generalized quadrangles: axioms, the four GQ(2,4) models, isomorphisms.
 
 Models built here and in gqlab.planes share one labelled incidence-structure
-type so that isomorphisms are serializable:
+type so that isomorphisms are serializable.  No model is built from another
+model's lines.  A GQ has no triangles off its lines, so a model given by its
+collinearity law takes the triangles of that law as its lines (``triangles``):
 
 * quadric model: points are 6-bit coordinate strings on the 27-point quadric,
   lines are the 45 coordinate-XOR lines inside it;
-* matrix model: points are the labels D1..V6, lines are preimages of the
-  quadric lines under the translation X -> X + 1;
-* doily plus double-six model: 2-subsets of {1..6} with perfect-matching
-  lines, extended by the points 1..6, 1'..6' and the 30 lines {i,{i,j},j'};
-* plane model (gqlab.planes): points are the planes (Y|1) skew to (1|1).
+* matrix model: points are the labels D1..V6, and X ~ Y iff det(X+Y) = 0
+  within D or within U+V and det(X+Y) = 1 across them;
+* doily plus double-six model: 2-subsets of {1..6}, collinear iff disjoint,
+  extended by the points 1..6, 1'..6' and the 30 lines {i,{i,j},j'};
+* plane model (gqlab.planes): the planes (Y|1) skew to (1|1), by their meets.
 
 Every axiom, collinearity and isomorphism decision reads the compiled form
 of a structure, built once per structure by ``compile_structure``: point i
@@ -24,7 +26,7 @@ straight from quadric points and quadric lines, renumbered through one
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6
@@ -32,12 +34,13 @@ from gqlab.pg import (
     PgLine,
     bit_indices,
     coordinates,
+    det_table,
     elliptic_quadric,
-    from_minor_coordinates,
     lines_in,
     perp_hyperplane,
     point_mask,
     polar_column,
+    translate_mask,
 )
 
 
@@ -215,16 +218,27 @@ def build_quadric_quadrangle() -> IncidenceStructure:
     return make_structure("quadric", points, lines)
 
 
-def _matrix_point_label(v: int) -> str:
-    """Quadric point (coordinates) -> label of its translation preimage."""
-    return label_of(from_minor_coordinates(v) ^ SYM_IDENTITY)
+def triangles(adjacency: Sequence[int], labels: Sequence | Mapping) -> Iterator[tuple]:
+    """The triangles a < b < c, as (labels[a], labels[b], labels[c]), of the
+    graph in which v and w are adjacent iff bit w of adjacency[v] is set."""
+    for a, near in enumerate(adjacency):
+        later = near & -(2 << a)  # the neighbours of a above a
+        for b in bit_indices(later):
+            for c in bit_indices(later & adjacency[b] & -(2 << b)):
+                yield labels[a], labels[b], labels[c]
 
 
 @cache
 def build_matrix_quadrangle() -> IncidenceStructure:
-    """GQ on the 27 matrices; lines are translation preimages of quadric lines."""
-    lines = [tuple(_matrix_point_label(v) for v in line) for line in lines_in(elliptic_quadric())]
-    return make_structure("matrices", atlas().labels.values(), lines)
+    """GQ on the 27 matrices: X ~ Y iff det(X+Y) = 0 within D or within
+    U+V, and det(X+Y) = 1 across them; the lines are the triangles."""
+    at = atlas()
+    points, d, dets = point_mask(at.points), point_mask(at.d), det_table()
+    rows = [0] * 64
+    for x in at.points:
+        # Y ~ X iff det(X+Y), bit y of the translate, differs from "Y is in X's class"
+        rows[x] = points & (translate_mask(dets, x) ^ (d if d >> x & 1 else ~d)) & ~(1 << x)
+    return make_structure("matrices", at.labels.values(), triangles(rows, at.labels))
 
 
 def quadric_to_matrix_map() -> dict[str, str]:
@@ -263,26 +277,15 @@ def pair_label(i: int, j: int) -> str:
     return "{%d,%d}" % (lo, hi)
 
 
-def _matchings(elems: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-    if not elems:
-        return [()]
-    first, rest = elems[0], elems[1:]
-    out = []
-    for k, partner in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1 :]
-        for sub in _matchings(remaining):
-            out.append(((first, partner),) + sub)
-    return out
-
-
 @cache
 def doily_substructure() -> IncidenceStructure:
-    """The 15 2-subsets of {1..6} with the 15 perfect-matching lines."""
-    points = [pair_label(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
-    lines = [
-        tuple(pair_label(i, j) for i, j in matching) for matching in _matchings(tuple(range(1, 7)))
-    ]
-    return make_structure("doily", points, lines)
+    """The 15 2-subsets of {1..6}, collinear iff disjoint; the lines are the
+    triangles, the 15 perfect matchings."""
+    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    subsets = [point_mask(pair) for pair in pairs]
+    rows = [point_mask(k for k, q in enumerate(subsets) if not p & q) for p in subsets]
+    points = [pair_label(i, j) for i, j in pairs]
+    return make_structure("doily", points, triangles(rows, points))
 
 
 @cache

@@ -462,6 +462,58 @@ def test_plane_family_fails_on_a_line_in_place_of_a_plane(monkeypatch):
     assert report.actual == "27 rank-3 planes False, all skew to (1|0) and (0|1) True"
 
 
+@pytest.mark.parametrize(
+    "pair, wanted",
+    [
+        # a collinear pair: its line is no longer a triangle
+        (
+            ("U1", "V2"),
+            "axiom failure: uniform point degree: degrees [4, 5]; wrong collinearity degree; "
+            "translation is an isomorphism False (line counts differ: 44 vs 45)",
+        ),
+        # a non-collinear pair: it closes a triangle with each common neighbour
+        (
+            ("D1", "U1"),
+            "axiom failure: uniform point degree: degrees [5, 6, 10]; wrong collinearity degree; "
+            "translation is an isomorphism False (line counts differ: 50 vs 45)",
+        ),
+    ],
+    ids=["collinear", "non-collinear"],
+)
+def test_matrix_quadrangle_fails_on_one_flipped_determinant(monkeypatch, pair, wanted):
+    # det(X+Y) reads wrong for this one pair in the law the matrix model is built from
+    x, y = map(gqlab.atlas.matrix_of, pair)
+    flip = {x: 1 << y, y: 1 << x}
+    translate_mask = gqlab.quadrangle.translate_mask
+    monkeypatch.setattr(
+        gqlab.quadrangle, "translate_mask", lambda t, m: translate_mask(t, m) ^ flip.get(m, 0)
+    )
+    report = _single_report("sec4.matrix-quadrangle")
+    assert not report.passed
+    assert report.actual == wanted
+
+
+@pytest.mark.parametrize("pair", [("U1", "U2"), ("U1", "V1")])
+def test_pi_plane_model_fails_on_one_wrong_meet_of_family_planes(monkeypatch, pair):
+    # the plane model's law reads the meet of these two planes wrong, and
+    # no other meet
+    p, q = (gqlab.planes.plane_of(gqlab.atlas.matrix_of(label)) for label in pair)
+    meet_rows = gqlab.planes.meet_rows
+
+    def faulty(planes):
+        rows = meet_rows(planes)
+        if p in planes and q in planes:
+            i, j = planes.index(p), planes.index(q)
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+        return rows
+
+    monkeypatch.setattr(gqlab.planes, "meet_rows", faulty)
+    report = _single_report("sec5.pi-plane-model")
+    assert not report.passed
+    assert report.actual == "set match True, law match False, order None"
+
+
 def test_spreads_fails_on_one_dropped_plane_point(monkeypatch):
     target = gqlab.atlas.atlas().u[0]
     plane_of = gqlab.planes.plane_of

@@ -77,7 +77,7 @@ def test_every_undecorated_private_helper_is_referenced():
 
 def test_decorated_private_functions_are_exempt():
     helpers = set(_definitions(True))
-    assert ("quadrangle", "_matrix_point_label") in helpers
+    assert ("quadrangle", "_search_order") in helpers
     assert ("checks", "_check_statistics") not in helpers  # registered by @check
     assert ("planes", "_block_collineation") not in helpers
 

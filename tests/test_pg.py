@@ -6,7 +6,7 @@ import pytest
 
 import gqlab.pg
 from gqlab.atlas import atlas
-from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, sym_det
+from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, require_sym, sym_det
 from gqlab.pg import (
     ALL_ONES,
     ALL_POINTS,
@@ -14,7 +14,6 @@ from gqlab.pg import (
     coordinates,
     det_table,
     elliptic_form_at,
-    elliptic_form_sym_at,
     elliptic_matrix_points,
     elliptic_matrix_points_at,
     elliptic_quadric,
@@ -48,6 +47,12 @@ from gqlab.planes import PLANE_DIAGONAL, PLANE_LEFT, PLANE_RIGHT, plane_of
 
 D1 = parse_bits6("001100")
 U1 = parse_bits6("111100")
+
+
+def elliptic_form_sym_at(m, x):
+    """The scalar reference for Q_M on the matrix side: det(X + M) + 1."""
+    require_sym(m, x)
+    return sym_det(x ^ m) ^ 1
 
 
 def test_coordinate_examples():
@@ -452,7 +457,6 @@ def test_form_reads_match_scalar_formulas():
         center = minor_coordinates(m)
         for v in range(64):
             assert elliptic_form_at(m, v) == hyperbolic_form(v) ^ polar_form(v, center)
-            assert elliptic_form_sym_at(m, v) == sym_det(v ^ m) ^ 1
 
 
 def test_elliptic_table_holds_the_form_at_every_vector():

@@ -34,6 +34,7 @@ from gqlab.planes import (
     is_skew,
     is_totally_isotropic,
     make_plane,
+    meet_rows,
     minor_profiles,
     plane_minor,
     plane_of,
@@ -341,6 +342,14 @@ def test_skew_partner_pairing():
     for label in ("D1", "1"):
         with pytest.raises(WrongClassError, match=f"^{label} is not in U or V"):
             skew_partner(matrix_of(label))
+
+
+def test_meet_rows_agree_with_intersection_dim():
+    planes = [*family_planes().values(), PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]
+    rows = meet_rows(planes)
+    assert len(rows) == 30
+    for p, row in zip(planes, rows):
+        assert [row >> j & 1 for j in range(30)] == [intersection_dim(p, q) > 0 for q in planes]
 
 
 def test_plane_model():

@@ -11,6 +11,7 @@ from gqlab.pg import (
     ALL_ONES,
     bit_indices,
     elliptic_quadric,
+    from_minor_coordinates,
     lines_in,
     minor_coordinates,
     perp_hyperplane,
@@ -37,6 +38,7 @@ from gqlab.quadrangle import (
     pair_label,
     quadric_section,
     quadric_to_matrix_map,
+    triangles,
     verify_gq_axioms,
     verify_isomorphism,
 )
@@ -85,6 +87,75 @@ def test_matrix_quadrangle_is_gq24():
     assert len(inc.points) == 27 and len(inc.lines) == 45
     assert verify_gq_axioms(inc) == (2, 4)
     assert set(inc.points) == set(atlas().labels.values())
+
+
+# References: the constructions the models were once built by, each from
+# another model's lines.  The models now come from their own collinearity
+# laws, through triangles, and must equal them.
+
+
+def reference_matrix_model():
+    """The translation preimages X = v + 1 of the 45 quadric lines."""
+
+    def preimage(v):
+        return label_of(from_minor_coordinates(v) ^ SYM_IDENTITY)
+
+    lines = [tuple(map(preimage, line)) for line in lines_in(elliptic_quadric())]
+    return make_structure("matrices", atlas().labels.values(), lines)
+
+
+def reference_plane_model():
+    """The reference matrix model relabelled by X -> the 6-bit string of X + 1."""
+    relabel = {label_of(x): bits6(x ^ SYM_IDENTITY) for x in atlas().points}
+    lines = [tuple(map(relabel.get, line)) for line in reference_matrix_model().lines]
+    return make_structure("planes", relabel.values(), lines)
+
+
+def perfect_matchings(elems):
+    if not elems:
+        return [()]
+    first, rest = elems[0], elems[1:]
+    return [
+        ((first, partner),) + sub
+        for k, partner in enumerate(rest)
+        for sub in perfect_matchings(rest[:k] + rest[k + 1 :])
+    ]
+
+
+def reference_doily():
+    """The 15 2-subsets of {1..6} with the 15 perfect matchings as lines."""
+    points = [pair_label(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    lines = [
+        tuple(pair_label(i, j) for i, j in matching)
+        for matching in perfect_matchings(tuple(range(1, 7)))
+    ]
+    return make_structure("doily", points, lines)
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [
+        (build_matrix_quadrangle, reference_matrix_model),
+        (build_plane_model, reference_plane_model),
+        (doily_substructure, reference_doily),
+    ],
+    ids=["matrices", "planes", "doily"],
+)
+def test_model_from_its_law_equals_its_reference(build, reference):
+    inc = build()
+    assert inc == reference()
+    assert len(inc.lines) == (15 if inc.name == "doily" else 45)
+
+
+def test_triangles_lists_each_triangle_once_in_ascending_order():
+    # a 4-cycle 0-1-2-3 with the chord 0-2 and a pendant vertex 4 on 3
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4)]
+    adjacency = [0] * 5
+    for a, b in edges:
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    assert list(triangles(adjacency, "abcde")) == [("a", "b", "c"), ("a", "c", "d")]
+    assert list(triangles([0] * 64, range(64))) == []
 
 
 def test_translation_map_is_isomorphism_onto_quadric_model():
