@@ -42,7 +42,6 @@ from gqlab.gf2 import (
     lanes_mul,
     mat_mul,
     mat_to_sym,
-    sym_det,
     sym_to_mat,
     to_lanes,
 )
@@ -335,13 +334,25 @@ def _by_matrix(tables: Iterable[int]) -> list[int]:
     return out
 
 
-def _polarized(table: int) -> list[int]:
-    """Entry y has bit x equal to Q(x + y) + Q(x) + Q(y), for the form Q of
-    this value table."""
-    return [
-        shifted ^ table ^ (_ALL_64 if table >> y & 1 else 0)
-        for y, shifted in enumerate(pg.translates(table))
-    ]
+def _packed(entries: Iterable[int]) -> int:
+    """64 tables of 64 bits as one 4096-bit int, entry y at bits 64y..64y+63."""
+    return int.from_bytes(b"".join(t.to_bytes(8, "little") for t in entries), "little")
+
+
+_REP = _packed([1] * 64)  # times a 64-bit table: one copy of it per entry
+_LOW_HALVES_PACKED = tuple(low * _REP for low in pg._LOW_HALVES)
+
+
+def _polarized(table: int) -> int:
+    """Packed: entry y has bit x equal to Q(x + y) + Q(x) + Q(y), for the form
+    Q of this value table.  Entry y of the translates T is translate_mask(table,
+    y), made by the block swaps of pg.translates on the whole packed word; bit 0
+    of entry y of T is Q(y), which the product with _ALL_64 spreads over it."""
+    packed = table
+    for k, low in enumerate(_LOW_HALVES_PACKED):
+        width = 1 << k
+        packed |= (packed >> width & low | (packed & low) << width) << (64 << k)
+    return packed ^ table * _REP ^ (packed & _REP) * _ALL_64
 
 
 @check(
@@ -362,9 +373,8 @@ def _check_det_identity() -> str:
 )
 def _check_polarization() -> str:
     # entry y: bit x of the polar side is B(coordinates of x, coordinates of y)
-    by_det = _polarized(pg.det_table())
-    by_polar = _by_matrix(pg.polar_column(v) for v in pg.coordinates())
-    bad = sum((p ^ d).bit_count() for p, d in zip(by_polar, by_det))
+    by_polar = _packed(_by_matrix(pg.polar_column(v) for v in pg.coordinates()))
+    bad = (by_polar ^ _polarized(pg.det_table())).bit_count()
     return f"{bad} mismatches over 4096 pairs"
 
 
@@ -376,10 +386,8 @@ def _check_polarization() -> str:
 def _check_forms_share_polar() -> str:
     forms = atlas_mod.enumerate_invertible_symmetric()
     tables = [pg.ALL_POINTS & pg.elliptic_table(m) for m in forms]
-    polar = [pg.polar_column(y) for y in range(64)]
-    bad = 0
-    for values in tables:
-        bad += sum((p ^ b).bit_count() for p, b in zip(_polarized(values), polar))
+    polar = _packed(map(pg.polar_column, range(64)))
+    bad = sum((_polarized(values) ^ polar).bit_count() for values in tables)
     return f"{bad} mismatches over 28 forms x 4096 pairs"
 
 
@@ -506,15 +514,17 @@ def _check_qm_family() -> str:
 )
 def _check_collinearity_criterion() -> str:
     at = atlas()
-    dset = set(at.d)
+    points, d, dets = pg.point_mask(at.points), pg.point_mask(at.d), pg.det_table()
+    coords = pg.coordinates()
+    # bit x: B(coordinates of X, coordinates of Y + 1)
+    polar = _by_matrix(pg.polar_column(coords[y ^ SYM_IDENTITY]) for y in at.points)
     mismatches = 0
-    for x, y in combinations(at.points, 2):
-        # collinear iff det(X+Y) = 0 within one of the classes D and U+V,
-        # and iff det(X+Y) = 1 across them
-        same_class = (x in dset) == (y in dset)
-        by_det = sym_det(x ^ y) == (0 if same_class else 1)
-        if quad.collinear_matrices(x, y) != by_det:
-            mismatches += 1
+    for y, by_polar in zip(at.points, polar):
+        # bit x: det(X+Y) = 0 within one of the classes D and U+V, 1 across
+        by_det = pg.translate_mask(dets, y) ^ (d if d >> y & 1 else ~d)
+        # bit x: the polar form of the translated coordinates does not vanish
+        by_polar = pg.translate_mask(by_polar, SYM_IDENTITY)
+        mismatches += (~(by_det ^ by_polar) & points & -(2 << y)).bit_count()
     return f"{mismatches} mismatches over 351 pairs"
 
 

@@ -18,9 +18,9 @@ of a structure, built once per structure by ``compile_structure``: point i
 is ``inc.points[i]``, each line is a tuple of point indices and a point mask
 (bit i set iff point i is on it), and each point has the point mask of its
 collinear neighbours and their number.  The labels are read back only to
-write witnesses and results.  The hyperplane survey compiles its 36 sections
-straight from quadric points and quadric lines, renumbered through one
-64-entry rank list, without building labelled structures.
+write witnesses and results.  The hyperplane survey restricts the compiled
+quadric model to each section's lines, picked by per-point incidence masks,
+and decides the section on the quadric's own point indices and line masks.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from functools import cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of
-from gqlab.gf2 import SYM_IDENTITY, bits6
+from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6
 from gqlab.pg import (
-    PgLine,
     bit_indices,
     coordinates,
     det_table,
@@ -96,24 +95,15 @@ def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[st
     return IncidenceStructure(name, pts, tuple(sorted(lset)))
 
 
-def _compile(
-    name: str, labels: tuple[str, ...], lines: tuple[tuple[int, ...], ...]
-) -> CompiledStructure:
+def _from_masks(name: str, labels: tuple, lines: tuple, line_points: tuple) -> CompiledStructure:
+    """The compiled structure of lines whose point masks are line_points."""
     near = [0] * len(labels)
-    line_points = []
-    for line in lines:
-        mask = point_mask(line)
+    for line, mask in zip(lines, line_points):
         for i in line:
             near[i] |= mask
-        line_points.append(mask)
-    adjacency = tuple(mask & ~(1 << i) for i, mask in enumerate(near))
+    adjacency = tuple([mask & ~(1 << i) for i, mask in enumerate(near)])
     return CompiledStructure(
-        name,
-        labels,
-        lines,
-        tuple(line_points),
-        adjacency,
-        tuple(mask.bit_count() for mask in adjacency),
+        name, labels, lines, line_points, adjacency, tuple(map(int.bit_count, adjacency))
     )
 
 
@@ -122,7 +112,7 @@ def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
     """The compiled form of inc; point i is inc.points[i]."""
     index = {p: i for i, p in enumerate(inc.points)}.__getitem__
     lines = tuple(tuple(map(index, line)) for line in inc.lines)
-    return _compile(inc.name, tuple(inc.points), lines)
+    return _from_masks(inc.name, tuple(inc.points), lines, tuple(map(point_mask, lines)))
 
 
 def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
@@ -143,10 +133,12 @@ def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
     return _gq_order(compile_structure(inc))
 
 
-def _gq_order(c: CompiledStructure) -> tuple[int, int]:
-    """verify_gq_axioms on a compiled structure; witnesses use its labels."""
+def _gq_order(c: CompiledStructure, points: int = -1) -> tuple[int, int]:
+    """verify_gq_axioms on a compiled structure, or on the points of a point
+    mask that its lines do not leave; witnesses use its labels."""
     labels, lines = c.labels, c.lines
-    if not labels or not lines:
+    points &= (1 << len(labels)) - 1
+    if not points or not lines:
         raise AxiomViolationError("nonempty", c.name)
     sizes = {len(line) for line in lines}
     if len(sizes) != 1:
@@ -157,7 +149,7 @@ def _gq_order(c: CompiledStructure) -> tuple[int, int]:
     for line in lines:
         for i in line:
             degree[i] += 1
-    degrees = set(degree)
+    degrees = {degree[i] for i in bit_indices(points)}
     if len(degrees) != 1:
         raise AxiomViolationError("uniform point degree", f"degrees {sorted(degrees)}")
     t = degrees.pop() - 1
@@ -188,7 +180,6 @@ def _gq_order(c: CompiledStructure) -> tuple[int, int]:
 
     # bit-sliced counters over each line's points as written (a point named
     # twice counts twice): the points collinear with at least one / two of them
-    all_points = (1 << len(labels)) - 1
     adjacency = c.adjacency
     off_by = []  # per line: the points off it without exactly one neighbour on it
     offenders = 0
@@ -197,7 +188,7 @@ def _gq_order(c: CompiledStructure) -> tuple[int, int]:
         for q in line:
             twos |= ones & adjacency[q]
             ones |= adjacency[q]
-        off_by.append(all_points & ~line_points[j] & (~ones | twos))
+        off_by.append(points & ~line_points[j] & (~ones | twos))
         offenders |= off_by[-1]
     if offenders:
         i = (offenders & -offenders).bit_length() - 1
@@ -451,7 +442,7 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[str, 
 
 class HyperplaneSection(NamedTuple):
     axis: str
-    kind: str  # "tangent" or "gq22"
+    kind: str  # "tangent" (a cone), "gq22" (order (2,2)) or "neither"
     n_points: int
     n_lines: int
 
@@ -463,62 +454,74 @@ class SurveySummary(NamedTuple):
     all_gq22_pass: bool
 
 
-def _sections(axes: Iterable[int]) -> Iterator[tuple[int, list[int], list[PgLine]]]:
-    """(axis, points, lines) of the quadric section by the hyperplane of each axis.
-
-    The points are the quadric points perpendicular to the axis, ascending;
-    the lines are the quadric lines made of such points, in pg_lines() order.
-    """
+def _sections(axes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(axis, points, lines) of the quadric section by the hyperplane of each
+    axis: the point mask of the quadric points perpendicular to the axis,
+    and the mask of the quadric model's compiled lines inside them, bit j
+    for line j.  As in lines_in, those are the lines that no per-point
+    incidence mask of a quadric point off the section hits."""
     quad = elliptic_quadric()
-    quad_lines = [(line, point_mask(line)) for line in lines_in(quad)]
+    c = compile_structure(build_quadric_quadrangle())
+    vectors = [parse_bits6(label) for label in c.labels]
+    through = [0] * 64  # bit j of through[v]: c.lines[j] holds the vector v
+    for j, line in enumerate(c.lines):
+        for i in line:
+            through[vectors[i]] |= 1 << j
+    every = (1 << len(c.lines)) - 1
     for axis in axes:
         inside = quad & perp_hyperplane(axis)
-        yield axis, bit_indices(inside), [line for line, mask in quad_lines if not mask & ~inside]
+        hit = 0
+        for v in bit_indices(quad & ~inside):
+            hit |= through[v]
+        yield axis, inside, every & ~hit
 
 
 def quadric_section(axis: int) -> IncidenceStructure:
     """Incidence structure on the quadric points inside the hyperplane of axis."""
-    ((_, pts, lines),) = _sections([axis])
-    labelled = [tuple(bits6(v) for v in line) for line in lines]
-    return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in pts), labelled)
+    ((_, inside, kept),) = _sections([axis])
+    c = compile_structure(build_quadric_quadrangle())
+    lines = [tuple(c.labels[i] for i in c.lines[j]) for j in bit_indices(kept)]
+    return make_structure(f"section-{bits6(axis)}", map(bits6, bit_indices(inside)), lines)
 
 
 def hyperplane_section_survey() -> SurveySummary:
     """Classify all 63 hyperplane sections of the 27-point quadric.
 
-    A hyperplane perpendicular to a quadric point cuts a degenerate cone;
-    every other one cuts a 15-point subquadrangle of order (2,2).
+    Each section is decided on the quadric model's compiled lines inside
+    it, its adjacency read from those lines alone.  It is "tangent" if it
+    is a cone, 11 points on 5 lines through the axis, and "gq22" if its 15
+    points and 15 lines pass the (2,2) axioms.  all_gq22_pass is False if
+    an axis off the quadric does not cut a "gq22" section.
     """
     quad = elliptic_quadric()
-    names = [bits6(v) for v in range(64)]
-    rank = [0] * 64  # rank[v]: the index of point v in the current section
+    c = compile_structure(build_quadric_quadrangle())
     sections = []
     all_pass = True
-    for axis, pts, lines in _sections(range(1, 64)):
-        if quad >> axis & 1:
-            sections.append(HyperplaneSection(names[axis], "tangent", len(pts), len(lines)))
-            continue
-        for i, v in enumerate(pts):
-            rank[v] = i
-        section = _compile(
-            f"section-{names[axis]}",
-            tuple([names[v] for v in pts]),
-            tuple([(rank[x], rank[y], rank[z]) for x, y, z in lines]),
-        )
-        try:
-            order = _gq_order(section)
-        except AxiomViolationError:
-            order = None
-        if order != (2, 2) or len(pts) != 15 or len(lines) != 15:
+    for axis, inside, kept in _sections(range(1, 64)):
+        name, ids = bits6(axis), bit_indices(kept)
+        n_points, n_lines = inside.bit_count(), len(ids)
+        masks = tuple([c.line_points[j] for j in ids])
+        on_lines, common = 0, -1
+        for mask in masks:
+            on_lines |= mask
+            common &= mask
+        kind = "neither"
+        if on_lines.bit_count() == n_points == 11 and n_lines == 5:
+            # all 11 points on the 5 lines, whose one common point is the axis
+            if common.bit_count() == 1 and c.labels[common.bit_length() - 1] == name:
+                kind = "tangent"
+        elif on_lines.bit_count() == n_points == 15 and n_lines == 15:
+            lines = tuple([c.lines[j] for j in ids])
+            try:
+                if _gq_order(_from_masks(name, c.labels, lines, masks), on_lines) == (2, 2):
+                    kind = "gq22"
+            except AxiomViolationError:
+                pass
+        if kind != "gq22" and not quad >> axis & 1:
             all_pass = False
-        sections.append(HyperplaneSection(names[axis], "gq22", len(pts), len(lines)))
-    tangent = sum(1 for s in sections if s.kind == "tangent")
-    return SurveySummary(
-        tangent=tangent,
-        nondegenerate=len(sections) - tangent,
-        sections=tuple(sections),
-        all_gq22_pass=all_pass,
-    )
+        sections.append(HyperplaneSection(name, kind, n_points, n_lines))
+    kinds = [section.kind for section in sections]
+    return SurveySummary(kinds.count("tangent"), kinds.count("gq22"), tuple(sections), all_pass)
 
 
 def collinearity_graph_edges() -> tuple[tuple[str, str], ...]:

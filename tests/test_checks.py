@@ -186,6 +186,59 @@ def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_f
     assert report.actual == f"{want} mismatches over 28 forms x 4096 pairs"
 
 
+def _listed_polarized(table):
+    """The polarized table as a list with one entry per y, read from the
+    64 translates of pg.translates one at a time."""
+    everywhere = (1 << 64) - 1
+    return [
+        shifted ^ table ^ (everywhere if table >> y & 1 else 0)
+        for y, shifted in enumerate(gqlab.pg.translates(table))
+    ]
+
+
+def test_packed_polarized_matches_per_entry():
+    pg = gqlab.pg
+    forms = gqlab.atlas.enumerate_invertible_symmetric()
+    rng = random.Random(4096)
+    tables = [pg.det_table(), pg.hyperbolic_table()]
+    tables += [pg.ALL_POINTS & pg.elliptic_table(m) for m in forms]
+    tables += [rng.getrandbits(64) for _ in range(64)]
+    assert len(tables) == 2 + 28 + 64
+    for table in tables:
+        packed = gqlab.checks._polarized(table)
+        assert 0 <= packed < 1 << 4096
+        entries = [packed >> (64 * y) & (1 << 64) - 1 for y in range(64)]
+        assert entries == _listed_polarized(table)
+
+
+def _translated_coordinates(*labels):
+    coords, identity = gqlab.pg.coordinates(), gqlab.gf2.SYM_IDENTITY
+    return tuple(coords[gqlab.atlas.matrix_of(label) ^ identity] for label in labels)
+
+
+@pytest.mark.parametrize(
+    "kernel, flip, wanted",
+    [
+        # det(X+Y) reads wrong on the 5 pairs of points with X + Y = 000011
+        ("sym_det", lambda v: v == 0b000011, "5 mismatches over 351 pairs"),
+        # B reads wrong at the coordinates of U3 + 1 in the column of D1 + 1,
+        # the one the row of D1, the smaller matrix of the pair, reads
+        (
+            "polar_form",
+            lambda x, y: (x, y) == _translated_coordinates("U3", "D1"),
+            "1 mismatches over 351 pairs",
+        ),
+    ],
+    ids=["det_table", "polar_form"],
+)
+def test_collinearity_criterion_counts_one_planted_fault(monkeypatch, kernel, flip, wanted):
+    original = getattr(gqlab.pg, kernel)
+    monkeypatch.setattr(gqlab.pg, kernel, lambda *args: original(*args) ^ flip(*args))
+    report = _single_report("sec4.collinearity-criterion")
+    assert not report.passed
+    assert report.actual == wanted
+
+
 def test_translation_form_counts_a_fault_in_the_identity_form(monkeypatch):
     # the paper's form Q is the identity member of the family, read like the other 27
     elliptic_table = gqlab.pg.elliptic_table
@@ -353,6 +406,54 @@ def test_hyperplane_survey_fails_on_one_flipped_polar_value(monkeypatch, in_sect
     report = _single_report("sec2.hyperplane-survey")
     assert not report.passed
     assert report.actual == "a non-degenerate section failed the (2,2) axioms"
+
+
+def _first_axis(tangent):
+    """The smallest axis on the quadric, or off it."""
+    return next(a for a in range(1, 64) if gqlab.pg.elliptic_quadric() >> a & 1 == tangent)
+
+
+# faults on the sections: each maps (sections, axis, points, lines), one
+# section as the unpatched _sections yields it, to the section yielded instead
+
+
+def _no_tangent_sections(sections, axis, points, lines):
+    return (axis, 0, 0) if gqlab.pg.elliptic_quadric() >> axis & 1 else (axis, points, lines)
+
+
+def _first_section_drops_a_line(tangent):
+    def fault(sections, axis, points, lines):
+        return axis, points, (lines & lines - 1 if axis == _first_axis(tangent) else lines)
+
+    return fault
+
+
+def _first_tangent_axis_cuts_a_doily(sections, axis, points, lines):
+    if axis == _first_axis(True):
+        ((_, points, lines),) = sections([_first_axis(False)])
+    return axis, points, lines
+
+
+@pytest.mark.parametrize(
+    "fault, wanted",
+    [
+        (_no_tangent_sections, "36 sections of order (2,2), 0 tangent"),
+        (_first_section_drops_a_line(True), "36 sections of order (2,2), 26 tangent"),
+        (_first_section_drops_a_line(False), "a non-degenerate section failed the (2,2) axioms"),
+        (_first_tangent_axis_cuts_a_doily, "37 sections of order (2,2), 26 tangent"),
+    ],
+    ids=["tangent-sections-empty", "tangent-drops-a-line", "gq22-drops-a-line", "tangent-gq22"],
+)
+def test_hyperplane_survey_decides_each_section_from_its_structure(monkeypatch, fault, wanted):
+    # a tangent section counts only if it is a cone, and a non-degenerate
+    # one only if it passes the (2,2) axioms, whatever its axis
+    sections = gqlab.quadrangle._sections
+    monkeypatch.setattr(
+        gqlab.quadrangle, "_sections", lambda axes: (fault(sections, *s) for s in sections(axes))
+    )
+    report = _single_report("sec2.hyperplane-survey")
+    assert not report.passed
+    assert report.actual == wanted
 
 
 # Planted faults in the point masks: each point-set comparison must see one
