@@ -313,33 +313,17 @@ _ALL_64 = (1 << 64) - 1
 
 def _by_matrix(tables: Iterable[int]) -> list[int]:
     """Coordinate-indexed value tables re-indexed by matrix: bit x of each
-    entry is bit minor_coordinates(x) of its table."""
-    where = [0] * 64
-    for x, v in enumerate(pg.coordinates()):
-        where[v] |= 1 << x
-    # entry n of nibbles[k] ORs where[4k + b] over the set bits b of n
-    nibbles = []
-    for k in range(0, 64, 4):
-        row = [0]
-        for v in range(k, k + 4):
-            row += [r | where[v] for r in row]
-        nibbles.append(row)
-    out = []
-    for table in tables:
-        by_matrix = 0
-        for row in nibbles:
-            by_matrix |= row[table & 15]
-            table >>= 4
-        out.append(by_matrix)
+    entry is bit minor_coordinates(x) of its table.  Up to 64 tables at once
+    are transposed, their rows permuted by coordinates() and transposed back."""
+    tables, out = list(tables), []
+    for low in range(0, len(tables), 64):
+        by_vector = pg.rows(pg.transpose(pg.pack(tables[low : low + 64])))
+        moved = pg.rows(pg.transpose(pg.pack([by_vector[v] for v in pg.coordinates()])))
+        out += moved[: len(tables) - low]
     return out
 
 
-def _packed(entries: Iterable[int]) -> int:
-    """64 tables of 64 bits as one 4096-bit int, entry y at bits 64y..64y+63."""
-    return int.from_bytes(b"".join(t.to_bytes(8, "little") for t in entries), "little")
-
-
-_REP = _packed([1] * 64)  # times a 64-bit table: one copy of it per entry
+_REP = pg.pack([1] * 64)  # times a 64-bit table: one copy of it per entry
 _LOW_HALVES_PACKED = tuple(low * _REP for low in pg._LOW_HALVES)
 
 
@@ -373,7 +357,7 @@ def _check_det_identity() -> str:
 )
 def _check_polarization() -> str:
     # entry y: bit x of the polar side is B(coordinates of x, coordinates of y)
-    by_polar = _packed(_by_matrix(pg.polar_column(v) for v in pg.coordinates()))
+    by_polar = pg.pack(_by_matrix(pg.polar_column(v) for v in pg.coordinates()))
     bad = (by_polar ^ _polarized(pg.det_table())).bit_count()
     return f"{bad} mismatches over 4096 pairs"
 
@@ -386,7 +370,7 @@ def _check_polarization() -> str:
 def _check_forms_share_polar() -> str:
     forms = atlas_mod.enumerate_invertible_symmetric()
     tables = [pg.ALL_POINTS & pg.elliptic_table(m) for m in forms]
-    polar = _packed(map(pg.polar_column, range(64)))
+    polar = pg.pack([pg.polar_column(y) for y in range(64)])
     bad = sum((_polarized(values) ^ polar).bit_count() for values in tables)
     return f"{bad} mismatches over 28 forms x 4096 pairs"
 
@@ -794,12 +778,14 @@ def _check_collineation() -> str:
     before = meets(all_planes)
     maps_ok = dims_ok = True
     for u in group:
-        # each (u, plane) image is computed once and serves both claims
+        # each (u, plane) image is computed once and serves both claims;
+        # (U, U^-1) fixes (1|0) and (0|1) and sends (1|1) to (UU|1)
         images = [planes_mod.collineation_action(u, p) for p in all_planes]
-        maps_ok &= all(
-            image == planes_mod.plane_of(planes_mod.conjugate(u, x))
-            for x, image in zip(points, images)
-        )
+        um = sym_to_mat(u)
+        wanted = [planes_mod.plane_of(planes_mod.conjugate(u, x)) for x in points]
+        wanted += [planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT]
+        wanted.append(planes_mod.plane_of(mat_to_sym(mat_mul(um, um))))
+        maps_ok &= images == wanted
         dims_ok &= meets(images) == before
     return f"maps (X|1) to (UXU|1) {maps_ok}, preserves intersection dimensions {dims_ok}"
 

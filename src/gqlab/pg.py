@@ -45,12 +45,17 @@ all 64 translates at one block swap each.
 Each member Q_M of the 28-form family over invertible m is read from its
 value table ``elliptic_table(m)``.  The paper's form Q is Q_1, the identity
 member, since ``ALL_ONES`` is ``coordinates()[SYM_IDENTITY]``.
+
+A 64x64 bit matrix, such as 64 point masks, is packed into one 4096-bit int
+with row ``y`` at bits 64y..64y+63 (``pack``, ``rows``); ``transpose`` turns
+64 masks into one mask per bit position, with one bit per mask.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from gqlab.gf2 import SYM_IDENTITY, require_sym, sym_det, sym_entries
 
@@ -140,6 +145,36 @@ _LOW_HALVES = (
 )
 
 
+_ALL_64 = (1 << 64) - 1
+
+
+def pack(entries: Sequence[int]) -> int:
+    """64-bit entries as one int, entry y at bits 64y..64y+63 as row y."""
+    return int.from_bytes(struct.pack(f"<{len(entries)}Q", *entries), "little")
+
+
+def rows(packed: int) -> tuple[int, ...]:
+    """The 64 rows of a packed 64x64 bit matrix, the inverse of pack."""
+    return struct.unpack("<64Q", packed.to_bytes(512, "little"))
+
+
+# swap k of transpose trades bit k of the row for bit k of the column: it moves
+# the columns with bit k set, in every row with bit k clear, up by 63 * 2^k
+_TRANSPOSE_SWAPS = [
+    (63 << k, (_ALL_64 ^ low) * pack([~y >> k & 1 for y in range(64)]))
+    for k, low in enumerate(_LOW_HALVES)
+]
+
+
+def transpose(packed: int) -> int:
+    """The packed 64x64 bit matrix whose bit 64x + y is bit 64y + x of packed,
+    by six delta swaps (Warren, Hacker's Delight, 2nd ed., 2012, 7-3)."""
+    for delta, mask in _TRANSPOSE_SWAPS:
+        swap = (packed ^ packed >> delta) & mask
+        packed ^= swap ^ swap << delta
+    return packed
+
+
 def translate_mask(table: int, m: int) -> int:
     """The 64-bit table whose bit x is bit x + m of table.
 
@@ -172,14 +207,6 @@ def elliptic_table(m: int) -> int:
     if not 0 <= m < 64:
         require_sym(m)
     return hyperbolic_table() ^ polar_column(coordinates()[m])
-
-
-def elliptic_form_at(m: int, v: int) -> int:
-    """Member Q_M of the 28-form family at the vector v; Q is Q_1."""
-    table = elliptic_table(m)
-    if not 0 <= v < 64:
-        require_sym(v)
-    return table >> v & 1
 
 
 @cache
@@ -312,7 +339,7 @@ def elliptic_quadric() -> int:
 
 
 def elliptic_quadric_at(m: int) -> int:
-    """The quadric of elliptic_form_at(m, .)."""
+    """The zero set of Q_M among the 63 points."""
     return ALL_POINTS & ~elliptic_table(m)
 
 

@@ -33,7 +33,7 @@ from gqlab.gf2 import (
     rref,
     sym_to_mat,
 )
-from gqlab.pg import bit_indices, minor_coordinates, point_mask, translates
+from gqlab.pg import bit_indices, minor_coordinates, pack, point_mask, rows, translates, transpose
 from gqlab.quadrangle import IncidenceStructure, make_structure, triangles
 
 Plane = int
@@ -287,11 +287,8 @@ def rank_meet_identity_holds() -> bool:
     ranks = [mat_rank(sym_to_mat(s)) for s in range(64)]
     # within[r][x]: bit y set iff rank(x + y) <= r
     within = [translates(point_mask(s for s in range(64) if ranks[s] <= r)) for r in range(3)]
+    holders = rows(transpose(pack([plane_of(y) for y in range(64)])))
     points = [bit_indices(plane_of(x)) for x in range(64)]
-    holders = [0] * 64
-    for y, on in enumerate(points):
-        for v in on:
-            holders[v] |= 1 << y
     for x, on in enumerate(points):
         c0 = c1 = c2 = c3 = 0
         for v in on:

@@ -18,28 +18,37 @@ of a structure, built once per structure by ``compile_structure``: point i
 is ``inc.points[i]``, each line is a tuple of point indices and a point mask
 (bit i set iff point i is on it), and each point has the point mask of its
 collinear neighbours and their number.  The labels are read back only to
-write witnesses and results.  The hyperplane survey restricts the compiled
-quadric model to each section's lines, picked by per-point incidence masks,
-and decides the section on the quadric's own point indices and line masks.
+write witnesses and results.  The one axiom core, ``_gq_order``, decides
+many restrictions (point mask, line mask) of one compiled structure at once,
+one lane each; ``verify_gq_axioms`` is its one-lane call, and scans for a
+witness only when that lane fails.  The hyperplane survey finds its 63
+sections as lanes of transposed point masks and decides its 36 candidates
+in one call of the core.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from collections import Counter
+from functools import cache, reduce
+from itertools import chain, combinations
+from operator import and_, mul, or_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of
+from gqlab.atlas import atlas, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6
 from gqlab.pg import (
+    _ALL_64,
     bit_indices,
     coordinates,
     det_table,
     elliptic_quadric,
     lines_in,
+    pack,
     perp_hyperplane,
     point_mask,
-    polar_column,
+    rows,
     translate_mask,
+    transpose,
 )
 
 
@@ -50,10 +59,6 @@ class AxiomViolationError(ValueError):
         super().__init__(f"{axiom}: {witness}")
         self.axiom = axiom
         self.witness = witness
-
-
-class NotInSError(ValueError):
-    """Argument is singular or the identity, hence not a quadrangle point."""
 
 
 class IncidenceStructure(NamedTuple):
@@ -95,24 +100,19 @@ def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[st
     return IncidenceStructure(name, pts, tuple(sorted(lset)))
 
 
-def _from_masks(name: str, labels: tuple, lines: tuple, line_points: tuple) -> CompiledStructure:
-    """The compiled structure of lines whose point masks are line_points."""
-    near = [0] * len(labels)
-    for line, mask in zip(lines, line_points):
-        for i in line:
-            near[i] |= mask
-    adjacency = tuple([mask & ~(1 << i) for i, mask in enumerate(near)])
-    return CompiledStructure(
-        name, labels, lines, line_points, adjacency, tuple(map(int.bit_count, adjacency))
-    )
-
-
 @cache
 def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
     """The compiled form of inc; point i is inc.points[i]."""
     index = {p: i for i, p in enumerate(inc.points)}.__getitem__
     lines = tuple(tuple(map(index, line)) for line in inc.lines)
-    return _from_masks(inc.name, tuple(inc.points), lines, tuple(map(point_mask, lines)))
+    line_points = tuple(map(point_mask, lines))
+    near = [0] * len(inc.points)
+    for line, mask in zip(lines, line_points):
+        for i in line:
+            near[i] |= mask
+    adjacency = tuple([mask & ~(1 << i) for i, mask in enumerate(near)])
+    degrees = tuple(map(int.bit_count, adjacency))
+    return CompiledStructure(inc.name, tuple(inc.points), lines, line_points, adjacency, degrees)
 
 
 def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
@@ -128,76 +128,140 @@ def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
 def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
     """Check the three axioms and return the order (s, t).
 
-    Raises AxiomViolationError with the first failing axiom and witness.
+    Raises AxiomViolationError with the first failing axiom and its first
+    witness, which element-by-element scans find only once an axiom fails.
     """
-    return _gq_order(compile_structure(inc))
+    c = compile_structure(inc)
+    # one lane: the order (s, t), or the name of the first failing axiom
+    (lane,) = _gq_order(c, [((1 << len(c.labels)) - 1, (1 << len(c.lines)) - 1)])
+    if not isinstance(lane, str):
+        return lane
+    axiom, labels, lines = lane, c.labels, c.lines
+    if axiom == "nonempty":
+        witness = c.name
+    elif axiom == "uniform line size":
+        witness = f"sizes {sorted(set(map(len, lines)))}"
+    elif axiom == "uniform point degree":
+        degree = Counter(chain.from_iterable(lines))
+        witness = f"degrees {sorted({degree[i] for i in range(len(labels))})}"
+    elif axiom != "unique perpendicular":
+        witness = next(found for fault, _, _, found in _line_pair_faults(c) if fault == axiom)
+    else:
+        witness = next(
+            f"point {labels[i]}, line {tuple(labels[q] for q in lines[j])}, {hits} connections"
+            for i, near in enumerate(c.adjacency)
+            for j, hits in enumerate([sum(near >> q & 1 for q in line) for line in lines])
+            if not c.line_points[j] >> i & 1 and hits != 1
+        )
+    raise AxiomViolationError(axiom, witness)
 
 
-def _gq_order(c: CompiledStructure, points: int = -1) -> tuple[int, int]:
-    """verify_gq_axioms on a compiled structure, or on the points of a point
-    mask that its lines do not leave; witnesses use its labels."""
-    labels, lines = c.labels, c.lines
-    points &= (1 << len(labels)) - 1
-    if not points or not lines:
-        raise AxiomViolationError("nonempty", c.name)
-    sizes = {len(line) for line in lines}
-    if len(sizes) != 1:
-        raise AxiomViolationError("uniform line size", f"sizes {sorted(sizes)}")
-    s = sizes.pop() - 1
+def _lanes(masks: Sequence[int], n: int) -> list[int]:
+    """Bit a of entry i is bit i of masks[a], for i < n; at most 64 masks."""
+    out: list[int] = []
+    for low in range(0, n, 64):
+        out += rows(transpose(pack([mask >> low & _ALL_64 for mask in masks])))
+    return out[:n]
 
-    degree = [0] * len(labels)
-    for line in lines:
-        for i in line:
-            degree[i] += 1
-    degrees = {degree[i] for i in bit_indices(points)}
-    if len(degrees) != 1:
-        raise AxiomViolationError("uniform point degree", f"degrees {sorted(degrees)}")
-    t = degrees.pop() - 1
 
-    def written(j: int) -> tuple[str, ...]:
-        return tuple(labels[i] for i in lines[j])
+def _fold(wide: int, w: int, n: int) -> int:
+    """The OR of the n w-bit rows of a wide mask."""
+    while n > 1:
+        n = (n + 1) // 2
+        wide |= wide >> w * n
+    return wide & ((1 << w) - 1)
 
-    joined = [0] * len(labels)  # bit b of joined[a]: some line has a before b
-    for line in lines:
-        for k, a in enumerate(line):
-            for b in line[k + 1 :]:
-                bit = 1 << b
-                if joined[a] & bit:
-                    raise AxiomViolationError(
-                        "at most one joining line", f"points {labels[a]}, {labels[b]}"
-                    )
-                joined[a] |= bit
-    # an ordered collinear pair counts once in the degrees and once per line
-    # through it in the sizes, so equal sums mean no two lines share two points
-    line_points = c.line_points
-    if sum(n * (n - 1) for n in map(int.bit_count, line_points)) != sum(c.degrees):
-        for i, mask in enumerate(line_points):
-            for j in range(i + 1, len(line_points)):
-                if (mask & line_points[j]).bit_count() > 1:
-                    raise AxiomViolationError(
-                        "at most one common point", f"lines {written(i)}, {written(j)}"
-                    )
 
-    # bit-sliced counters over each line's points as written (a point named
-    # twice counts twice): the points collinear with at least one / two of them
-    adjacency = c.adjacency
-    off_by = []  # per line: the points off it without exactly one neighbour on it
-    offenders = 0
-    for j, line in enumerate(lines):
+def _gq_order(
+    c: CompiledStructure, restrictions: Sequence[tuple[int, int]]
+) -> list[tuple[int, int] | str]:
+    """Per restriction (point mask, mask of line indices) of c, its order
+    (s, t) or its first failing axiom, all w at once: bit a of a lane mask
+    stands for restrictions[a], and bit i*w + a of a wide mask for point i
+    in lane a.  A lane's degrees and adjacency come from its own lines."""
+    if len(restrictions) > 64:
+        return _gq_order(c, restrictions[:64]) + _gq_order(c, restrictions[64:])
+    lines, line_points, n, w = c.lines, c.line_points, len(c.labels), len(restrictions)
+    row = [1 << w * i for i in range(n)]
+    point_lanes = sum(map(mul, _lanes([points for points, _ in restrictions], n), row))
+    line_lanes = _lanes([kept for _, kept in restrictions], len(lines))
+    filled = _fold(point_lanes, w, n) & reduce(or_, line_lanes, 0)
+    fails = {"nonempty": (1 << w) - 1 ^ filled}  # axiom -> its failing lanes, in axiom order
+    sized: dict[int, int] = {}  # line size -> the lanes that keep a line of that size
+    for line, lanes in zip(lines, line_lanes):
+        sized[len(line)] = sized.get(len(line), 0) | lanes
+    fails["uniform line size"] = reduce(or_, (x & y for x, y in combinations(sized.values(), 2)), 0)
+
+    # per line, the rows of its points in its lanes; the degrees add them
+    # up, and once more each point a line names again
+    on_line = [
+        reduce(or_, map(row.__getitem__, line), 0) * lanes for line, lanes in zip(lines, line_lanes)
+    ]
+    repeats = sum(map(len, lines)) != sum(map(int.bit_count, line_points))
+    namings = on_line + [
+        lanes * row[i]
+        for line, lanes in zip(lines, line_lanes) if repeats
+        for k, i in enumerate(line) if i in line[:k]
+    ]
+    counts: list[int] = []  # bit-sliced: bit b of each degree is in counts[b]
+    for carry in namings:
+        b = 0
+        while carry:
+            if b == len(counts):
+                counts.append(0)
+            counts[b], carry = counts[b] ^ carry, counts[b] & carry
+            b += 1
+    with_bit = [_fold(point_lanes & plane, w, n) for plane in counts]
+    mixed = [has & _fold(point_lanes & ~plane, w, n) for has, plane in zip(with_bit, counts)]
+    fails["uniform point degree"] = reduce(or_, mixed, 0)
+
+    # both "share two points" axioms hold on the whole of c, and so in every
+    # lane, unless two lines share two points or a line names a point twice
+    fails["at most one joining line"] = fails["at most one common point"] = 0
+    if repeats or sum(m * (m - 1) for m in map(int.bit_count, line_points)) != sum(c.degrees):
+        for axiom, j, k, _ in _line_pair_faults(c):
+            fails[axiom] |= line_lanes[j] & line_lanes[k]
+
+    # bit-sliced counters over each line's points as written: the points of
+    # its lanes off it that have not exactly one neighbour on it
+    near = [0] * n  # point q -> per lane, the rows of q and its neighbours
+    for line, wide in zip(lines, on_line):
+        for q in line:
+            near[q] |= wide
+    off, on_rows = 0, sum(row)
+    for line, wide, lanes in zip(lines, on_line, line_lanes):
         ones = twos = 0
         for q in line:
-            twos |= ones & adjacency[q]
-            ones |= adjacency[q]
-        off_by.append(points & ~line_points[j] & (~ones | twos))
-        offenders |= off_by[-1]
-    if offenders:
-        i = (offenders & -offenders).bit_length() - 1
-        j = next(j for j, mask in enumerate(off_by) if mask >> i & 1)
-        hits = sum(1 for q in lines[j] if adjacency[i] >> q & 1)
-        raise AxiomViolationError(
-            "unique perpendicular", f"point {labels[i]}, line {written(j)}, {hits} connections"
-        )
-    return (s, t)
+            twos |= ones & near[q]
+            ones |= near[q]
+        off |= point_lanes & (on_rows * lanes ^ wide) & (~ones | twos)
+    fails["unique perpendicular"] = _fold(off, w, n)
+
+    failing = reduce(or_, fails.values())
+    degrees = rows(transpose(pack(with_bit)))  # bit b of entry a: bit a of with_bit[b]
+    return [
+        next(axiom for axiom, lanes in fails.items() if lanes >> a & 1)
+        if failing >> a & 1
+        else (len(lines[(kept & -kept).bit_length() - 1]) - 1, degrees[a] - 1)
+        for a, (_, kept) in enumerate(restrictions)
+    ]
+
+
+def _line_pair_faults(c: CompiledStructure) -> Iterator[tuple[str, int, int, str]]:
+    """(axiom, j, k, witness) for lines j <= k of c that name one ordered pair
+    (j = k if one line names it twice), then for lines j < k that share two
+    points, in scan order."""
+    written = [tuple(c.labels[i] for i in line) for line in c.lines]
+    named: dict[tuple[int, int], list[int]] = {}  # (a, b) -> the lines naming a before b
+    for k, line in enumerate(c.lines):
+        for i, a in enumerate(line):
+            for b in line[i + 1 :]:
+                for j in named.setdefault((a, b), []):
+                    yield "at most one joining line", j, k, f"points {c.labels[a]}, {c.labels[b]}"
+                named[a, b].append(k)
+    for j, k in combinations(range(len(c.lines)), 2):
+        if (c.line_points[j] & c.line_points[k]).bit_count() > 1:
+            yield "at most one common point", j, k, f"lines {written[j]}, {written[k]}"
 
 
 @cache
@@ -236,31 +300,6 @@ def quadric_to_matrix_map() -> dict[str, str]:
     """The translation itself, as a label map from the matrix model onto the
     quadric model."""
     return {label_of(x): bits6(coordinates()[x ^ SYM_IDENTITY]) for x in atlas().points}
-
-
-def _reject_non_points(x: int, y: int) -> None:
-    for m in (x, y):
-        try:
-            cls = classify(m)
-        except NotInvertibleError as exc:
-            raise NotInSError(f"matrix {m:06b} is singular") from exc
-        if cls is MatrixClass.IDENTITY:
-            raise NotInSError("the identity is not a quadrangle point")
-
-
-def collinear_matrices(x: int, y: int) -> bool:
-    """Collinearity of two distinct quadrangle matrices.
-
-    Criterion: the polar form of the translated coordinate vectors vanishes,
-    equivalently det(X+Y) + det(X+1) + det(Y+1) = 0.
-    """
-    labels = atlas().labels
-    if x not in labels or y not in labels:
-        _reject_non_points(x, y)
-    if x == y:
-        raise ValueError("collinearity is defined for distinct points")
-    coords = coordinates()
-    return not polar_column(coords[y ^ SYM_IDENTITY]) >> coords[x ^ SYM_IDENTITY] & 1
 
 
 def pair_label(i: int, j: int) -> str:
@@ -458,22 +497,19 @@ def _sections(axes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """(axis, points, lines) of the quadric section by the hyperplane of each
     axis: the point mask of the quadric points perpendicular to the axis,
     and the mask of the quadric model's compiled lines inside them, bit j
-    for line j.  As in lines_in, those are the lines that no per-point
-    incidence mask of a quadric point off the section hits."""
+    for line j.  The transposed point masks give each vector its sections,
+    and the AND of those of a line's points the sections that keep it."""
     quad = elliptic_quadric()
     c = compile_structure(build_quadric_quadrangle())
     vectors = [parse_bits6(label) for label in c.labels]
-    through = [0] * 64  # bit j of through[v]: c.lines[j] holds the vector v
-    for j, line in enumerate(c.lines):
-        for i in line:
-            through[vectors[i]] |= 1 << j
-    every = (1 << len(c.lines)) - 1
-    for axis in axes:
-        inside = quad & perp_hyperplane(axis)
-        hit = 0
-        for v in bit_indices(quad & ~inside):
-            hit |= through[v]
-        yield axis, inside, every & ~hit
+    axes = list(axes)
+    for low in range(0, len(axes), 64):
+        chunk = axes[low : low + 64]
+        inside = [quad & perp_hyperplane(axis) for axis in chunk]
+        by_vector = rows(transpose(pack(inside)))
+        lanes = [by_vector[v] for v in vectors]
+        kept = rows(transpose(pack([lanes[x] & lanes[y] & lanes[z] for x, y, z in c.lines])))
+        yield from zip(chunk, inside, kept)
 
 
 def quadric_section(axis: int) -> IncidenceStructure:
@@ -490,36 +526,31 @@ def hyperplane_section_survey() -> SurveySummary:
     Each section is decided on the quadric model's compiled lines inside
     it, its adjacency read from those lines alone.  It is "tangent" if it
     is a cone, 11 points on 5 lines through the axis, and "gq22" if its 15
-    points and 15 lines pass the (2,2) axioms.  all_gq22_pass is False if
-    an axis off the quadric does not cut a "gq22" section.
+    points and 15 lines pass the (2,2) axioms, all such candidates in one
+    call of the axiom core.  all_gq22_pass is False if an axis off the
+    quadric does not cut a "gq22" section.
     """
     quad = elliptic_quadric()
     c = compile_structure(build_quadric_quadrangle())
+    found = list(_sections(range(1, 64)))
+    # per section, the mask of the quadric point indices it holds
+    by_vector = rows(transpose(pack([inside for _, inside, _ in found])))
+    held = rows(transpose(pack([by_vector[parse_bits6(label)] for label in c.labels])))
+    sizes = [(inside.bit_count(), kept.bit_count()) for _, inside, kept in found]
+    candidates = [a for a, size in enumerate(sizes) if size == (15, 15)]
+    orders = dict(zip(candidates, _gq_order(c, [(held[a], found[a][2]) for a in candidates])))
     sections = []
-    all_pass = True
-    for axis, inside, kept in _sections(range(1, 64)):
-        name, ids = bits6(axis), bit_indices(kept)
-        n_points, n_lines = inside.bit_count(), len(ids)
-        masks = tuple([c.line_points[j] for j in ids])
-        on_lines, common = 0, -1
-        for mask in masks:
-            on_lines |= mask
-            common &= mask
-        kind = "neither"
-        if on_lines.bit_count() == n_points == 11 and n_lines == 5:
+    for a, ((axis, _, kept), (n_points, n_lines)) in enumerate(zip(found, sizes)):
+        name, kind = bits6(axis), "gq22" if orders.get(a) == (2, 2) else "neither"
+        if n_points == 11 and n_lines == 5:
+            masks = [c.line_points[j] for j in bit_indices(kept)]
+            common = reduce(and_, masks)
             # all 11 points on the 5 lines, whose one common point is the axis
-            if common.bit_count() == 1 and c.labels[common.bit_length() - 1] == name:
-                kind = "tangent"
-        elif on_lines.bit_count() == n_points == 15 and n_lines == 15:
-            lines = tuple([c.lines[j] for j in ids])
-            try:
-                if _gq_order(_from_masks(name, c.labels, lines, masks), on_lines) == (2, 2):
-                    kind = "gq22"
-            except AxiomViolationError:
-                pass
-        if kind != "gq22" and not quad >> axis & 1:
-            all_pass = False
+            if reduce(or_, masks).bit_count() == 11 and common.bit_count() == 1:
+                if c.labels[common.bit_length() - 1] == name:
+                    kind = "tangent"
         sections.append(HyperplaneSection(name, kind, n_points, n_lines))
+    all_pass = all(s.kind == "gq22" or quad >> parse_bits6(s.axis) & 1 for s in sections)
     kinds = [section.kind for section in sections]
     return SurveySummary(kinds.count("tangent"), kinds.count("gq22"), tuple(sections), all_pass)
 

@@ -46,7 +46,6 @@ from gqlab.quadrangle import (
     build_double_six_model,
     build_matrix_quadrangle,
     build_quadric_quadrangle,
-    collinear_matrices,
     collinearity,
     doily_substructure,
     find_isomorphism,
@@ -55,6 +54,7 @@ from gqlab.quadrangle import (
     verify_gq_axioms,
     verify_isomorphism,
 )
+from test_quadrangle import collinear_matrices
 
 
 def _passed(n: int, text: str) -> None:

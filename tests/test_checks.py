@@ -153,7 +153,7 @@ def _pairwise_polar_mismatches():
     pg = gqlab.pg
     bad = 0
     for m in gqlab.atlas.enumerate_invertible_symmetric():
-        values = [pg.elliptic_form_at(m, v) if v else 0 for v in range(64)]
+        values = [pg.elliptic_table(m) >> v & 1 if v else 0 for v in range(64)]
         for x in range(64):
             for y in range(64):
                 bad += values[x ^ y] ^ values[x] ^ values[y] != pg.polar_form(x, y)
@@ -173,7 +173,7 @@ def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_f
     monkeypatch.setattr(
         gqlab.pg, "polar_form", lambda x, y: polar_form(x, y) ^ ((x, y) in polar_flips)
     )
-    # elliptic_form_at reads the table, so the reference below sees the same flips
+    # the reference below reads the table, so it sees the same flips
     monkeypatch.setattr(
         gqlab.pg,
         "elliptic_table",
@@ -334,7 +334,7 @@ def test_singer_cycles_fails_on_one_wrong_fano_action(monkeypatch, faulty, wante
 
 @pytest.mark.parametrize(
     "plane, maps_ok",
-    [(gqlab.planes.PLANE_DIAGONAL, True), (None, False)],
+    [(gqlab.planes.PLANE_DIAGONAL, False), (None, False)],
     ids=["distinguished-plane", "family-plane"],
 )
 def test_collineation_fails_on_one_perturbed_image(monkeypatch, plane, maps_ok):
@@ -350,6 +350,24 @@ def test_collineation_fails_on_one_perturbed_image(monkeypatch, plane, maps_ok):
     assert not report.passed
     assert report.actual == (
         f"maps (X|1) to (UXU|1) {maps_ok}, preserves intersection dimensions False"
+    )
+
+
+def test_collineation_sees_two_points_of_a_distinguished_plane_merged(monkeypatch):
+    # the blocks of U1 send 000010 to the image of 000001; both points lie
+    # on (0|1), which is skew to the other 29 planes, so every meet count
+    # stays the same and only the image of (0|1) itself shows the fault
+    u1 = gqlab.atlas.matrix_of("U1")
+    block_collineation = gqlab.planes._block_collineation
+
+    def merged(u):
+        image = block_collineation(u)
+        return image[:2] + image[1:2] + image[3:] if u == u1 else image
+
+    monkeypatch.setattr(gqlab.planes, "_block_collineation", merged)
+    report = _single_report("sec5.collineation")
+    assert report.actual == (
+        "maps (X|1) to (UXU|1) False, preserves intersection dimensions True"
     )
 
 

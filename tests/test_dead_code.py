@@ -11,6 +11,7 @@ body, is reached through its decorator.
 
 import ast
 import re
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,12 +56,13 @@ def _names_used(tree: ast.AST) -> set[str]:
     return used
 
 
-def _references() -> set[str]:
+@cache
+def _references() -> frozenset[str]:
     used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     for folder in ("src", "tests", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             used |= _names_used(ast.parse(path.read_text()))
-    return used
+    return frozenset(used)
 
 
 def test_every_public_definition_is_referenced():

@@ -13,7 +13,6 @@ from gqlab.pg import (
     bit_indices,
     coordinates,
     det_table,
-    elliptic_form_at,
     elliptic_matrix_points,
     elliptic_matrix_points_at,
     elliptic_quadric,
@@ -28,6 +27,7 @@ from gqlab.pg import (
     lines_through,
     matrix_lines_through,
     minor_coordinates,
+    pack,
     perp_hyperplane,
     pg_lines,
     pg_planes,
@@ -38,15 +38,26 @@ from gqlab.pg import (
     polar_form,
     projective_index,
     quadric_points,
+    rows,
     tangent_matrix_lines_at_identity,
     translate_mask,
     translates,
+    transpose,
     value_table,
 )
 from gqlab.planes import PLANE_DIAGONAL, PLANE_LEFT, PLANE_RIGHT, plane_of
 
 D1 = parse_bits6("001100")
 U1 = parse_bits6("111100")
+
+
+def elliptic_form_at(m, v):
+    """Member Q_M of the 28-form family at the vector v, read from its value
+    table; Q is Q_1.  The tests' reference reader of elliptic_table."""
+    table = gqlab.pg.elliptic_table(m)
+    if not 0 <= v < 64:
+        require_sym(v)
+    return table >> v & 1
 
 
 def elliptic_form_sym_at(m, x):
@@ -430,6 +441,38 @@ def test_translate_mask_matches_pointwise_translation(seed):
             wanted = sum((mask >> (x ^ m) & 1) << x for x in range(64))
             assert translate_mask(mask, m) == wanted
             assert every[m] == wanted
+
+
+def _transposed_per_bit(matrix):
+    """The per-bit definition: bit x of row y of the transpose is bit y of row x."""
+    return [sum((matrix[x] >> y & 1) << x for x in range(64)) for y in range(64)]
+
+
+def test_transpose_matches_the_per_bit_definition():
+    rng = random.Random(7)
+    matrices = [[rng.getrandbits(64) for _ in range(64)] for _ in range(8)]
+    identity = [1 << y for y in range(64)]
+    for matrix in matrices + [identity]:
+        flipped = transpose(pack(matrix))
+        assert 0 <= flipped < 1 << 4096
+        assert list(rows(flipped)) == _transposed_per_bit(matrix)
+    assert transpose(pack(identity)) == pack(identity)
+    assert transpose(0) == 0
+    # every single bit: bit x of row y goes to bit y of row x
+    for y in range(64):
+        for x in range(64):
+            assert transpose(1 << 64 * y + x) == 1 << 64 * x + y
+
+
+def test_pack_and_rows_round_trip():
+    rng = random.Random(64)
+    matrix = [rng.getrandbits(64) for _ in range(64)]
+    packed = pack(matrix)
+    assert [packed >> 64 * y & (1 << 64) - 1 for y in range(64)] == matrix
+    assert rows(packed) == tuple(matrix)
+    # fewer rows pack into fewer bits, and read back as zero rows
+    assert pack(matrix[:5]) == packed & (1 << 320) - 1
+    assert rows(pack(matrix[:5])) == tuple(matrix[:5]) + (0,) * 59
 
 
 def _pointwise(form):

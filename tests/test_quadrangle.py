@@ -5,16 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from gqlab.atlas import atlas, label_of, matrix_of
-from gqlab.gf2 import SYM_IDENTITY, bits6, sym_det
+from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of, matrix_of
+from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, sym_det
 from gqlab.pg import (
     ALL_ONES,
     bit_indices,
+    coordinates,
     elliptic_quadric,
     from_minor_coordinates,
     lines_in,
     minor_coordinates,
     perp_hyperplane,
+    polar_column,
 )
 from gqlab.planes import build_plane_model
 from gqlab.quadrangle import (
@@ -22,12 +24,12 @@ from gqlab.quadrangle import (
     AxiomViolationError,
     HyperplaneSection,
     IncidenceStructure,
-    NotInSError,
     SurveySummary,
+    _gq_order,
+    _sections,
     build_double_six_model,
     build_matrix_quadrangle,
     build_quadric_quadrangle,
-    collinear_matrices,
     collinearity,
     collinearity_graph_edges,
     compile_structure,
@@ -42,6 +44,36 @@ from gqlab.quadrangle import (
     verify_gq_axioms,
     verify_isomorphism,
 )
+
+
+class NotInSError(ValueError):
+    """Argument is singular or the identity, hence not a quadrangle point."""
+
+
+def _reject_non_points(x, y):
+    for m in (x, y):
+        try:
+            cls = classify(m)
+        except NotInvertibleError as exc:
+            raise NotInSError(f"matrix {m:06b} is singular") from exc
+        if cls is MatrixClass.IDENTITY:
+            raise NotInSError("the identity is not a quadrangle point")
+
+
+def collinear_matrices(x, y):
+    """Collinearity of two distinct quadrangle matrices, kept as the tests'
+    reference for the models' collinearity laws.
+
+    Criterion: the polar form of the translated coordinate vectors vanishes,
+    equivalently det(X+Y) + det(X+1) + det(Y+1) = 0.
+    """
+    labels = atlas().labels
+    if x not in labels or y not in labels:
+        _reject_non_points(x, y)
+    if x == y:
+        raise ValueError("collinearity is defined for distinct points")
+    coords = coordinates()
+    return not polar_column(coords[y ^ SYM_IDENTITY]) >> coords[x ^ SYM_IDENTITY] & 1
 
 
 def grid_gq21():
@@ -206,6 +238,12 @@ def test_collinear_matrices_rejects_non_points():
             with pytest.raises(NotInSError) as raised:
                 collinear_matrices(*args)
             assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("x", [64 + matrix_of("U1"), -1], ids=["64+U1", "-1"])
+def test_collinear_matrices_rejects_packed_matrices_outside_0_63(x):
+    with pytest.raises(ValueError, match="0..63"):
+        collinear_matrices(x, matrix_of("D1"))
 
 
 def test_collinearity_agrees_with_lines():
@@ -762,3 +800,94 @@ def test_quadric_section_matches_reference():
     for axis in (0, -1, 64, 1 << 70):
         with pytest.raises(ValueError, match="1..63"):
             quadric_section(axis)
+
+
+def _reference_sections(axes):
+    """_sections as a walk per axis: a quadric line is kept unless a quadric
+    point off the section lies on it."""
+    quad = elliptic_quadric()
+    c = compile_structure(build_quadric_quadrangle())
+    vectors = [parse_bits6(label) for label in c.labels]
+    through = [0] * 64  # bit j of through[v]: c.lines[j] holds the vector v
+    for j, line in enumerate(c.lines):
+        for i in line:
+            through[vectors[i]] |= 1 << j
+    every = (1 << len(c.lines)) - 1
+    for axis in axes:
+        inside = quad & perp_hyperplane(axis)
+        hit = 0
+        for v in bit_indices(quad & ~inside):
+            hit |= through[v]
+        yield axis, inside, every & ~hit
+
+
+def test_sections_match_the_walk_per_axis():
+    axes = list(range(1, 64))
+    assert list(_sections(axes)) == list(_reference_sections(axes))
+    # more than 64 axes take more than one pass
+    assert list(_sections(axes[::-1] * 2)) == list(_reference_sections(axes[::-1] * 2))
+
+
+def _section_points(c):
+    """Per section: the mask of the point indices of c inside it, and their labels."""
+    index = {parse_bits6(label): i for i, label in enumerate(c.labels)}
+    out = []
+    for _, inside, _ in _sections(range(1, 64)):
+        ids = [index[v] for v in bit_indices(inside)]
+        out.append((sum(1 << i for i in ids), tuple(c.labels[i] for i in ids)))
+    return out
+
+
+def _restricted_to_sections(c, sections):
+    """Per section, the restriction of c to its points and the lines of c
+    inside them, as the core takes it and as a structure with the lines as
+    written."""
+    written = [tuple(c.labels[i] for i in line) for line in c.lines]
+    restrictions, structures = [], []
+    for points, labels in sections:
+        ids = [j for j, mask in enumerate(c.line_points) if not mask & ~points]
+        restrictions.append((points, sum(1 << j for j in ids)))
+        structures.append(IncidenceStructure(c.name, labels, tuple(written[j] for j in ids)))
+    return restrictions, structures
+
+
+def _reference_lane(inc, seen):
+    """What a lane should read for inc: the reference order, or its failing
+    axiom; seen keeps those already found."""
+    if inc not in seen:
+        outcome = _axiom_outcome(_reference_verify_gq_axioms, inc)
+        seen[inc] = outcome if isinstance(outcome[0], int) else outcome[0]
+    return seen[inc]
+
+
+def test_gq_order_lanes_match_reference_on_sections():
+    c = compile_structure(build_quadric_quadrangle())
+    restrictions, structures = _restricted_to_sections(c, _section_points(c))
+    lanes = _gq_order(c, restrictions)
+    assert sorted(map(str, lanes)) == ["(2, 2)"] * 36 + ["uniform point degree"] * 27
+    assert lanes == [_reference_lane(inc, {}) for inc in structures]
+    # more than 64 restrictions take more than one pass
+    assert _gq_order(c, restrictions * 2) == lanes * 2
+
+
+def test_gq_order_lanes_match_reference_on_random_swaps():
+    # each swapped quadric model restricted by every section, in one call;
+    # a swap may repeat a point in a line or unsort a line
+    rng = random.Random(2026)
+    base = build_quadric_quadrangle()
+    sections = _section_points(compile_structure(base))
+    seen, outcomes = {}, set()
+    for _ in range(200):
+        lines = [list(line) for line in base.lines]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(len(lines)), 2)
+            a, b = rng.randrange(3), rng.randrange(3)
+            lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
+            if rng.random() < 0.5:
+                rng.shuffle(lines[i])
+        c = compile_structure(IncidenceStructure("swapped", base.points, tuple(map(tuple, lines))))
+        restrictions, structures = _restricted_to_sections(c, sections)
+        for inc, lane in zip(structures, _gq_order(c, restrictions)):
+            assert lane == _reference_lane(inc, seen)
+            outcomes.add(lane if isinstance(lane, str) else "order")
+    assert len(outcomes) >= 4
