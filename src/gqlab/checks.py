@@ -317,8 +317,8 @@ def _by_matrix(tables: Iterable[int]) -> list[int]:
     are transposed, their rows permuted by coordinates() and transposed back."""
     tables, out = list(tables), []
     for low in range(0, len(tables), 64):
-        by_vector = pg.rows(pg.transpose(pg.pack(tables[low : low + 64])))
-        moved = pg.rows(pg.transpose(pg.pack([by_vector[v] for v in pg.coordinates()])))
+        by_vector = pg.transposed(tables[low : low + 64])
+        moved = pg.transposed([by_vector[v] for v in pg.coordinates()])
         out += moved[: len(tables) - low]
     return out
 
@@ -775,18 +775,28 @@ def _check_collineation() -> str:
         # points shared by each pair of planes, one count per meet dimension
         return [(p & q).bit_count() for i, p in enumerate(planes) for q in planes[i + 1 :]]
 
-    before = meets(all_planes)
+    # |p_i cap p_j| counts the vectors whose holder row has bits i and j, so
+    # equal sorted holder rows mean equal meet counts for every pair
+    holders = sorted(pg.transposed(all_planes))
+    x_lanes = to_lanes(sym_to_mat(x) for x in points)
     maps_ok = dims_ok = True
     for u in group:
         # each (u, plane) image is computed once and serves both claims;
         # (U, U^-1) fixes (1|0) and (0|1) and sends (1|1) to (UU|1)
-        images = [planes_mod.collineation_action(u, p) for p in all_planes]
+        images = planes_mod.collineation_action(u, all_planes)
         um = sym_to_mat(u)
-        wanted = [planes_mod.plane_of(planes_mod.conjugate(u, x)) for x in points]
+        u_lanes = broadcast_lanes(um, len(points))
+        uxu = lanes_mul(lanes_mul(u_lanes, x_lanes), u_lanes)
+        if asymmetric := asymmetric_lanes(uxu):
+            mat_to_sym(lane_matrix(uxu, (asymmetric & -asymmetric).bit_length() - 1))
+        # the upper-triangle entry lanes, transposed, are the packed UXU
+        conjugates = pg.transposed([uxu[8], uxu[5], uxu[4], uxu[2], uxu[1], uxu[0]])
+        wanted = [planes_mod.plane_of(s) for s in conjugates[: len(points)]]
         wanted += [planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT]
         wanted.append(planes_mod.plane_of(mat_to_sym(mat_mul(um, um))))
-        maps_ok &= images == wanted
-        dims_ok &= meets(images) == before
+        maps_ok &= list(images) == wanted
+        if sorted(pg.transposed(images)) != holders:
+            dims_ok &= meets(list(images)) == meets(all_planes)
     return f"maps (X|1) to (UXU|1) {maps_ok}, preserves intersection dimensions {dims_ok}"
 
 

@@ -47,8 +47,8 @@ value table ``elliptic_table(m)``.  The paper's form Q is Q_1, the identity
 member, since ``ALL_ONES`` is ``coordinates()[SYM_IDENTITY]``.
 
 A 64x64 bit matrix, such as 64 point masks, is packed into one 4096-bit int
-with row ``y`` at bits 64y..64y+63 (``pack``, ``rows``); ``transpose`` turns
-64 masks into one mask per bit position, with one bit per mask.
+with row ``y`` at bits 64y..64y+63 (``pack``, ``rows``); ``transpose`` and its
+rows, ``transposed``, turn 64 masks into one mask per bit position, one bit per mask.
 """
 
 from __future__ import annotations
@@ -173,6 +173,13 @@ def transpose(packed: int) -> int:
         swap = (packed ^ packed >> delta) & mask
         packed ^= swap ^ swap << delta
     return packed
+
+
+def transposed(entries: Sequence[int]) -> tuple[int, ...]:
+    """rows(transpose(pack(entries))) for at most 64 entries; ValueError on more."""
+    if len(entries) > 64:
+        raise ValueError(f"a 64x64 bit matrix has at most 64 rows, got {len(entries)}")
+    return rows(transpose(pack(entries)))
 
 
 def translate_mask(table: int, m: int) -> int:

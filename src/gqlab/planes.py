@@ -14,15 +14,15 @@ reads.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Iterable, NamedTuple, Sequence
 
 from gqlab.atlas import MatrixClass, WrongClassError, atlas, classify, label_key, label_of, opposite
 from gqlab.gf2 import (
     SYM_IDENTITY,
     bits6,
-    det3,
     inverse3,
     mat_mul,
     mat_rank,
@@ -33,7 +33,7 @@ from gqlab.gf2 import (
     rref,
     sym_to_mat,
 )
-from gqlab.pg import bit_indices, minor_coordinates, pack, point_mask, rows, translates, transpose
+from gqlab.pg import bit_indices, minor_coordinates, point_mask, translates, transposed
 from gqlab.quadrangle import IncidenceStructure, make_structure, triangles
 
 Plane = int
@@ -92,8 +92,11 @@ def is_skew(p: Plane, q: Plane) -> bool:
 
 
 def meet_rows(planes: Sequence[Plane]) -> list[int]:
-    """Bit j of entry i is set iff planes[i] and planes[j] meet."""
-    return [point_mask(j for j, q in enumerate(planes) if p & q) for p in planes]
+    """Bit j of entry i is set iff planes[i] and planes[j] meet, for up to 64
+    planes: the OR of the transposed rows of plane i's points, bit j of the
+    row of point v set iff planes[j] holds v."""
+    holders = transposed(planes)
+    return [reduce(or_, [holders[v] for v in bit_indices(p)], 0) for p in planes]
 
 
 def symplectic_product(r1: int, r2: int) -> int:
@@ -128,21 +131,23 @@ def spread(tag: str) -> tuple[Plane, ...]:
     return (PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL) + class_planes(tag)
 
 
-def plane_minor(rows: tuple[int, int, int], cols: tuple[int, int, int]) -> int:
-    """3x3 minor of a 3x6 matrix at the given columns (0-based from the left)."""
-    r0, r1, r2 = rows
-    a, b, c = 5 - cols[0], 5 - cols[1], 5 - cols[2]
-    return det3(
-        (r0 >> a & 1) << 8 | (r0 >> b & 1) << 7 | (r0 >> c & 1) << 6
-        | (r1 >> a & 1) << 5 | (r1 >> b & 1) << 4 | (r1 >> c & 1) << 3
-        | (r2 >> a & 1) << 2 | (r2 >> b & 1) << 1 | r2 >> c & 1
-    )
+def minor_lanes(row_sets: Sequence[tuple[int, int, int]]) -> dict[tuple[int, int, int], int]:
+    """Column triple (0-based from the left) -> its 3x3 minor of up to 64 3x6
+    matrices, bit k for the rows row_sets[k].  Packed as r0 << 12 | r1 << 6 | r2
+    and transposed, entry (r, c) of every matrix is lane 6 * (2 - r) + 5 - c."""
+    lanes = transposed([r0 << 12 | r1 << 6 | r2 for r0, r1, r2 in row_sets])
+    out = {}
+    for cols in COLUMN_TRIPLES:
+        (a, b, c), (d, e, f), (g, h, i) = ([lanes[at + 5 - k] for k in cols] for at in (12, 6, 0))
+        out[cols] = a & (e & i ^ f & h) ^ b & (d & i ^ f & g) ^ c & (d & h ^ e & g)
+    return out
 
 
 def minor_profiles() -> dict[tuple[int, int, int], tuple[int, ...]]:
     """Column triple -> the minor of (X|1) as a function of the 27 matrices."""
-    rows = [raw_plane_rows(sym_to_mat(x)) for x in atlas().points]
-    return {cols: tuple(plane_minor(r, cols) for r in rows) for cols in COLUMN_TRIPLES}
+    points = atlas().points
+    lanes = minor_lanes([raw_plane_rows(sym_to_mat(x)) for x in points])
+    return {cols: tuple(lane >> k & 1 for k in range(len(points))) for cols, lane in lanes.items()}
 
 
 def plucker_unique_triples(
@@ -202,17 +207,18 @@ def _block_collineation(u: int) -> tuple[int, ...]:
     return tuple(lv | rw for lv in left for rw in right)
 
 
-def collineation_action(u: int, p: Plane) -> Plane:
-    """Image of a plane under the block-diagonal collineation (U, U^-1)."""
-    if p < 0:
-        raise ValueError(f"a plane is a nonnegative point mask, got {p}")
+def collineation_action(u: int, planes: Sequence[Plane]) -> tuple[Plane, ...]:
+    """Images of up to 64 planes under the block-diagonal collineation (U, U^-1):
+    the transposed planes give each vector v its lane of the planes holding
+    it, and that lane moves to the row of v's image before the transpose back."""
+    low = min(planes, default=0)
+    if low < 0:
+        raise ValueError(f"a plane is a nonnegative point mask, got {low}")
     image = _block_collineation(u)
-    out = 0
-    while p:
-        low = p & -p
-        out |= 1 << image[low.bit_length() - 1]
-        p ^= low
-    return out
+    moved = [0] * 64
+    for target, lane in zip(image, transposed(planes)):
+        moved[target] |= lane
+    return transposed(moved)[: len(planes)]
 
 
 class MeetProfile(NamedTuple):
@@ -287,7 +293,7 @@ def rank_meet_identity_holds() -> bool:
     ranks = [mat_rank(sym_to_mat(s)) for s in range(64)]
     # within[r][x]: bit y set iff rank(x + y) <= r
     within = [translates(point_mask(s for s in range(64) if ranks[s] <= r)) for r in range(3)]
-    holders = rows(transpose(pack([plane_of(y) for y in range(64)])))
+    holders = transposed([plane_of(y) for y in range(64)])
     points = [bit_indices(plane_of(x)) for x in range(64)]
     for x, on in enumerate(points):
         c0 = c1 = c2 = c3 = 0

@@ -43,12 +43,10 @@ from gqlab.pg import (
     det_table,
     elliptic_quadric,
     lines_in,
-    pack,
     perp_hyperplane,
     point_mask,
-    rows,
     translate_mask,
-    transpose,
+    transposed,
 )
 
 
@@ -160,7 +158,7 @@ def _lanes(masks: Sequence[int], n: int) -> list[int]:
     """Bit a of entry i is bit i of masks[a], for i < n; at most 64 masks."""
     out: list[int] = []
     for low in range(0, n, 64):
-        out += rows(transpose(pack([mask >> low & _ALL_64 for mask in masks])))
+        out += transposed([mask >> low & _ALL_64 for mask in masks])
     return out[:n]
 
 
@@ -238,7 +236,7 @@ def _gq_order(
     fails["unique perpendicular"] = _fold(off, w, n)
 
     failing = reduce(or_, fails.values())
-    degrees = rows(transpose(pack(with_bit)))  # bit b of entry a: bit a of with_bit[b]
+    degrees = transposed(with_bit)  # bit b of entry a: bit a of with_bit[b]
     return [
         next(axiom for axiom, lanes in fails.items() if lanes >> a & 1)
         if failing >> a & 1
@@ -506,9 +504,9 @@ def _sections(axes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     for low in range(0, len(axes), 64):
         chunk = axes[low : low + 64]
         inside = [quad & perp_hyperplane(axis) for axis in chunk]
-        by_vector = rows(transpose(pack(inside)))
+        by_vector = transposed(inside)
         lanes = [by_vector[v] for v in vectors]
-        kept = rows(transpose(pack([lanes[x] & lanes[y] & lanes[z] for x, y, z in c.lines])))
+        kept = transposed([lanes[x] & lanes[y] & lanes[z] for x, y, z in c.lines])
         yield from zip(chunk, inside, kept)
 
 
@@ -534,8 +532,8 @@ def hyperplane_section_survey() -> SurveySummary:
     c = compile_structure(build_quadric_quadrangle())
     found = list(_sections(range(1, 64)))
     # per section, the mask of the quadric point indices it holds
-    by_vector = rows(transpose(pack([inside for _, inside, _ in found])))
-    held = rows(transpose(pack([by_vector[parse_bits6(label)] for label in c.labels])))
+    by_vector = transposed([inside for _, inside, _ in found])
+    held = transposed([by_vector[parse_bits6(label)] for label in c.labels])
     sizes = [(inside.bit_count(), kept.bit_count()) for _, inside, kept in found]
     candidates = [a for a, size in enumerate(sizes) if size == (15, 15)]
     orders = dict(zip(candidates, _gq_order(c, [(held[a], found[a][2]) for a in candidates])))

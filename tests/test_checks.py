@@ -341,11 +341,15 @@ def test_collineation_fails_on_one_perturbed_image(monkeypatch, plane, maps_ok):
     at = gqlab.atlas.atlas()
     u, p = at.u[1], plane or gqlab.planes.plane_of(at.d[4])
     collineation_action = gqlab.planes.collineation_action
-    monkeypatch.setattr(
-        gqlab.planes,
-        "collineation_action",
-        lambda v, q: gqlab.planes.PLANE_LEFT if (v, q) == (u, p) else collineation_action(v, q),
-    )
+
+    def perturbed(v, planes):
+        images = collineation_action(v, planes)
+        if v != u:
+            return images
+        k = planes.index(p)
+        return images[:k] + (gqlab.planes.PLANE_LEFT,) + images[k + 1 :]
+
+    monkeypatch.setattr(gqlab.planes, "collineation_action", perturbed)
     report = _single_report("sec5.collineation")
     assert not report.passed
     assert report.actual == (
@@ -371,6 +375,51 @@ def test_collineation_sees_two_points_of_a_distinguished_plane_merged(monkeypatc
     )
 
 
+def _plant_vector_map(monkeypatch, u, plant):
+    block_collineation = gqlab.planes._block_collineation
+
+    def planted(v):
+        image = block_collineation(v)
+        return tuple(plant(list(image))) if v == u else image
+
+    monkeypatch.setattr(gqlab.planes, "_block_collineation", planted)
+
+
+def test_collineation_sees_two_swapped_images_through_the_planes_alone(monkeypatch):
+    # the blocks of V2 trade the images of 100000 on (1|0) and 000001 on
+    # (0|1): the vector map stays a bijection, so the holder rows are only
+    # permuted and every meet count is kept, but (1|0) and (0|1) move
+    def swapped(image):
+        image[0b100000], image[0b000001] = image[0b000001], image[0b100000]
+        return image
+
+    _plant_vector_map(monkeypatch, gqlab.atlas.matrix_of("V2"), swapped)
+    report = _single_report("sec5.collineation")
+    assert report.actual == (
+        "maps (X|1) to (UXU|1) False, preserves intersection dimensions True"
+    )
+
+
+def test_collineation_sees_two_points_of_meeting_family_planes_merged(monkeypatch):
+    # the blocks of U3 send a point of (D1|1) to the image of a point of
+    # (D2|1), and the two planes meet, so some meet count changes
+    at = gqlab.atlas.atlas()
+    d1, d2 = (gqlab.planes.plane_of(at.by_label[label]) for label in ("D1", "D2"))
+    assert d1 & d2
+    a = (d1 & ~d2 & -(d1 & ~d2)).bit_length() - 1
+    b = (d2 & ~d1 & -(d2 & ~d1)).bit_length() - 1
+
+    def merged(image):
+        image[a] = image[b]
+        return image
+
+    _plant_vector_map(monkeypatch, gqlab.atlas.matrix_of("U3"), merged)
+    report = _single_report("sec5.collineation")
+    assert report.actual == (
+        "maps (X|1) to (UXU|1) False, preserves intersection dimensions False"
+    )
+
+
 @pytest.mark.parametrize(
     "cols, wanted",
     [
@@ -379,10 +428,14 @@ def test_collineation_sees_two_points_of_a_distinguished_plane_merged(monkeypatc
     ],
 )
 def test_plucker_fails_on_one_flipped_column_triple(monkeypatch, cols, wanted):
-    plane_minor = gqlab.planes.plane_minor
-    monkeypatch.setattr(
-        gqlab.planes, "plane_minor", lambda rows, c: plane_minor(rows, c) ^ (c == cols)
-    )
+    minor_profiles = gqlab.planes.minor_profiles
+
+    def flipped():
+        profiles = minor_profiles()
+        profiles[cols] = tuple(1 - minor for minor in profiles[cols])
+        return profiles
+
+    monkeypatch.setattr(gqlab.planes, "minor_profiles", flipped)
     report = _single_report("sec5.plucker-coordinates")
     assert not report.passed
     assert report.actual.startswith(wanted)

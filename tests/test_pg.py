@@ -43,6 +43,7 @@ from gqlab.pg import (
     translate_mask,
     translates,
     transpose,
+    transposed,
     value_table,
 )
 from gqlab.planes import PLANE_DIAGONAL, PLANE_LEFT, PLANE_RIGHT, plane_of
@@ -462,6 +463,16 @@ def test_transpose_matches_the_per_bit_definition():
     for y in range(64):
         for x in range(64):
             assert transpose(1 << 64 * y + x) == 1 << 64 * x + y
+
+
+def test_transposed_reads_the_rows_of_the_transpose():
+    rng = random.Random(21)
+    for n in (0, 1, 27, 64):
+        entries = [rng.getrandbits(64) for _ in range(n)]
+        assert transposed(entries) == rows(transpose(pack(entries)))
+        assert list(transposed(entries)) == _transposed_per_bit(entries + [0] * (64 - n))
+    with pytest.raises(ValueError, match="at most 64 rows, got 65"):
+        transposed([1] * 65)
 
 
 def test_pack_and_rows_round_trip():

@@ -35,8 +35,8 @@ from gqlab.planes import (
     is_totally_isotropic,
     make_plane,
     meet_rows,
+    minor_lanes,
     minor_profiles,
-    plane_minor,
     plane_of,
     plane_of_mat,
     plucker_unique_triples,
@@ -105,6 +105,18 @@ def test_echelon_is_the_rref_of_the_spanning_rows():
         assert make_plane(echelon(plane)) == plane == make_plane(rows)
 
 
+def _reference_collineation_action(u, p):
+    """The image of one plane, one point at a time: the OR of 1 << image[v]
+    over the points v of p, kept as the oracle of the batch."""
+    image = _block_collineation(u)
+    out = 0
+    while p:
+        low = p & -p
+        out |= 1 << image[low.bit_length() - 1]
+        p ^= low
+    return out
+
+
 def test_collineation_action_matches_the_echelon_row_rule():
     # the rule it replaced: map the three echelon rows, then span them
     group = conjugating_group("U") + conjugating_group("V")[1:]
@@ -112,8 +124,24 @@ def test_collineation_action_matches_the_echelon_row_rule():
     assert len(group) == 13 and len(planes) == 30
     for u in group:
         image = _block_collineation(u)
-        for p in planes:
-            assert collineation_action(u, p) == make_plane(image[r] for r in echelon(p))
+        wanted = [make_plane(image[r] for r in echelon(p)) for p in planes]
+        assert list(collineation_action(u, planes)) == wanted
+
+
+def test_collineation_action_batch_matches_the_per_point_loop():
+    group = conjugating_group("U") + conjugating_group("V")[1:]
+    for planes in ([plane_of(x) for x in range(64)], [PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL]):
+        for u in group:
+            images = collineation_action(u, planes)
+            assert len(images) == len(planes)
+            assert list(images) == [_reference_collineation_action(u, p) for p in planes]
+    assert collineation_action(SYM_IDENTITY, []) == ()
+
+
+def test_collineation_action_rejects_more_than_64_planes():
+    planes = [plane_of(x) for x in range(64)] + [PLANE_LEFT]
+    with pytest.raises(ValueError, match="at most 64 rows, got 65"):
+        collineation_action(SYM_IDENTITY, planes)
 
 
 def test_plane_points_count():
@@ -201,6 +229,18 @@ def test_spreads():
         spread("D")
 
 
+def plane_minor(rows, cols):
+    """3x3 minor of a 3x6 matrix at the given columns (0-based from the left),
+    one det3 call per minor: the reference of minor_lanes."""
+    r0, r1, r2 = rows
+    a, b, c = 5 - cols[0], 5 - cols[1], 5 - cols[2]
+    return det3(
+        (r0 >> a & 1) << 8 | (r0 >> b & 1) << 7 | (r0 >> c & 1) << 6
+        | (r1 >> a & 1) << 5 | (r1 >> b & 1) << 4 | (r1 >> c & 1) << 3
+        | (r2 >> a & 1) << 2 | (r2 >> b & 1) << 1 | r2 >> c & 1
+    )
+
+
 def test_plucker_minor_examples():
     rows = raw_plane_rows(sym_to_mat(matrix_of("D1")))
     from gqlab.gf2 import sym_det
@@ -227,6 +267,29 @@ def test_plane_minor_matches_loop_reference():
     for rows in row_sets:
         for cols in COLUMN_TRIPLES:
             assert plane_minor(rows, cols) == _reference_plane_minor(rows, cols)
+
+
+def test_minor_lanes_match_the_det3_reference_on_all_mat3():
+    # the rows (M|1) of all 512 Mat3, in 8 calls of 64 lanes
+    for low in range(0, 512, 64):
+        row_sets = [raw_plane_rows(m) for m in range(low, low + 64)]
+        lanes = minor_lanes(row_sets)
+        assert list(lanes) == list(COLUMN_TRIPLES)
+        for cols, lane in lanes.items():
+            wanted = [k for k, rows in enumerate(row_sets) if plane_minor(rows, cols)]
+            assert lane == point_mask(wanted)
+    echelons = [echelon(p) for p in (PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL)]
+    assert minor_lanes(echelons)[(0, 1, 2)] == 0b101
+    with pytest.raises(ValueError, match="at most 64 rows"):
+        minor_lanes(echelons * 22)
+
+
+def test_minor_profiles_match_one_plane_minor_per_point():
+    rows = [raw_plane_rows(sym_to_mat(x)) for x in atlas().points]
+    profiles = minor_profiles()
+    assert list(profiles) == list(COLUMN_TRIPLES)
+    for cols, profile in profiles.items():
+        assert profile == tuple(plane_minor(r, cols) for r in rows)
 
 
 def test_plucker_unique_triples_frozen():
@@ -275,23 +338,25 @@ def test_group_orbits_structure():
 
 
 def test_collineation_action_rejects_a_negative_mask():
-    with pytest.raises(ValueError, match="nonnegative point mask"):
-        collineation_action(SYM_IDENTITY, -1)
+    with pytest.raises(ValueError, match="nonnegative point mask, got -1"):
+        collineation_action(SYM_IDENTITY, [-1])
+    with pytest.raises(ValueError, match="nonnegative point mask, got -1"):
+        collineation_action(SYM_IDENTITY, [PLANE_LEFT, -1, PLANE_RIGHT])
 
 
 def test_collineation_action_matches_conjugation():
     at = atlas()
     u = at.u[2]
-    for x in at.points[:8]:
-        assert collineation_action(u, plane_of(x)) == plane_of(conjugate(u, x))
-    assert collineation_action(SYM_IDENTITY, PLANE_DIAGONAL) == PLANE_DIAGONAL
+    images = collineation_action(u, [plane_of(x) for x in at.points[:8]])
+    assert list(images) == [plane_of(conjugate(u, x)) for x in at.points[:8]]
+    assert collineation_action(SYM_IDENTITY, [PLANE_DIAGONAL]) == (PLANE_DIAGONAL,)
 
 
 def test_collineation_preserves_intersection_dims():
     at = atlas()
     u = at.v[1]
     sample = [plane_of(x) for x in at.points[:10]] + [PLANE_DIAGONAL, PLANE_LEFT]
-    images = [collineation_action(u, p) for p in sample]
+    images = collineation_action(u, sample)
     for i in range(len(sample)):
         for j in range(i + 1, len(sample)):
             assert intersection_dim(sample[i], sample[j]) == intersection_dim(
