@@ -31,14 +31,12 @@ from gqlab.atlas import atlas, fano_action, label_of, multiplicative_closure, op
 from gqlab.gf2 import (
     MAT_IDENTITY,
     SYM_IDENTITY,
-    Lanes,
     asymmetric_lanes,
     bits6,
     broadcast_lanes,
     eigenspace_dim,
     inverse3,
     is_symmetric,
-    lane_matrix,
     lanes_mul,
     mat_mul,
     mat_to_sym,
@@ -323,20 +321,13 @@ def _by_matrix(tables: Iterable[int]) -> list[int]:
     return out
 
 
-_REP = pg.pack([1] * 64)  # times a 64-bit table: one copy of it per entry
-_LOW_HALVES_PACKED = tuple(low * _REP for low in pg._LOW_HALVES)
-
-
 def _polarized(table: int) -> int:
     """Packed: entry y has bit x equal to Q(x + y) + Q(x) + Q(y), for the form
-    Q of this value table.  Entry y of the translates T is translate_mask(table,
-    y), made by the block swaps of pg.translates on the whole packed word; bit 0
-    of entry y of T is Q(y), which the product with _ALL_64 spreads over it."""
-    packed = table
-    for k, low in enumerate(_LOW_HALVES_PACKED):
-        width = 1 << k
-        packed |= (packed >> width & low | (packed & low) << width) << (64 << k)
-    return packed ^ table * _REP ^ (packed & _REP) * _ALL_64
+    Q of this value table.  Entry y of the packed translates T is
+    translate_mask(table, y); bit 0 of it is Q(y), which the product with
+    _ALL_64 spreads over it."""
+    packed = pg.pack(pg.translates(table))
+    return packed ^ table * pg._REP ^ (packed & pg._REP) * _ALL_64
 
 
 @check(
@@ -703,33 +694,18 @@ def _check_group_action() -> str:
             mat_mul(mats[a], mats[b]) == mat_mul(mats[b], mats[a])
             for a, b in combinations(group, 2)
         )
+        # products are packed first, so a non-symmetric one raises in mat_to_sym
+        products = {(a, b): mat_to_sym(mat_mul(mats[a], mats[b])) for a in group for b in group}
+        # g -> {X: G X G} from the table of g; an image X off the 27 points
+        # has no entry there, so G X G reads None and the pair mismatches
+        acts = {
+            g: dict(zip(at.points, planes_mod.conjugates(g))) for g in {*group, *products.values()}
+        }
         xs = at.d + at.members(opposite(tag))
-        domain = to_lanes(sym_to_mat(x) for x in xs)
-
-        def conjugate_all(gm: int, lanes: Lanes) -> Lanes:
-            # G X G in every lane, for the len(xs) matrices X held in lanes
-            g_lanes = broadcast_lanes(gm, len(xs))
-            return lanes_mul(lanes_mul(g_lanes, lanes), g_lanes)
-
-        # conjugates b x b and products ab are packed once: mat_to_sym raises
-        # on a non-symmetric one, which fails the check
-        image = {}
-        for b, bm in mats.items():
-            image[b] = conjugate_all(bm, domain)
-            asymmetric = asymmetric_lanes(image[b])
-            if asymmetric:
-                mat_to_sym(lane_matrix(image[b], (asymmetric & -asymmetric).bit_length() - 1))
-        # conjugation by each distinct product ab, keyed by ab as computed
-        by_product = dict(image)
-        action = True
-        for a, am in mats.items():
-            for b, bm in mats.items():
-                abm = mat_mul(am, bm)
-                ab = mat_to_sym(abm)
-                if ab not in by_product:
-                    by_product[ab] = conjugate_all(abm, domain)
-                if by_product[ab] != conjugate_all(am, image[b]):
-                    action = False
+        action = all(
+            [acts[ab][x] for x in xs] == [acts[a].get(acts[b][x]) for x in xs]
+            for (a, b), ab in products.items()
+        )
         parts.append(f"{tag}: commutative {commutative}, action {action}")
     return "; ".join(parts)
 
@@ -778,22 +754,14 @@ def _check_collineation() -> str:
     # |p_i cap p_j| counts the vectors whose holder row has bits i and j, so
     # equal sorted holder rows mean equal meet counts for every pair
     holders = sorted(pg.transposed(all_planes))
-    x_lanes = to_lanes(sym_to_mat(x) for x in points)
     maps_ok = dims_ok = True
     for u in group:
         # each (u, plane) image is computed once and serves both claims;
         # (U, U^-1) fixes (1|0) and (0|1) and sends (1|1) to (UU|1)
         images = planes_mod.collineation_action(u, all_planes)
-        um = sym_to_mat(u)
-        u_lanes = broadcast_lanes(um, len(points))
-        uxu = lanes_mul(lanes_mul(u_lanes, x_lanes), u_lanes)
-        if asymmetric := asymmetric_lanes(uxu):
-            mat_to_sym(lane_matrix(uxu, (asymmetric & -asymmetric).bit_length() - 1))
-        # the upper-triangle entry lanes, transposed, are the packed UXU
-        conjugates = pg.transposed([uxu[8], uxu[5], uxu[4], uxu[2], uxu[1], uxu[0]])
-        wanted = [planes_mod.plane_of(s) for s in conjugates[: len(points)]]
-        wanted += [planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT]
-        wanted.append(planes_mod.plane_of(mat_to_sym(mat_mul(um, um))))
+        wanted = [planes_mod.plane_of(s) for s in planes_mod.conjugates(u)]
+        uu = mat_to_sym(mat_mul(sym_to_mat(u), sym_to_mat(u)))
+        wanted += [planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT, planes_mod.plane_of(uu)]
         maps_ok &= list(images) == wanted
         if sorted(pg.transposed(images)) != holders:
             dims_ok &= meets(list(images)) == meets(all_planes)

@@ -40,7 +40,7 @@ its scalar kernel on first use and cached, one polar column per centre.  A
 quadric is then the complement of a value table within ``ALL_POINTS``, and
 ``translate_mask`` moves a table by XOR: bit ``x`` of
 ``translate_mask(t, m)`` is bit ``x + m`` of ``t``; ``translates(t)`` lists
-all 64 translates at one block swap each.
+all 64 translates, made by six block swaps on the packed word.
 
 Each member Q_M of the 28-form family over invertible m is read from its
 value table ``elliptic_table(m)``.  The paper's form Q is Q_1, the identity
@@ -149,8 +149,13 @@ _ALL_64 = (1 << 64) - 1
 
 
 def pack(entries: Sequence[int]) -> int:
-    """64-bit entries as one int, entry y at bits 64y..64y+63 as row y."""
-    return int.from_bytes(struct.pack(f"<{len(entries)}Q", *entries), "little")
+    """64-bit entries as one int, entry y at bits 64y..64y+63 as row y;
+    ValueError names the first entry outside 0..2**64-1."""
+    try:
+        return int.from_bytes(struct.pack(f"<{len(entries)}Q", *entries), "little")
+    except struct.error:
+        bad = next(e for e in entries if not (isinstance(e, int) and 0 <= e < 1 << 64))
+        raise ValueError(f"a 64-bit row is an int in 0..2**64-1, got {bad!r}") from None
 
 
 def rows(packed: int) -> tuple[int, ...]:
@@ -195,17 +200,19 @@ def translate_mask(table: int, m: int) -> int:
     return table
 
 
-def translates(table: int) -> list[int]:
-    """translate_mask(table, m) for all 64 m, indexed by m.
+_REP = pack([1] * 64)  # times a 64-bit table: one copy of it per row
+_PACKED_LOW_HALVES = tuple(low * _REP for low in _LOW_HALVES)
 
-    Entry m + 2^k is entry m with its 2^k-blocks swapped, for m < 2^k, so
-    each entry costs one swap.
-    """
-    out = [table]
-    for k, low in enumerate(_LOW_HALVES):
+
+def translates(table: int) -> tuple[int, ...]:
+    """translate_mask(table, m) for all 64 m, indexed by m.  Row m + 2^k is
+    row m with its 2^k-blocks swapped, for m < 2^k: one swap of the packed
+    rows made so far, copied up by 2^k rows."""
+    packed = table
+    for k, low in enumerate(_PACKED_LOW_HALVES):
         width = 1 << k
-        out += [t >> width & low | (t & low) << width for t in out]
-    return out
+        packed |= (packed >> width & low | (packed & low) << width) << (64 << k)
+    return rows(packed)
 
 
 def elliptic_table(m: int) -> int:

@@ -22,8 +22,13 @@ from typing import Iterable, NamedTuple, Sequence
 from gqlab.atlas import MatrixClass, WrongClassError, atlas, classify, label_key, label_of, opposite
 from gqlab.gf2 import (
     SYM_IDENTITY,
+    Lanes,
+    asymmetric_lanes,
     bits6,
+    broadcast_lanes,
     inverse3,
+    lane_matrix,
+    lanes_mul,
     mat_mul,
     mat_rank,
     mat_row,
@@ -32,8 +37,9 @@ from gqlab.gf2 import (
     row_times_mat,
     rref,
     sym_to_mat,
+    to_lanes,
 )
-from gqlab.pg import bit_indices, minor_coordinates, point_mask, translates, transposed
+from gqlab.pg import bit_indices, minor_coordinates, point_mask, transposed
 from gqlab.quadrangle import IncidenceStructure, make_structure, triangles
 
 Plane = int
@@ -181,6 +187,25 @@ def conjugate(u: int, x: int) -> int:
     return mat_to_sym(mat_mul(mat_mul(um, xm), um))
 
 
+@cache
+def _point_lanes() -> Lanes:
+    """The 27 quadrangle matrices bit-sliced, lane k holding atlas().points[k]."""
+    return to_lanes(sym_to_mat(x) for x in atlas().points)
+
+
+@cache
+def conjugates(u: int) -> tuple[int, ...]:
+    """conjugate(u, x) for the 27 quadrangle matrices x, in atlas order: one
+    pair of lane products, read back as packed SymMat3 by one transpose of the
+    upper-triangle entry lanes; mat_to_sym raises on the lowest asymmetric lane."""
+    n = len(atlas().points)
+    u_lanes = broadcast_lanes(sym_to_mat(u), n)
+    uxu = lanes_mul(lanes_mul(u_lanes, _point_lanes()), u_lanes)
+    if asymmetric := asymmetric_lanes(uxu):
+        mat_to_sym(lane_matrix(uxu, (asymmetric & -asymmetric).bit_length() - 1))
+    return transposed([uxu[8], uxu[5], uxu[4], uxu[2], uxu[1], uxu[0]])[:n]
+
+
 def group_orbits(tag: str) -> tuple[tuple[str, ...], ...]:
     """Orbits of X -> UXU on the 21 matrices outside the acting group."""
     at = atlas()
@@ -281,28 +306,12 @@ def build_plane_model() -> IncidenceStructure:
 
 
 def rank_meet_identity_holds() -> bool:
-    """rank(X+Y) + dim((X|1) cap (Y|1)) = 3 over all symmetric pairs.
-
-    The rank comes from row reduction, the meet from the transposed plane
-    masks: bit y of ``holders[v]`` is set iff plane y holds point v.  The
-    holder rows of plane x's points add up, in lane y of the 4-bit
-    counters c0..c3 (c0 the lowest bit, c3 saturating so that no count
-    wraps), to the points planes x and y share.  7, 3, 1 or 0 shared
-    points mean rank 0, 1, 2 or 3: bit k is set iff rank(X+Y) <= 2 - k.
-    """
+    """rank(X+Y) + dim((X|1) cap (Y|1)) = 3 over all 64x64 symmetric pairs,
+    the rank by row reduction and the meet from the two point masks."""
     ranks = [mat_rank(sym_to_mat(s)) for s in range(64)]
-    # within[r][x]: bit y set iff rank(x + y) <= r
-    within = [translates(point_mask(s for s in range(64) if ranks[s] <= r)) for r in range(3)]
-    holders = transposed([plane_of(y) for y in range(64)])
-    points = [bit_indices(plane_of(x)) for x in range(64)]
-    for x, on in enumerate(points):
-        c0 = c1 = c2 = c3 = 0
-        for v in on:
-            h = holders[v]
-            h, c0 = c0 & h, c0 ^ h
-            h, c1 = c1 & h, c1 ^ h
-            h, c2 = c2 & h, c2 ^ h
-            c3 |= h
-        if c3 or c2 != within[0][x] or c1 != within[1][x] or c0 != within[2][x]:
-            return False
+    planes = [plane_of(x) for x in range(64)]
+    for x, p in enumerate(planes):
+        for y, q in enumerate(planes):
+            if ranks[x ^ y] + (p & q).bit_count().bit_length() != 3:
+                return False
     return True

@@ -24,6 +24,14 @@ from gqlab.checks import (
 from gqlab.cli import main
 
 
+@pytest.mark.parametrize("check_id", check_ids())
+def test_each_check_passes_alone_on_cold_caches(check_id):
+    # each check builds what it reads, whichever check would have run first
+    (report,) = run_suite(check_id).reports
+    assert report.check_id == check_id
+    assert report.passed, report.actual
+
+
 def test_registry_ids_unique_and_well_formed():
     ids = check_ids()
     assert len(ids) == len(set(ids))
@@ -304,6 +312,28 @@ def test_group_action_fails_on_one_wrong_product(monkeypatch):
     assert not report.passed
     assert report.actual == (
         "U: commutative False, action False; V: commutative True, action True"
+    )
+
+
+# D5's image under U1 read as D6's, or as the identity, which lies off the 27
+# points and must read as a mismatch, not raise
+@pytest.mark.parametrize("image", ["D6", "1"])
+def test_sec5_group_checks_fail_on_one_wrong_conjugate(monkeypatch, image):
+    at = gqlab.atlas.atlas()
+    u1, k = at.u[0], at.points.index(at.by_label["D5"])
+    value = gqlab.atlas.matrix_of(image)
+    conjugates = gqlab.planes.conjugates
+
+    def planted(u):
+        table = conjugates(u)
+        return table[:k] + (value,) + table[k + 1 :] if u == u1 else table
+
+    monkeypatch.setattr(gqlab.planes, "conjugates", planted)
+    assert _single_report("sec5.group-action").actual == (
+        "U: commutative True, action False; V: commutative True, action True"
+    )
+    assert _single_report("sec5.collineation").actual == (
+        "maps (X|1) to (UXU|1) False, preserves intersection dimensions True"
     )
 
 

@@ -475,6 +475,15 @@ def test_transposed_reads_the_rows_of_the_transpose():
         transposed([1] * 65)
 
 
+@pytest.mark.parametrize(
+    "entries, bad", [([-1], -1), ([1 << 64], 1 << 64), ([5, 1 << 64, -1], 1 << 64)]
+)
+def test_pack_names_the_first_entry_outside_64_bits(entries, bad):
+    for call in (pack, transposed):
+        with pytest.raises(ValueError, match=rf"in 0\.\.2\*\*64-1, got {bad}$"):
+            call(entries)
+
+
 def test_pack_and_rows_round_trip():
     rng = random.Random(64)
     matrix = [rng.getrandbits(64) for _ in range(64)]

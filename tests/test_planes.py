@@ -2,6 +2,7 @@
 
 import pytest
 
+import gqlab.planes
 import gqlab.quadrangle
 from gqlab.atlas import (
     WrongClassError,
@@ -13,7 +14,18 @@ from gqlab.atlas import (
     multiplicative_closure,
 )
 from gqlab.checks import run_suite
-from gqlab.gf2 import SYM_IDENTITY, det3, mat_rank, row_rank, rref, sym_to_mat
+from gqlab.gf2 import (
+    SYM_IDENTITY,
+    broadcast_lanes,
+    det3,
+    is_symmetric,
+    mat_mul,
+    mat_rank,
+    mat_to_sym,
+    row_rank,
+    rref,
+    sym_to_mat,
+)
 from gqlab.pg import pg_planes, point_mask
 from gqlab.planes import (
     COLUMN_TRIPLES,
@@ -25,6 +37,7 @@ from gqlab.planes import (
     class_planes,
     collineation_action,
     conjugate,
+    conjugates,
     conjugating_group,
     echelon,
     family_planes,
@@ -321,6 +334,31 @@ def test_conjugate_keeps_symmetry_and_class():
     assert image in at.d + at.v  # stays outside the acting group
 
 
+def test_conjugates_match_the_scalar_conjugate():
+    # the 13 group elements and every product ab that sec5.group-action forms
+    groups = [conjugating_group(tag) for tag in ("U", "V")]
+    elements = {u for group in groups for u in group}
+    products = {
+        mat_to_sym(mat_mul(sym_to_mat(a), sym_to_mat(b)))
+        for group in groups
+        for a in group
+        for b in group
+    }
+    assert len(elements) == 13
+    for u in elements | products:
+        assert conjugates(u) == tuple(conjugate(u, x) for x in atlas().points)
+
+
+def test_conjugates_raise_on_the_lowest_asymmetric_lane(monkeypatch):
+    # a non-symmetric M in place of U: M X M is not symmetric for some X
+    m = 0b110_010_001
+    monkeypatch.setattr(gqlab.planes, "broadcast_lanes", lambda _, n: broadcast_lanes(m, n))
+    products = [mat_mul(mat_mul(m, sym_to_mat(x)), m) for x in atlas().points]
+    first = next(p for p in products if not is_symmetric(p))
+    with pytest.raises(ValueError, match=f"^matrix {first:09b} is not symmetric$"):
+        conjugates(SYM_IDENTITY)
+
+
 def test_group_orbits_structure():
     at = atlas()
     d_labels = {label_of(x) for x in at.d}
@@ -407,6 +445,13 @@ def test_skew_partner_pairing():
     for label in ("D1", "1"):
         with pytest.raises(WrongClassError, match=f"^{label} is not in U or V"):
             skew_partner(matrix_of(label))
+
+
+def test_meet_rows_name_a_negative_plane():
+    with pytest.raises(ValueError, match=r"in 0\.\.2\*\*64-1, got -8$"):
+        meet_rows([-8])
+    with pytest.raises(ValueError, match=r"in 0\.\.2\*\*64-1, got -8$"):
+        meet_rows([PLANE_LEFT, -8, -1])
 
 
 def test_meet_rows_agree_with_intersection_dim():
