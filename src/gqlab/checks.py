@@ -41,7 +41,6 @@ from gqlab.gf2 import (
     mat_mul,
     mat_to_sym,
     sym_to_mat,
-    to_lanes,
 )
 
 
@@ -279,8 +278,8 @@ def _check_singer() -> str:
 def _check_jordan_closure() -> str:
     bad = []
     mats = [sym_to_mat(b) for b in range(64)]
-    # lane b holds B, so one pair of lane products decides A*B*A for all 64 B
-    b_lanes = to_lanes(mats)
+    # bit b of every lane is B, so one pair of lane products decides A*B*A for all B
+    b_lanes = pg.transposed(mats)[:9]
     for a in atlas_mod.enumerate_invertible_symmetric():
         am = mats[a]
         if not is_symmetric(inverse3(am)):
@@ -306,9 +305,6 @@ def _check_coordinates() -> str:
     return f"{len(images)} images, inverse ok {inv_ok}, identity -> {identity_image}"
 
 
-_ALL_64 = (1 << 64) - 1
-
-
 def _by_matrix(tables: Iterable[int]) -> list[int]:
     """Coordinate-indexed value tables re-indexed by matrix: bit x of each
     entry is bit minor_coordinates(x) of its table.  Up to 64 tables at once
@@ -319,15 +315,6 @@ def _by_matrix(tables: Iterable[int]) -> list[int]:
         moved = pg.transposed([by_vector[v] for v in pg.coordinates()])
         out += moved[: len(tables) - low]
     return out
-
-
-def _polarized(table: int) -> int:
-    """Packed: entry y has bit x equal to Q(x + y) + Q(x) + Q(y), for the form
-    Q of this value table.  Entry y of the packed translates T is
-    translate_mask(table, y); bit 0 of it is Q(y), which the product with
-    _ALL_64 spreads over it."""
-    packed = pg.pack(pg.translates(table))
-    return packed ^ table * pg._REP ^ (packed & pg._REP) * _ALL_64
 
 
 @check(
@@ -349,7 +336,7 @@ def _check_det_identity() -> str:
 def _check_polarization() -> str:
     # entry y: bit x of the polar side is B(coordinates of x, coordinates of y)
     by_polar = pg.pack(_by_matrix(pg.polar_column(v) for v in pg.coordinates()))
-    bad = (by_polar ^ _polarized(pg.det_table())).bit_count()
+    bad = (by_polar ^ pg.polarized(pg.det_table())).bit_count()
     return f"{bad} mismatches over 4096 pairs"
 
 
@@ -362,7 +349,7 @@ def _check_forms_share_polar() -> str:
     forms = atlas_mod.enumerate_invertible_symmetric()
     tables = [pg.ALL_POINTS & pg.elliptic_table(m) for m in forms]
     polar = pg.pack([pg.polar_column(y) for y in range(64)])
-    bad = sum((_polarized(values) ^ polar).bit_count() for values in tables)
+    bad = sum((pg.polarized(values) ^ polar).bit_count() for values in tables)
     return f"{bad} mismatches over 28 forms x 4096 pairs"
 
 
@@ -375,7 +362,7 @@ def _check_translation_form() -> str:
     # bit x of the matrix side is det(X + M) + 1
     forms = atlas_mod.enumerate_invertible_symmetric()
     bad = sum(
-        (t ^ pg.translate_mask(pg.det_table(), m) ^ _ALL_64).bit_count()
+        64 - (t ^ pg.translate_mask(pg.det_table(), m)).bit_count()
         for m, t in zip(forms, _by_matrix(pg.elliptic_table(m) for m in forms))
     )
     return f"{bad} mismatches over 28 forms x 64 matrices"

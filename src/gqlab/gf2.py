@@ -11,11 +11,10 @@ Packing conventions, fixed for the whole package:
 * ``GfVec6``: an int of 6 bits, bit 5 = first coordinate; text form is the
   bit string of the six coordinates.
 * Row vectors of length 3: ints 0..7, bit 2 = first coordinate.
-* ``Lanes``: many Mat3 at once, bit-sliced: a tuple of 9 ints where index
-  ``3i + j`` holds entry (i+1, j+1) and bit k of each int belongs to the
-  k-th matrix.  ``to_lanes``, ``broadcast_lanes``, ``lanes_mul``,
-  ``asymmetric_lanes`` and ``lane_matrix`` are the only code that knows
-  this layout.
+* ``Lanes``: many Mat3 at once, bit-sliced: a tuple of 9 ints, lane b
+  holding bit b of every matrix, the k-th matrix at bit k.  They are the
+  rows of ``gqlab.pg.transposed``: ``transposed(mats)[:9]`` builds them for
+  up to 64 matrices and ``transposed(lanes)[k]`` reads the k-th back.
 
 Everything here is a pure function on small ints, so the module is safe
 for unrestricted concurrent use.
@@ -114,49 +113,38 @@ def mat_mul(x: int, y: int) -> int:
 Lanes = tuple[int, ...]
 
 
-def to_lanes(mats: Iterable[int]) -> Lanes:
-    """Bit-slice Mat3 values: bit k of each lane entry comes from mats[k]."""
-    entries = [0] * 9
-    for k, m in enumerate(mats):
-        for e in range(9):
-            entries[e] |= (m >> (8 - e) & 1) << k
-    return tuple(entries)
-
-
 def broadcast_lanes(m: int, n: int) -> Lanes:
     """The Mat3 m repeated in n lanes."""
     full = (1 << n) - 1
-    return tuple(full if m >> (8 - e) & 1 else 0 for e in range(9))
+    return tuple(full if m >> b & 1 else 0 for b in range(9))
 
 
 def lanes_mul(x: Lanes, y: Lanes) -> Lanes:
     """The lane-wise products x[k] * y[k]: 27 AND and 18 XOR word operations."""
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
     y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
+    # row i of x is bits 8-3i..6-3i, column j of y is bits 8-j, 5-j and 2-j
     return (
-        x0 & y0 ^ x1 & y3 ^ x2 & y6,
-        x0 & y1 ^ x1 & y4 ^ x2 & y7,
-        x0 & y2 ^ x1 & y5 ^ x2 & y8,
-        x3 & y0 ^ x4 & y3 ^ x5 & y6,
-        x3 & y1 ^ x4 & y4 ^ x5 & y7,
-        x3 & y2 ^ x4 & y5 ^ x5 & y8,
-        x6 & y0 ^ x7 & y3 ^ x8 & y6,
-        x6 & y1 ^ x7 & y4 ^ x8 & y7,
-        x6 & y2 ^ x7 & y5 ^ x8 & y8,
+        x2 & y6 ^ x1 & y3 ^ x0 & y0,
+        x2 & y7 ^ x1 & y4 ^ x0 & y1,
+        x2 & y8 ^ x1 & y5 ^ x0 & y2,
+        x5 & y6 ^ x4 & y3 ^ x3 & y0,
+        x5 & y7 ^ x4 & y4 ^ x3 & y1,
+        x5 & y8 ^ x4 & y5 ^ x3 & y2,
+        x8 & y6 ^ x7 & y3 ^ x6 & y0,
+        x8 & y7 ^ x7 & y4 ^ x6 & y1,
+        x8 & y8 ^ x7 & y5 ^ x6 & y2,
     )
 
 
 def asymmetric_lanes(x: Lanes) -> int:
-    """Mask of the lanes whose matrix is not symmetric."""
-    return x[1] ^ x[3] | x[2] ^ x[6] | x[5] ^ x[7]
+    """Mask of the matrices that are not symmetric, bit k for the k-th."""
+    return x[7] ^ x[5] | x[6] ^ x[2] | x[3] ^ x[1]
 
 
-def lane_matrix(x: Lanes, k: int) -> int:
-    """The Mat3 held in lane k."""
-    out = 0
-    for entry in x:
-        out = out << 1 | entry >> k & 1
-    return out
+def sym_lanes(x: Lanes) -> Lanes:
+    """The lanes of the six SymMat3 bits of symmetric lanes, bit 0 first."""
+    return x[0], x[3], x[4], x[6], x[7], x[8]
 
 
 def det3(m: int) -> int:

@@ -40,7 +40,8 @@ its scalar kernel on first use and cached, one polar column per centre.  A
 quadric is then the complement of a value table within ``ALL_POINTS``, and
 ``translate_mask`` moves a table by XOR: bit ``x`` of
 ``translate_mask(t, m)`` is bit ``x + m`` of ``t``; ``translates(t)`` lists
-all 64 translates, made by six block swaps on the packed word.
+all 64 translates, made by six block swaps on the packed word, and
+``polarized(t)`` reads that word as the packed polar table of the form t.
 
 Each member Q_M of the 28-form family over invertible m is read from its
 value table ``elliptic_table(m)``.  The paper's form Q is Q_1, the identity
@@ -204,15 +205,29 @@ _REP = pack([1] * 64)  # times a 64-bit table: one copy of it per row
 _PACKED_LOW_HALVES = tuple(low * _REP for low in _LOW_HALVES)
 
 
-def translates(table: int) -> tuple[int, ...]:
-    """translate_mask(table, m) for all 64 m, indexed by m.  Row m + 2^k is
-    row m with its 2^k-blocks swapped, for m < 2^k: one swap of the packed
-    rows made so far, copied up by 2^k rows."""
+def _packed_translates(table: int) -> int:
+    """Packed, row m is translate_mask(table, m).  Row m + 2^k is row m with
+    its 2^k-blocks swapped, for m < 2^k: one swap of the packed rows made so
+    far, copied up by 2^k rows."""
     packed = table
     for k, low in enumerate(_PACKED_LOW_HALVES):
         width = 1 << k
         packed |= (packed >> width & low | (packed & low) << width) << (64 << k)
-    return rows(packed)
+    return packed
+
+
+def translates(table: int) -> tuple[int, ...]:
+    """translate_mask(table, m) for all 64 m, indexed by m."""
+    return rows(_packed_translates(table))
+
+
+def polarized(table: int) -> int:
+    """Packed: row y has bit x equal to Q(x + y) + Q(x) + Q(y), for the form
+    Q of this value table.  Row y of the packed translates is
+    translate_mask(table, y); bit 0 of it is Q(y), which the product with
+    the all-ones row spreads over the row."""
+    packed = _packed_translates(table)
+    return packed ^ table * _REP ^ (packed & _REP) * _ALL_64
 
 
 def elliptic_table(m: int) -> int:

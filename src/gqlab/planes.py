@@ -27,7 +27,6 @@ from gqlab.gf2 import (
     bits6,
     broadcast_lanes,
     inverse3,
-    lane_matrix,
     lanes_mul,
     mat_mul,
     mat_rank,
@@ -36,8 +35,8 @@ from gqlab.gf2 import (
     require_sym,
     row_times_mat,
     rref,
+    sym_lanes,
     sym_to_mat,
-    to_lanes,
 )
 from gqlab.pg import bit_indices, minor_coordinates, point_mask, transposed
 from gqlab.quadrangle import IncidenceStructure, make_structure, triangles
@@ -189,21 +188,21 @@ def conjugate(u: int, x: int) -> int:
 
 @cache
 def _point_lanes() -> Lanes:
-    """The 27 quadrangle matrices bit-sliced, lane k holding atlas().points[k]."""
-    return to_lanes(sym_to_mat(x) for x in atlas().points)
+    """The 27 quadrangle matrices bit-sliced, the k-th being atlas().points[k]."""
+    return transposed([sym_to_mat(x) for x in atlas().points])[:9]
 
 
 @cache
 def conjugates(u: int) -> tuple[int, ...]:
     """conjugate(u, x) for the 27 quadrangle matrices x, in atlas order: one
-    pair of lane products, read back as packed SymMat3 by one transpose of the
-    upper-triangle entry lanes; mat_to_sym raises on the lowest asymmetric lane."""
+    pair of lane products, read back as packed SymMat3 by one transpose of
+    their SymMat3 bit lanes; mat_to_sym raises on the lowest asymmetric lane."""
     n = len(atlas().points)
     u_lanes = broadcast_lanes(sym_to_mat(u), n)
     uxu = lanes_mul(lanes_mul(u_lanes, _point_lanes()), u_lanes)
     if asymmetric := asymmetric_lanes(uxu):
-        mat_to_sym(lane_matrix(uxu, (asymmetric & -asymmetric).bit_length() - 1))
-    return transposed([uxu[8], uxu[5], uxu[4], uxu[2], uxu[1], uxu[0]])[:n]
+        mat_to_sym(transposed(uxu)[(asymmetric & -asymmetric).bit_length() - 1])
+    return transposed(sym_lanes(uxu))[:n]
 
 
 def group_orbits(tag: str) -> tuple[tuple[str, ...], ...]:

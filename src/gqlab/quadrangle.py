@@ -22,8 +22,8 @@ write witnesses and results.  The one axiom core, ``_gq_order``, decides
 many restrictions (point mask, line mask) of one compiled structure at once,
 one lane each; ``verify_gq_axioms`` is its one-lane call, and scans for a
 witness only when that lane fails.  The hyperplane survey finds its 63
-sections as lanes of transposed point masks and decides its 36 candidates
-in one call of the core.
+sections in one pass, each as the masks of the model's points and lines
+inside it, and decides its 36 candidates in one call of the core.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from gqlab.atlas import atlas, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6
 from gqlab.pg import (
-    _ALL_64,
     bit_indices,
     coordinates,
     det_table,
@@ -158,7 +157,7 @@ def _lanes(masks: Sequence[int], n: int) -> list[int]:
     """Bit a of entry i is bit i of masks[a], for i < n; at most 64 masks."""
     out: list[int] = []
     for low in range(0, n, 64):
-        out += transposed([mask >> low & _ALL_64 for mask in masks])
+        out += transposed([mask >> low & (1 << 64) - 1 for mask in masks])
     return out[:n]
 
 
@@ -174,11 +173,9 @@ def _gq_order(
     c: CompiledStructure, restrictions: Sequence[tuple[int, int]]
 ) -> list[tuple[int, int] | str]:
     """Per restriction (point mask, mask of line indices) of c, its order
-    (s, t) or its first failing axiom, all w at once: bit a of a lane mask
+    (s, t) or its first failing axiom, all w <= 64 at once: bit a of a lane mask
     stands for restrictions[a], and bit i*w + a of a wide mask for point i
     in lane a.  A lane's degrees and adjacency come from its own lines."""
-    if len(restrictions) > 64:
-        return _gq_order(c, restrictions[:64]) + _gq_order(c, restrictions[64:])
     lines, line_points, n, w = c.lines, c.line_points, len(c.labels), len(restrictions)
     row = [1 << w * i for i in range(n)]
     point_lanes = sum(map(mul, _lanes([points for points, _ in restrictions], n), row))
@@ -491,31 +488,26 @@ class SurveySummary(NamedTuple):
     all_gq22_pass: bool
 
 
-def _sections(axes: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """(axis, points, lines) of the quadric section by the hyperplane of each
-    axis: the point mask of the quadric points perpendicular to the axis,
-    and the mask of the quadric model's compiled lines inside them, bit j
-    for line j.  The transposed point masks give each vector its sections,
-    and the AND of those of a line's points the sections that keep it."""
+def _sections(axes: Sequence[int]) -> Iterator[tuple[int, int, int]]:
+    """(axis, points, lines) for each of at most 64 axes: the masks of the
+    quadric model's point indices perpendicular to the axis and of its
+    compiled lines inside them.  The transposed perp masks give each point
+    its sections, the AND of those of a line's points the sections that
+    keep it, and a transpose of each the masks per section."""
     quad = elliptic_quadric()
     c = compile_structure(build_quadric_quadrangle())
-    vectors = [parse_bits6(label) for label in c.labels]
-    axes = list(axes)
-    for low in range(0, len(axes), 64):
-        chunk = axes[low : low + 64]
-        inside = [quad & perp_hyperplane(axis) for axis in chunk]
-        by_vector = transposed(inside)
-        lanes = [by_vector[v] for v in vectors]
-        kept = transposed([lanes[x] & lanes[y] & lanes[z] for x, y, z in c.lines])
-        yield from zip(chunk, inside, kept)
+    by_vector = transposed([quad & perp_hyperplane(axis) for axis in axes])
+    lanes = [by_vector[parse_bits6(label)] for label in c.labels]
+    kept = transposed([lanes[x] & lanes[y] & lanes[z] for x, y, z in c.lines])
+    return zip(axes, transposed(lanes), kept)
 
 
 def quadric_section(axis: int) -> IncidenceStructure:
     """Incidence structure on the quadric points inside the hyperplane of axis."""
-    ((_, inside, kept),) = _sections([axis])
+    ((_, held, kept),) = _sections([axis])
     c = compile_structure(build_quadric_quadrangle())
     lines = [tuple(c.labels[i] for i in c.lines[j]) for j in bit_indices(kept)]
-    return make_structure(f"section-{bits6(axis)}", map(bits6, bit_indices(inside)), lines)
+    return make_structure(f"section-{bits6(axis)}", [c.labels[i] for i in bit_indices(held)], lines)
 
 
 def hyperplane_section_survey() -> SurveySummary:
@@ -531,12 +523,9 @@ def hyperplane_section_survey() -> SurveySummary:
     quad = elliptic_quadric()
     c = compile_structure(build_quadric_quadrangle())
     found = list(_sections(range(1, 64)))
-    # per section, the mask of the quadric point indices it holds
-    by_vector = transposed([inside for _, inside, _ in found])
-    held = transposed([by_vector[parse_bits6(label)] for label in c.labels])
-    sizes = [(inside.bit_count(), kept.bit_count()) for _, inside, kept in found]
+    sizes = [(held.bit_count(), kept.bit_count()) for _, held, kept in found]
     candidates = [a for a, size in enumerate(sizes) if size == (15, 15)]
-    orders = dict(zip(candidates, _gq_order(c, [(held[a], found[a][2]) for a in candidates])))
+    orders = dict(zip(candidates, _gq_order(c, [found[a][1:] for a in candidates])))
     sections = []
     for a, ((axis, _, kept), (n_points, n_lines)) in enumerate(zip(found, sizes)):
         name, kind = bits6(axis), "gq22" if orders.get(a) == (2, 2) else "neither"

@@ -195,12 +195,12 @@ def test_forms_share_polar_counts_planted_faults(monkeypatch, seed, n_polar, n_f
 
 
 def _listed_polarized(table):
-    """The polarized table as a list with one entry per y, read from the
-    64 translates of pg.translates one at a time."""
+    """The polarized table as a list with one entry per y, each from its own
+    translate_mask, apart from the packed translates pg.polarized reads."""
     everywhere = (1 << 64) - 1
     return [
-        shifted ^ table ^ (everywhere if table >> y & 1 else 0)
-        for y, shifted in enumerate(gqlab.pg.translates(table))
+        gqlab.pg.translate_mask(table, y) ^ table ^ (everywhere if table >> y & 1 else 0)
+        for y in range(64)
     ]
 
 
@@ -213,7 +213,7 @@ def test_packed_polarized_matches_per_entry():
     tables += [rng.getrandbits(64) for _ in range(64)]
     assert len(tables) == 2 + 28 + 64
     for table in tables:
-        packed = gqlab.checks._polarized(table)
+        packed = pg.polarized(table)
         assert 0 <= packed < 1 << 4096
         entries = [packed >> (64 * y) & (1 << 64) - 1 for y in range(64)]
         assert entries == _listed_polarized(table)

@@ -16,7 +16,6 @@ from gqlab.gf2 import (
     eigenspace_one,
     inverse3,
     is_symmetric,
-    lane_matrix,
     lanes_mul,
     mat_mul,
     mat_rank,
@@ -27,10 +26,10 @@ from gqlab.gf2 import (
     row_times_mat,
     rref,
     sym_det,
+    sym_lanes,
     sym_to_mat,
-    to_lanes,
 )
-from gqlab.pg import pg_planes
+from gqlab.pg import pg_planes, transposed
 
 D1 = parse_bits6("001100")
 U1 = parse_bits6("111100")
@@ -209,16 +208,17 @@ GROUPS = [range(64 * g, 64 * g + 64) for g in range(8)]
 
 
 def _reference_lanes(mats):
-    """Lanes by string transposition: the bit string of lane entry e lists
-    entry e of every matrix, the last matrix first."""
-    return tuple(int("".join(col), 2) for col in zip(*(format(m, "09b") for m in reversed(mats))))
+    """Lanes by string transposition: the bit string of lane b lists bit b
+    of every matrix, the last matrix first."""
+    bits = (format(m, "09b")[::-1] for m in reversed(mats))
+    return tuple(int("".join(col), 2) for col in zip(*bits))
 
 
 def test_lanes_round_trip_and_broadcast():
     for ms in GROUPS:
-        lanes = to_lanes(ms)
+        lanes = transposed(ms)[:9]
         assert lanes == _reference_lanes(ms)
-        assert [lane_matrix(lanes, k) for k in range(64)] == list(ms)
+        assert transposed(lanes) == tuple(ms)
     for m in range(512):
         for n in (1, 21, 64):
             assert broadcast_lanes(m, n) == _reference_lanes([m] * n)
@@ -231,9 +231,9 @@ def test_lanes_mul_matches_mat_mul_on_all_pairs():
     for j, ys in enumerate(GROUPS):
         for r in range(64):
             rotated[j, r] = [ys[(k + r) % 64] for k in range(64)]
-    y_lanes = {key: to_lanes(ys) for key, ys in rotated.items()}
+    y_lanes = {key: transposed(ys)[:9] for key, ys in rotated.items()}
     for xs in GROUPS:
-        x_lanes = to_lanes(xs)
+        x_lanes = transposed(xs)[:9]
         for key, ys in rotated.items():
             want = _reference_lanes([mat_mul(x, y) for x, y in zip(xs, ys)])
             assert lanes_mul(x_lanes, y_lanes[key]) == want
@@ -242,7 +242,12 @@ def test_lanes_mul_matches_mat_mul_on_all_pairs():
 def test_asymmetric_lanes_matches_is_symmetric():
     for ms in GROUPS:
         want = sum((not is_symmetric(m)) << k for k, m in enumerate(ms))
-        assert asymmetric_lanes(to_lanes(ms)) == want
+        assert asymmetric_lanes(transposed(ms)[:9]) == want
+
+
+def test_sym_lanes_read_back_every_packed_symmat3():
+    lanes = transposed([sym_to_mat(s) for s in range(64)])[:9]
+    assert transposed(sym_lanes(lanes))[:64] == tuple(range(64))
 
 
 def _reference_rref(rows):
