@@ -1,7 +1,7 @@
 """Tests for the GQ axioms, the models and isomorphism machinery."""
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -31,6 +31,7 @@ from gqlab.quadrangle import (
     build_matrix_quadrangle,
     build_quadric_quadrangle,
     collinearity,
+    collinearity_isomorphisms,
     collinearity_graph_edges,
     compile_structure,
     doily_substructure,
@@ -415,15 +416,16 @@ def _reference_collinearity(inc):
     return {p: frozenset(near) for p, near in adj.items()}
 
 
-def _reference_find_isomorphism(a, b):
-    """The label-level dict search that find_isomorphism replaced, kept as
-    its oracle: breadth-first from the smallest label, candidate images in
-    (degree, label) order."""
+def _reference_isomorphisms(a, b):
+    """Every map of the label-level dict search that find_isomorphism
+    replaced, kept as its oracle: breadth-first from the smallest label,
+    candidate images in (degree, label) order, each tested for adjacency and
+    non-adjacency against every point mapped before it."""
     if len(a.points) != len(b.points) or len(a.lines) != len(b.lines):
-        return None
+        return
     adj_a, adj_b = _reference_collinearity(a), _reference_collinearity(b)
     if sorted(len(s) for s in adj_a.values()) != sorted(len(s) for s in adj_b.values()):
-        return None
+        return
     remaining = set(a.points)
     order = []
     while remaining:
@@ -441,29 +443,38 @@ def _reference_find_isomorphism(a, b):
     used = set()
 
     def feasible(p, q):
-        if len(adj_a[p]) != len(adj_b[q]):
+        near_p, near_q = adj_a[p], adj_b[q]
+        if len(near_p) != len(near_q):
             return False
-        return all((r in adj_a[p]) == (s in adj_b[q]) for r, s in mapping.items())
+        for r, s in mapping.items():
+            if (r in near_p) != (s in near_q):
+                return False
+        return True
 
     def backtrack(i):
         if i == len(order):
-            return True
+            yield dict(mapping)
+            return
         p = order[i]
         for q in candidates:
             if q in used or not feasible(p, q):
                 continue
             mapping[p] = q
             used.add(q)
-            if backtrack(i + 1):
-                return True
+            yield from backtrack(i + 1)
             del mapping[p]
             used.discard(q)
-        return False
 
-    if not backtrack(0):
+    yield from backtrack(0)
+
+
+def _reference_find_isomorphism(a, b):
+    """The first map of the reference search, if it sends lines onto lines."""
+    mapping = next(_reference_isomorphisms(a, b), None)
+    if mapping is None:
         return None
     ok, _ = verify_isomorphism(mapping, a, b)
-    return dict(mapping) if ok else None
+    return mapping if ok else None
 
 
 def test_find_isomorphism_matches_reference_search():
@@ -482,6 +493,38 @@ def test_find_isomorphism_matches_reference_search():
     for a, b in negatives:
         assert find_isomorphism(a, b) is None
         assert _reference_find_isomorphism(a, b) is None
+
+
+# (a, b, how many maps to compare, how many the search yields up to that)
+SEQUENCE_CASES = [
+    (doily_substructure(), doily_substructure(), None, 720),
+    (quadric_section(ALL_ONES), doily_substructure(), None, 720),
+    (grid_gq21(), grid_gq21(), None, 72),
+] + [(a, b, 500, 500) for a, b in combinations(four_models(), 2)]
+
+
+@pytest.mark.parametrize(
+    "a, b, limit, count",
+    SEQUENCE_CASES,
+    ids=[f"{a.name}-{b.name}" for a, b, _, _ in SEQUENCE_CASES],
+)
+def test_collinearity_isomorphisms_match_the_reference_sequence(a, b, limit, count):
+    # the same maps in the same order, each with the points of a in the same
+    # search order, whatever the search prunes on
+    found = [list(m.items()) for m in islice(collinearity_isomorphisms(a, b), limit)]
+    wanted = [list(m.items()) for m in islice(_reference_isomorphisms(a, b), limit)]
+    assert len(found) == count
+    assert found == wanted
+
+
+def test_degree_guard_rejects_collinearity_embeddings():
+    # equal point and line counts, and a's collinear pairs embed in b's, so a
+    # search that only keeps collinearity would map a into b; the sorted
+    # degrees (1, 1, 1, 1) against (1, 2, 2, 3) rule it out
+    a = make_structure("two-pairs", "abcd", [("a", "b"), ("c", "d")])
+    b = make_structure("triangle-tail", "abcd", [("a", "b", "c"), ("c", "d")])
+    assert list(collinearity_isomorphisms(a, b)) == []
+    assert find_isomorphism(a, b) is None
 
 
 def test_point_swapped_model_passes_the_degree_filter():
