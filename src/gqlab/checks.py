@@ -261,11 +261,7 @@ def _check_singer() -> str:
     for tag in ("U", "V"):
         cycles = all([len(c) for c in fano_action(x).cycles()] == [7] for x in at.members(tag))
         actions = [fano_action(g) for g in multiplicative_closure(at.members(tag)[0])]
-        regular = all(
-            sum(1 for action in actions if action.image_of(p) == q) == 1
-            for p in range(1, 8)
-            for q in range(1, 8)
-        )
+        regular = all(sorted(a.image_of(p) for a in actions) == [*range(1, 8)] for p in range(1, 8))
         parts.append(f"{tag}: 7-cycles {cycles}, regular {regular}")
     return "; ".join(parts)
 

@@ -72,6 +72,8 @@ def minor_coordinates(x: int) -> int:
     cofkk is the 2x2 minor of X complementary to the diagonal entry Xkk.
     Bijective on all 64 values.
     """
+    if not 0 <= x < 64:
+        require_sym(x)
     a, b, c, d, e, f = sym_entries(x)
     v1, v2, v3, v4, v5, v6 = a, e ^ d & f, d, c ^ a & f, f, b ^ a & d
     return v1 << 5 | v2 << 4 | v3 << 3 | v4 << 2 | v5 << 1 | v6

@@ -182,6 +182,7 @@ def conjugating_group(tag: str) -> tuple[int, ...]:
 
 def conjugate(u: int, x: int) -> int:
     """U*X*U for packed symmetric matrices; symmetric by Jordan closure."""
+    require_sym(u, x)
     um, xm = sym_to_mat(u), sym_to_mat(x)
     return mat_to_sym(mat_mul(mat_mul(um, xm), um))
 
@@ -197,6 +198,7 @@ def conjugates(u: int) -> tuple[int, ...]:
     """conjugate(u, x) for the 27 quadrangle matrices x, in atlas order: one
     pair of lane products, read back as packed SymMat3 by one transpose of
     their SymMat3 bit lanes; mat_to_sym raises on the lowest asymmetric lane."""
+    require_sym(u)
     n = len(atlas().points)
     u_lanes = broadcast_lanes(sym_to_mat(u), n)
     uxu = lanes_mul(lanes_mul(u_lanes, _point_lanes()), u_lanes)
@@ -224,6 +226,7 @@ def group_orbits(tag: str) -> tuple[tuple[str, ...], ...]:
 @cache
 def _block_collineation(u: int) -> tuple[int, ...]:
     """Image of each 6-bit row (v|w) under the blocks (U, U^-1) attached to u."""
+    require_sym(u)
     um = sym_to_mat(u)
     uinv = inverse3(um)
     left = [row_times_mat(v, um) << 3 for v in range(8)]

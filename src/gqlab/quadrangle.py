@@ -381,64 +381,45 @@ def _search_order(c: CompiledStructure) -> list[int]:
     return order
 
 
-def _backtrack(
-    a: CompiledStructure, b: CompiledStructure, order: list[int]
-) -> Iterator[list[int]]:
-    """The images of order[0], order[1], ... under every map from a onto b
-    that keeps collinearity and non-collinearity, one list per map (reused).
-
-    The candidates of each position start as the points of b with its
-    degree.  They sit side by side in one int, n bits per position, and
-    mapping a point to q intersects every later position's candidates with
-    the neighbours of q, if that position is collinear with the point, or
-    with the non-neighbours other than q.  So a position's candidates are
-    its degree class minus the used points, intersected with the adjacency
-    or non-adjacency masks of the images of the points mapped before it;
-    they are tried in ascending order, which is label order.
+def _backtrack(a: CompiledStructure, b: CompiledStructure, order: list[int]) -> Iterator[list[int]]:
+    """The images of order[0], order[1], ... under every bijection from a
+    onto b that sends collinear points to collinear points, one list per map
+    (reused).  A position's candidates are the unused points of b collinear
+    with the images of its earlier collinear positions, tried in ascending
+    order, which is label order.  Nothing else prunes: when a and b have as
+    many collinear pairs, such a map also sends the other pairs onto the
+    other pairs and keeps every degree, so degree classes could only prune.
     """
     n = len(order)
     if not n:
         yield []
         return
-    full = (1 << n) - 1
-    copies = sum(1 << (n * k) for k in range(n))  # times a mask: one copy per position
-    position = {p: k for k, p in enumerate(order)}
-    near = []  # per position: the fields of the positions collinear with it
-    for p in order:
-        fields = 0
-        for r in bit_indices(a.adjacency[p]):
-            fields |= full << (n * position[r])
-        near.append(fields)
-    far = [full * copies & ~fields for fields in near]
-    onto_near = [mask * copies for mask in b.adjacency]
-    onto_far = [(full & ~mask & ~(1 << q)) * copies for q, mask in enumerate(b.adjacency)]
-    by_degree: dict[int, int] = {}
-    for q, d in enumerate(b.degrees):
-        by_degree[d] = by_degree.get(d, 0) | 1 << q
-    start = sum(by_degree.get(a.degrees[p], 0) << (n * k) for k, p in enumerate(order))
-
-    domains = [start] + [0] * (n - 1)  # candidates of every position, per depth
-    candidates = [start & full] + [0] * (n - 1)  # those of each depth not yet tried
-    images = [0] * n
-    k = 0
+    earlier = [  # per position: the earlier positions collinear with it
+        [j for j in range(k) if a.adjacency[p] >> order[j] & 1] for k, p in enumerate(order)
+    ]
+    candidates = [(1 << n) - 1] + [0] * (n - 1)  # those of each depth not yet tried
+    images, free, k = [0] * n, (1 << n) - 1, 0  # free: the points of b no lower depth maps onto
+    onto = b.adjacency
     while True:
         c = candidates[k]
         if not c:
             if not k:
                 return
             k -= 1
+            free |= 1 << images[k]
             continue
         low = c & -c
         candidates[k] = c ^ low
-        q = low.bit_length() - 1
-        images[k] = q
+        images[k] = low.bit_length() - 1
         if k == n - 1:
             yield images
             continue
-        domain = domains[k] & (onto_near[q] & near[k] | onto_far[q] & far[k])
+        free ^= low
         k += 1
-        domains[k] = domain
-        candidates[k] = domain >> (n * k) & full
+        c = free
+        for j in earlier[k]:
+            c &= onto[images[j]]
+        candidates[k] = c
 
 
 def collinearity_isomorphisms(
@@ -447,13 +428,17 @@ def collinearity_isomorphisms(
     """Every point bijection from a onto b that keeps collinearity and
     non-collinearity, in search order.
 
-    Points of a are mapped breadth-first from the smallest label; candidate
-    images are tried in (degree, label) order.  Each map is a new dict whose
+    Points of a are mapped breadth-first from the smallest label; a point's
+    candidate images are the unused points collinear with the images of its
+    mapped neighbours, tried in label order.  Each map is a new dict whose
     keys follow the search order.
     """
     if len(a.points) != len(b.points) or len(a.lines) != len(b.lines):
         return
     ca, cb = _label_ordered(a), _label_ordered(b)
+    # the one premise of _backtrack: equal sorted degrees give a and b as
+    # many collinear pairs, so a bijection that sends collinear pairs to
+    # collinear pairs sends the other pairs onto the other pairs too
     if sorted(ca.degrees) != sorted(cb.degrees):
         return
     order = _search_order(ca)

@@ -1,5 +1,5 @@
 """The automorphism count of GQ(2,4), run by name and kept out of the default
-collection, because it takes about a second:
+collection, because it takes one to two seconds:
 
     PYTHONPATH=src python -m pytest -q tests/automorphism_count.py
 """

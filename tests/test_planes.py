@@ -26,7 +26,7 @@ from gqlab.gf2 import (
     rref,
     sym_to_mat,
 )
-from gqlab.pg import pg_planes, point_mask
+from gqlab.pg import minor_coordinates, pg_planes, point_mask
 from gqlab.planes import (
     COLUMN_TRIPLES,
     PLANE_DIAGONAL,
@@ -514,6 +514,10 @@ def test_class_planes_counts():
         intersection_statistics,
         skew_partner,
         multiplicative_closure,
+        minor_coordinates,
+        lambda x: conjugate(x, matrix_of("D1")),
+        conjugates,
+        lambda x: collineation_action(x, [PLANE_LEFT]),
     ],
     ids=[
         "classify",
@@ -522,6 +526,10 @@ def test_class_planes_counts():
         "intersection_statistics",
         "skew_partner",
         "multiplicative_closure",
+        "minor_coordinates",
+        "conjugate",
+        "conjugates",
+        "collineation_action",
     ],
 )
 @pytest.mark.parametrize("x", [64 + matrix_of("U1"), -1], ids=["64+U1", "-1"])
