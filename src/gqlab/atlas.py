@@ -198,6 +198,8 @@ def classify(x: int) -> MatrixClass:
 
 def label_of(x: int) -> str:
     """Canonical label D1..V6 of a point, or "1" for the identity."""
+    if not 0 <= x < 64:
+        require_sym(x)
     if x == SYM_IDENTITY:
         return "1"
     return atlas().labels[x]

@@ -449,12 +449,12 @@ def _check_quadric_classes() -> str:
 )
 def _check_qm_family() -> str:
     at = atlas()
+    quadrics = [pg.elliptic_quadric_at(m) for m in at.points]
     points_ok = index_ok = bijection_ok = True
-    for m in at.points:
-        quadric = pg.elliptic_quadric_at(m)
+    for m, quadric, index in zip(at.points, quadrics, pg.projective_indices(quadrics)):
         if quadric.bit_count() != 27:
             points_ok = False
-        if pg.projective_index(quadric) != 1:
+        if index != 1:
             index_ok = False
         image = _translated((x for x in at.points if x != m), m) | 1 << (m ^ SYM_IDENTITY)
         if image != pg.elliptic_matrix_points_at(m):

@@ -18,7 +18,7 @@ from gqlab.pg import (
     elliptic_quadric,
     elliptic_quadric_at,
     klein_quadric,
-    lines_in,
+    lines_in_each,
 )
 from gqlab.planes import DISTINGUISHED, echelon, intersection_statistics, plane_of, raw_plane_rows
 from gqlab.quadrangle import (
@@ -124,22 +124,24 @@ def incidence_dot() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _quadric_record(form_name: str, points: int) -> dict:
+def _quadric_record(form_name: str, points: int, lines: tuple) -> dict:
     return {
         "form": form_name,
         "points": [_BITS[v] for v in bit_indices(points)],
-        "lines_contained": [[_BITS[x], _BITS[y], _BITS[z]] for x, y, z in lines_in(points)],
+        "lines_contained": [[_BITS[x], _BITS[y], _BITS[z]] for x, y, z in lines],
     }
 
 
 def quadrics_json() -> str:
-    records = [
-        _quadric_record("q0", klein_quadric()),
-        _quadric_record("q", elliptic_quadric()),
-    ]
-    for m in atlas().points:
-        records.append(_quadric_record(f"qM:{label_of(m)}", elliptic_quadric_at(m)))
-    return _json_text(records)
+    forms = [("q0", klein_quadric()), ("q", elliptic_quadric())]
+    forms += [(f"qM:{label_of(m)}", elliptic_quadric_at(m)) for m in atlas().points]
+    masks = [points for _, points in forms]
+    return _json_text(
+        [
+            _quadric_record(name, points, lines)
+            for (name, points), lines in zip(forms, lines_in_each(masks))
+        ]
+    )
 
 
 def planes_json() -> str:

@@ -54,11 +54,15 @@ def require_sym(*values: int) -> None:
 
 def sym_entries(s: int) -> tuple[int, int, int, int, int, int]:
     """The upper-triangle bits (a, b, c, d, e, f) of a packed SymMat3."""
+    if not 0 <= s < 64:
+        require_sym(s)
     return (s >> 5 & 1, s >> 4 & 1, s >> 3 & 1, s >> 2 & 1, s >> 1 & 1, s & 1)
 
 
 def sym_to_mat(s: int) -> int:
     """Expand a packed SymMat3 into the full 9-bit Mat3."""
+    if not 0 <= s < 64:
+        require_sym(s)
     # the rows are (a, b, c), (b, d, e) and (c, e, f)
     return s >> 3 << 6 | (s >> 2 & 4 | s >> 1 & 3) << 3 | (s >> 1 & 4 | s & 3)
 

@@ -18,18 +18,17 @@ Every point set is a 64-bit point mask: bit ``v`` is set iff the point
 ``v`` is in the set, so bit 0 (the zero vector) is never set and every
 mask lies inside ``ALL_POINTS``; the functions that take a point set
 raise ``ValueError`` on any other int.  ``bit_indices`` lists a mask's
-points in ascending order where labels or exports need them.  Lines and
-planes inside a point set are found through per-point incidence masks:
-bit ``i`` of ``lines_through()[v]`` is set iff ``pg_lines()[i]`` contains
-``v``, and ``planes_through()`` does the same for ``pg_planes()``.  A
-subspace lies in a point set P iff it misses every point outside P, so
-``lines_in(P)`` ORs the incidence masks of the points outside P and reads
-the clear bits out in ascending order, which is the order of
-``pg_lines()`` and ``pg_planes()``, the public point-tuple forms.
-``projective_index`` needs neither the 1395 planes nor their masks: a
-plane lies in P iff some line (x, y, z) inside P has a point w of P off
-it with w + x, w + y and w + z in P, which one AND of four translates of
-P decides per line.
+points in ascending order where labels or exports need them.  The lines
+inside many point sets are found in one pass over ``pg_lines()`` on
+transposed point lanes: lane ``v`` of ``transposed(masks)`` has bit ``j``
+set iff point ``v`` is in ``masks[j]``, so the AND of the lanes of a line's
+three points says which sets hold that line (``lines_in_each``), and each
+set gets its lines in ``pg_lines()`` order; ``lines_in`` is its one-lane
+call.  ``projective_indices`` needs neither the 1395 planes nor their
+masks: a plane lies in P iff some line (x, y, z) inside P has a point w of
+P off it with w + x, w + y and w + z in P, which one AND of four
+translates of P decides per line.  ``planes_in`` filters ``pg_planes()``
+through per-point incidence masks (``planes_through``).
 
 A form is evaluated once per vector, into a 64-bit value table: bit ``v``
 of a value table is the form at ``v``, for all 64 vectors ``v`` including
@@ -81,6 +80,8 @@ def minor_coordinates(x: int) -> int:
 
 def from_minor_coordinates(v: int) -> int:
     """Inverse of minor_coordinates by back-substitution."""
+    if not 0 <= v < 64:
+        require_sym(v)
     v1, v2, v3, v4, v5, v6 = (v >> 5 & 1, v >> 4 & 1, v >> 3 & 1, v >> 2 & 1, v >> 1 & 1, v & 1)
     a, d, f = v1, v3, v5
     e = v2 ^ d & f
@@ -288,12 +289,6 @@ def _incidence_masks(subspaces: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 @cache
-def lines_through() -> tuple[int, ...]:
-    """Per-point incidence masks of pg_lines(); entry 0 is 0."""
-    return _incidence_masks(pg_lines())
-
-
-@cache
 def planes_through() -> tuple[int, ...]:
     """Per-point incidence masks of pg_planes(); entry 0 is 0."""
     return _incidence_masks(pg_planes())
@@ -323,26 +318,39 @@ def _subspaces_in(subspaces: tuple, through: tuple[int, ...], points: int) -> tu
     return tuple([subspaces[i] for i in bit_indices(~hit & ((1 << len(subspaces)) - 1))])
 
 
+def lines_in_each(masks: Sequence[int]) -> list[tuple[PgLine, ...]]:
+    """The lines inside each of up to 64 point masks, in pg_lines() order.
+
+    Lane v of transposed(masks) has bit j set iff point v is in masks[j], so
+    bit j of lanes[x] & lanes[y] & lanes[z] says that masks[j] holds the
+    line (x, y, z).  ValueError names the first mask outside ALL_POINTS,
+    and more than 64 masks raise transposed's ValueError.
+    """
+    for points in masks:
+        if points & ~ALL_POINTS:
+            raise ValueError(f"not a point mask inside ALL_POINTS: {points:#x}")
+    lanes = transposed(masks)
+    found: list[list[PgLine]] = [[] for _ in masks]
+    for line in pg_lines():
+        x, y, z = line
+        held = lanes[x] & lanes[y] & lanes[z]
+        while held:
+            low = held & -held
+            found[low.bit_length() - 1].append(line)
+            held ^= low
+    return [tuple(lines) for lines in found]
+
+
 def lines_in(points: int) -> tuple[PgLine, ...]:
     """All PG(5,2) lines entirely inside the point set of a mask."""
-    return _subspaces_in(pg_lines(), lines_through(), points)
+    return lines_in_each([points])[0]
 
 
 def planes_in(points: int) -> tuple[tuple[int, ...], ...]:
     return _subspaces_in(pg_planes(), planes_through(), points)
 
 
-def projective_index(points: int) -> int:
-    """Largest dimension of a projective subspace inside the point set.
-
-    Searched exhaustively over the lines inside the set; -1 for the empty
-    set.  Each plane inside it holds an inside line (x, y, z) and a point
-    w off that line with w + x, w + y and w + z inside, so bit w of
-    points & T[x] & T[y] & T[z], with T = translates(points), finds the
-    plane.  The points of the line itself never show there, since bit 0
-    of a point mask is clear.
-    """
-    lines = lines_in(points)
+def _projective_index(points: int, lines: tuple[PgLine, ...]) -> int:
     if not lines:
         return 0 if points else -1
     shifted = translates(points)
@@ -350,6 +358,24 @@ def projective_index(points: int) -> int:
         if points & shifted[x] & shifted[y] & shifted[z]:
             return 2
     return 1
+
+
+def projective_indices(masks: Sequence[int]) -> list[int]:
+    """Largest dimension of a projective subspace inside each point set.
+
+    Searched exhaustively over the lines inside each set, all found by one
+    lines_in_each pass; -1 for the empty set.  Each plane inside a set P
+    holds an inside line (x, y, z) and a point w off that line with w + x,
+    w + y and w + z inside, so bit w of P & T[x] & T[y] & T[z], with
+    T = translates(P), finds the plane.  The points of the line itself
+    never show there, since bit 0 of a point mask is clear.
+    """
+    return list(map(_projective_index, masks, lines_in_each(masks)))
+
+
+def projective_index(points: int) -> int:
+    """Largest dimension of a projective subspace inside the point set."""
+    return projective_indices([points])[0]
 
 
 def quadric_points(form: Callable[[int], int]) -> int:

@@ -24,7 +24,7 @@ from gqlab.pg import (
     klein_matrix_points,
     klein_quadric,
     lines_in,
-    lines_through,
+    lines_in_each,
     matrix_lines_through,
     minor_coordinates,
     pack,
@@ -37,6 +37,7 @@ from gqlab.pg import (
     polar_column,
     polar_form,
     projective_index,
+    projective_indices,
     quadric_points,
     rows,
     tangent_matrix_lines_at_identity,
@@ -174,6 +175,56 @@ def test_pg_planes_match_sort_dedupe_reference():
     assert pg_planes() == _reference_pg_planes()
 
 
+def lines_through():
+    """Per-point incidence masks of pg_lines(): bit i of entry v is set iff
+    line i holds point v; entry 0 is 0.  The reference for lines_in_each."""
+    masks = [0] * 64
+    for i, line in enumerate(pg_lines()):
+        for v in line:
+            masks[v] |= 1 << i
+    return tuple(masks)
+
+
+def _reference_lines_in(points):
+    # a line lies in the set iff it misses every point outside it
+    through = lines_through()
+    hit = 0
+    for v in bit_indices(ALL_POINTS & ~points):
+        hit |= through[v]
+    return tuple(line for i, line in enumerate(pg_lines()) if not hit >> i & 1)
+
+
+def _quadric_masks():
+    """The 29 quadrics of the quadric export: Klein, Q and the 27 Q_M."""
+    return [klein_quadric(), elliptic_quadric()] + [elliptic_quadric_at(m) for m in atlas().points]
+
+
+def test_lines_in_each_matches_the_incidence_reference():
+    rng = random.Random(26)
+
+    def random_mask():
+        return point_mask(rng.sample(range(1, 64), rng.randint(0, 63)))
+
+    batches = [_quadric_masks(), [perp_hyperplane(p) for p in range(1, 64)], [0, ALL_POINTS]]
+    batches += [[random_mask() for _ in range(size)] for size in (1, 29, 64) for _ in range(3)]
+    for masks in batches:
+        found = lines_in_each(masks)
+        assert found == [_reference_lines_in(points) for points in masks]
+        assert found == [lines_in(points) for points in masks]
+    assert lines_in_each([0, ALL_POINTS]) == [(), pg_lines()]
+
+
+def test_batch_point_set_functions_validate_their_masks():
+    for read in (lines_in_each, projective_indices):
+        assert read([]) == []
+        for mask in (1, -1, 1 << 64):
+            # the first bad mask is named, wherever it sits in the batch
+            with pytest.raises(ValueError, match=f"ALL_POINTS: {mask:#x}$"):
+                read([elliptic_quadric(), mask, 1])
+        with pytest.raises(ValueError, match="at most 64 rows, got 65"):
+            read([elliptic_quadric()] * 65)
+
+
 def test_incidence_masks_list_the_subspaces_through_each_point():
     for subspaces, through in ((pg_lines(), lines_through()), (pg_planes(), planes_through())):
         assert through[0] == 0
@@ -240,6 +291,19 @@ def test_projective_index_matches_plane_reference_on_hand_made_sets():
         cases += [(mask | point_mask(meeting), 2), (mask | point_mask(missing), 2)]
         for points, wanted in cases:
             assert projective_index(points) == _reference_projective_index(points) == wanted
+
+
+def test_projective_indices_match_the_plane_reference():
+    rng = random.Random(12)
+    sets = _quadric_masks() + [0, 1 << 1, ALL_POINTS]
+    sets += [point_mask(plane) & ~(1 << plane[i % 7]) for i, plane in enumerate(pg_planes()[::97])]
+    sets += [point_mask(plane) for plane in pg_planes()[::211]]
+    while len(sets) < 64:
+        sets.append(point_mask(rng.sample(range(1, 64), rng.randint(0, 40))))
+    indices = projective_indices(sets)
+    assert indices == [_reference_projective_index(points) for points in sets]
+    assert indices == [projective_index(points) for points in sets]
+    assert set(indices) == {-1, 0, 1, 2}
 
 
 def test_projective_indices():

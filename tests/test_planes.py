@@ -24,9 +24,11 @@ from gqlab.gf2 import (
     mat_to_sym,
     row_rank,
     rref,
+    sym_det,
+    sym_entries,
     sym_to_mat,
 )
-from gqlab.pg import minor_coordinates, pg_planes, point_mask
+from gqlab.pg import from_minor_coordinates, minor_coordinates, pg_planes, point_mask
 from gqlab.planes import (
     COLUMN_TRIPLES,
     PLANE_DIAGONAL,
@@ -518,6 +520,11 @@ def test_class_planes_counts():
         lambda x: conjugate(x, matrix_of("D1")),
         conjugates,
         lambda x: collineation_action(x, [PLANE_LEFT]),
+        sym_det,
+        sym_entries,
+        sym_to_mat,
+        from_minor_coordinates,
+        label_of,
     ],
     ids=[
         "classify",
@@ -530,6 +537,11 @@ def test_class_planes_counts():
         "conjugate",
         "conjugates",
         "collineation_action",
+        "sym_det",
+        "sym_entries",
+        "sym_to_mat",
+        "from_minor_coordinates",
+        "label_of",
     ],
 )
 @pytest.mark.parametrize("x", [64 + matrix_of("U1"), -1], ids=["64+U1", "-1"])
