@@ -371,11 +371,11 @@ def _check_translation_form() -> str:
 )
 def _check_klein() -> str:
     quadric = pg.klein_quadric()
-    n_lines = len(pg.lines_in(quadric))
-    idx = pg.projective_index(quadric)
+    lines = pg.lines_in(quadric)
+    idx = pg.projective_index(quadric, lines)
     preimages = pg.point_mask(map(pg.from_minor_coordinates, pg.bit_indices(quadric)))
     match = preimages == pg.klein_matrix_points()
-    return f"{quadric.bit_count()} points, index {idx}, {n_lines} lines, singular preimages {match}"
+    return f"{quadric.bit_count()} points, index {idx}, {len(lines)} lines, singular preimages {match}"
 
 
 @check(
@@ -385,10 +385,9 @@ def _check_klein() -> str:
 )
 def _check_elliptic() -> str:
     quadric = pg.elliptic_quadric()
-    return (
-        f"{quadric.bit_count()} points, index {pg.projective_index(quadric)}, "
-        f"{len(pg.lines_in(quadric))} lines"
-    )
+    lines = pg.lines_in(quadric)
+    idx = pg.projective_index(quadric, lines)
+    return f"{quadric.bit_count()} points, index {idx}, {len(lines)} lines"
 
 
 @check(

@@ -18,7 +18,7 @@ from gqlab.pg import (
     elliptic_quadric,
     elliptic_quadric_at,
     klein_quadric,
-    lines_in_each,
+    lines_in,
 )
 from gqlab.planes import DISTINGUISHED, echelon, intersection_statistics, plane_of, raw_plane_rows
 from gqlab.quadrangle import (
@@ -139,7 +139,7 @@ def quadrics_json() -> str:
     return _json_text(
         [
             _quadric_record(name, points, lines)
-            for (name, points), lines in zip(forms, lines_in_each(masks))
+            for (name, points), lines in zip(forms, lines_in(masks))
         ]
     )
 

@@ -18,17 +18,17 @@ Every point set is a 64-bit point mask: bit ``v`` is set iff the point
 ``v`` is in the set, so bit 0 (the zero vector) is never set and every
 mask lies inside ``ALL_POINTS``; the functions that take a point set
 raise ``ValueError`` on any other int.  ``bit_indices`` lists a mask's
-points in ascending order where labels or exports need them.  The lines
-inside many point sets are found in one pass over ``pg_lines()`` on
-transposed point lanes: lane ``v`` of ``transposed(masks)`` has bit ``j``
-set iff point ``v`` is in ``masks[j]``, so the AND of the lanes of a line's
-three points says which sets hold that line (``lines_in_each``), and each
-set gets its lines in ``pg_lines()`` order; ``lines_in`` is its one-lane
-call.  ``projective_indices`` needs neither the 1395 planes nor their
-masks: a plane lies in P iff some line (x, y, z) inside P has a point w of
-P off it with w + x, w + y and w + z in P, which one AND of four
-translates of P decides per line.  ``planes_in`` filters ``pg_planes()``
-through per-point incidence masks (``planes_through``).
+points in ascending order where labels or exports need them.  ``lines_in``
+finds the lines inside one point set, or inside each of up to 64, in one
+pass over ``pg_lines()`` on transposed point lanes: lane ``v`` of
+``transposed(masks)`` has bit ``j`` set iff point ``v`` is in ``masks[j]``,
+so the AND of the lanes of a line's three points says which sets hold that
+line, and each set gets its lines in ``pg_lines()`` order.
+``projective_index`` needs neither the 1395 planes nor their masks: a plane
+lies in P iff some line (x, y, z) inside P has a point w of P off it with
+w + x, w + y and w + z in P, which one AND of four translates of P decides
+per line.  ``planes_in`` filters ``pg_planes()`` through per-point incidence
+masks (``planes_through``).
 
 A form is evaluated once per vector, into a 64-bit value table: bit ``v``
 of a value table is the form at ``v``, for all 64 vectors ``v`` including
@@ -279,19 +279,15 @@ def pg_planes() -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _incidence_masks(subspaces: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    masks = [0] * 64
-    for i, subspace in enumerate(subspaces):
-        bit = 1 << i
-        for v in subspace:
-            masks[v] |= bit
-    return tuple(masks)
-
-
 @cache
 def planes_through() -> tuple[int, ...]:
     """Per-point incidence masks of pg_planes(); entry 0 is 0."""
-    return _incidence_masks(pg_planes())
+    masks = [0] * 64
+    for i, plane in enumerate(pg_planes()):
+        bit = 1 << i
+        for v in plane:
+            masks[v] |= bit
+    return tuple(masks)
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -309,26 +305,23 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _subspaces_in(subspaces: tuple, through: tuple[int, ...], points: int) -> tuple:
+def _require_point_mask(points: int) -> None:
     if points & ~ALL_POINTS:
         raise ValueError(f"not a point mask inside ALL_POINTS: {points:#x}")
-    hit = 0
-    for v in bit_indices(ALL_POINTS & ~points):
-        hit |= through[v]
-    return tuple([subspaces[i] for i in bit_indices(~hit & ((1 << len(subspaces)) - 1))])
 
 
-def lines_in_each(masks: Sequence[int]) -> list[tuple[PgLine, ...]]:
-    """The lines inside each of up to 64 point masks, in pg_lines() order.
+def lines_in(points: int | Sequence[int]) -> tuple[PgLine, ...] | list[tuple[PgLine, ...]]:
+    """The PG(5,2) lines inside a point mask, in pg_lines() order; given a
+    sequence of up to 64 masks, one such tuple per mask, from one pass.
 
     Lane v of transposed(masks) has bit j set iff point v is in masks[j], so
     bit j of lanes[x] & lanes[y] & lanes[z] says that masks[j] holds the
     line (x, y, z).  ValueError names the first mask outside ALL_POINTS,
     and more than 64 masks raise transposed's ValueError.
     """
-    for points in masks:
-        if points & ~ALL_POINTS:
-            raise ValueError(f"not a point mask inside ALL_POINTS: {points:#x}")
+    masks = [points] if isinstance(points, int) else points
+    for mask in masks:
+        _require_point_mask(mask)
     lanes = transposed(masks)
     found: list[list[PgLine]] = [[] for _ in masks]
     for line in pg_lines():
@@ -338,19 +331,34 @@ def lines_in_each(masks: Sequence[int]) -> list[tuple[PgLine, ...]]:
             low = held & -held
             found[low.bit_length() - 1].append(line)
             held ^= low
+    if isinstance(points, int):
+        return tuple(found[0])
     return [tuple(lines) for lines in found]
 
 
-def lines_in(points: int) -> tuple[PgLine, ...]:
-    """All PG(5,2) lines entirely inside the point set of a mask."""
-    return lines_in_each([points])[0]
-
-
 def planes_in(points: int) -> tuple[tuple[int, ...], ...]:
-    return _subspaces_in(pg_planes(), planes_through(), points)
+    _require_point_mask(points)
+    through = planes_through()
+    hit = 0
+    for v in bit_indices(ALL_POINTS & ~points):
+        hit |= through[v]
+    planes = pg_planes()
+    return tuple([planes[i] for i in bit_indices(~hit & ((1 << len(planes)) - 1))])
 
 
-def _projective_index(points: int, lines: tuple[PgLine, ...]) -> int:
+def projective_index(points: int, lines: tuple[PgLine, ...] | None = None) -> int:
+    """Largest dimension of a projective subspace inside the point set.
+
+    Searched exhaustively over the lines inside the set, lines_in(points)
+    unless the caller has them already; -1 for the empty set.  Each plane
+    inside a set P holds an inside line (x, y, z) and a point w off that
+    line with w + x, w + y and w + z inside, so bit w of
+    P & T[x] & T[y] & T[z], with T = translates(P), finds the plane.  The
+    points of the line itself never show there, since bit 0 of a point mask
+    is clear.
+    """
+    if lines is None:
+        lines = lines_in(points)
     if not lines:
         return 0 if points else -1
     shifted = translates(points)
@@ -361,21 +369,9 @@ def _projective_index(points: int, lines: tuple[PgLine, ...]) -> int:
 
 
 def projective_indices(masks: Sequence[int]) -> list[int]:
-    """Largest dimension of a projective subspace inside each point set.
-
-    Searched exhaustively over the lines inside each set, all found by one
-    lines_in_each pass; -1 for the empty set.  Each plane inside a set P
-    holds an inside line (x, y, z) and a point w off that line with w + x,
-    w + y and w + z inside, so bit w of P & T[x] & T[y] & T[z], with
-    T = translates(P), finds the plane.  The points of the line itself
-    never show there, since bit 0 of a point mask is clear.
-    """
-    return list(map(_projective_index, masks, lines_in_each(masks)))
-
-
-def projective_index(points: int) -> int:
-    """Largest dimension of a projective subspace inside the point set."""
-    return projective_indices([points])[0]
+    """projective_index of each of up to 64 point sets, whose lines are
+    found by one lines_in pass."""
+    return list(map(projective_index, masks, lines_in(masks)))
 
 
 def quadric_points(form: Callable[[int], int]) -> int:

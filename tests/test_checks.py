@@ -590,10 +590,10 @@ def test_index_checks_fail_on_faulty_translates(monkeypatch, translates, check_i
 
 
 def test_qm_family_fails_when_the_line_pass_drops_the_last_set(monkeypatch):
-    # the 27 quadrics share one lines_in_each pass; losing the last set's
-    # lines leaves that quadric with index 0
-    lines_in_each = gqlab.pg.lines_in_each
-    monkeypatch.setattr(gqlab.pg, "lines_in_each", lambda masks: lines_in_each(masks)[:-1] + [()])
+    # the 27 quadrics share one lines_in pass; losing the last set's lines
+    # leaves that quadric with index 0
+    lines_in = gqlab.pg.lines_in
+    monkeypatch.setattr(gqlab.pg, "lines_in", lambda masks: lines_in(masks)[:-1] + [()])
     report = _single_report("sec4.qm-family")
     assert not report.passed
     assert report.actual == "27 quadrics: 27 points True, index 1 False, translation bijection True"

@@ -24,7 +24,6 @@ from gqlab.pg import (
     klein_matrix_points,
     klein_quadric,
     lines_in,
-    lines_in_each,
     matrix_lines_through,
     minor_coordinates,
     pack,
@@ -177,7 +176,7 @@ def test_pg_planes_match_sort_dedupe_reference():
 
 def lines_through():
     """Per-point incidence masks of pg_lines(): bit i of entry v is set iff
-    line i holds point v; entry 0 is 0.  The reference for lines_in_each."""
+    line i holds point v; entry 0 is 0.  The reference for lines_in."""
     masks = [0] * 64
     for i, line in enumerate(pg_lines()):
         for v in line:
@@ -199,7 +198,7 @@ def _quadric_masks():
     return [klein_quadric(), elliptic_quadric()] + [elliptic_quadric_at(m) for m in atlas().points]
 
 
-def test_lines_in_each_matches_the_incidence_reference():
+def test_lines_in_many_sets_matches_the_incidence_reference():
     rng = random.Random(26)
 
     def random_mask():
@@ -208,14 +207,15 @@ def test_lines_in_each_matches_the_incidence_reference():
     batches = [_quadric_masks(), [perp_hyperplane(p) for p in range(1, 64)], [0, ALL_POINTS]]
     batches += [[random_mask() for _ in range(size)] for size in (1, 29, 64) for _ in range(3)]
     for masks in batches:
-        found = lines_in_each(masks)
+        found = lines_in(masks)
         assert found == [_reference_lines_in(points) for points in masks]
         assert found == [lines_in(points) for points in masks]
-    assert lines_in_each([0, ALL_POINTS]) == [(), pg_lines()]
+    assert lines_in([0, ALL_POINTS]) == [(), pg_lines()]
+    assert lines_in(tuple(_quadric_masks())) == lines_in(_quadric_masks())
 
 
 def test_batch_point_set_functions_validate_their_masks():
-    for read in (lines_in_each, projective_indices):
+    for read in (lines_in, projective_indices):
         assert read([]) == []
         for mask in (1, -1, 1 << 64):
             # the first bad mask is named, wherever it sits in the batch
