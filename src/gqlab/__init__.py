@@ -20,15 +20,7 @@ _LAZY = {
     "verify_gq_axioms": "gqlab.quadrangle",
 }
 
-__all__ = [
-    "__version__",
-    "build_double_six_model",
-    "build_matrix_quadrangle",
-    "build_quadric_quadrangle",
-    "find_isomorphism",
-    "run_suite",
-    "verify_gq_axioms",
-]
+__all__ = ["__version__", *_LAZY]
 
 
 def __getattr__(name: str):

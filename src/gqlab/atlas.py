@@ -205,12 +205,6 @@ def label_of(x: int) -> str:
     return atlas().labels[x]
 
 
-def matrix_of(label: str) -> int:
-    if label == "1":
-        return SYM_IDENTITY
-    return atlas().by_label[label]
-
-
 def multiplicative_closure(x: int) -> frozenset[int]:
     """The powers {x, x^2, ..., 1}; defined for the eigenvalue-free classes."""
     if classify(x) not in (MatrixClass.U, MatrixClass.V):

@@ -303,14 +303,12 @@ def _check_coordinates() -> str:
 
 def _by_matrix(tables: Iterable[int]) -> list[int]:
     """Coordinate-indexed value tables re-indexed by matrix: bit x of each
-    entry is bit minor_coordinates(x) of its table.  Up to 64 tables at once
-    are transposed, their rows permuted by coordinates() and transposed back."""
-    tables, out = list(tables), []
-    for low in range(0, len(tables), 64):
-        by_vector = pg.transposed(tables[low : low + 64])
-        moved = pg.transposed([by_vector[v] for v in pg.coordinates()])
-        out += moved[: len(tables) - low]
-    return out
+    entry is bit minor_coordinates(x) of its table.  The tables, at most 64,
+    are transposed, their rows permuted by coordinates() and transposed back;
+    more raise transposed's ValueError."""
+    tables = list(tables)
+    by_vector = pg.transposed(tables)
+    return list(pg.transposed([by_vector[v] for v in pg.coordinates()])[: len(tables)])
 
 
 @check(

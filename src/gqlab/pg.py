@@ -24,11 +24,10 @@ pass over ``pg_lines()`` on transposed point lanes: lane ``v`` of
 ``transposed(masks)`` has bit ``j`` set iff point ``v`` is in ``masks[j]``,
 so the AND of the lanes of a line's three points says which sets hold that
 line, and each set gets its lines in ``pg_lines()`` order.
-``projective_index`` needs neither the 1395 planes nor their masks: a plane
-lies in P iff some line (x, y, z) inside P has a point w of P off it with
-w + x, w + y and w + z in P, which one AND of four translates of P decides
-per line.  ``planes_in`` filters ``pg_planes()`` through per-point incidence
-masks (``planes_through``).
+A plane lies in P iff some line (x, y, z) inside P has a point w of P off
+it with w + x, w + y and w + z in P, which one AND of four translates of P
+decides per line: ``projective_index`` asks whether any such w exists, and
+``planes_in`` lists each plane once from the w it allows.
 
 A form is evaluated once per vector, into a 64-bit value table: bit ``v``
 of a value table is the form at ``v``, for all 64 vectors ``v`` including
@@ -261,35 +260,6 @@ def point_mask(points: Iterable[int]) -> int:
     return mask
 
 
-@cache
-def pg_planes() -> tuple[tuple[int, ...], ...]:
-    """All 1395 planes of PG(5,2) as sorted 7-point tuples.
-
-    Each plane is generated once, from its two smallest points x < y and
-    the smallest point z off their line.  That z exceeds y and is smaller
-    than z + x and z + y, which also rules out z = x + y; z < z + x + y
-    then follows, since x + y has the leading bit of y.
-    """
-    out = []
-    for x, y, z0 in pg_lines():
-        for z in range(y + 1, 64):
-            if z < z ^ x and z < z ^ y:
-                out.append(tuple(sorted((x, y, z0, z, z ^ x, z ^ y, z ^ z0))))
-    out.sort()
-    return tuple(out)
-
-
-@cache
-def planes_through() -> tuple[int, ...]:
-    """Per-point incidence masks of pg_planes(); entry 0 is 0."""
-    masks = [0] * 64
-    for i, plane in enumerate(pg_planes()):
-        bit = 1 << i
-        for v in plane:
-            masks[v] |= bit
-    return tuple(masks)
-
-
 def bit_indices(mask: int) -> list[int]:
     """Indices of the set bits of a nonnegative int, ascending.
 
@@ -337,13 +307,32 @@ def lines_in(points: int | Sequence[int]) -> tuple[PgLine, ...] | list[tuple[PgL
 
 
 def planes_in(points: int) -> tuple[tuple[int, ...], ...]:
-    _require_point_mask(points)
-    through = planes_through()
-    hit = 0
-    for v in bit_indices(ALL_POINTS & ~points):
-        hit |= through[v]
-    planes = pg_planes()
-    return tuple([planes[i] for i in bit_indices(~hit & ((1 << len(planes)) - 1))])
+    """The PG(5,2) planes inside a point mask as sorted 7-point tuples, in
+    ascending order.
+
+    Each plane is found once, from its two smallest points x < y and the
+    smallest point w off their line.  That w exceeds y and is smaller than
+    w + x and w + y, which also rules out w = x + y; w < w + x + y then
+    follows, since x + y has the leading bit of y.  So the lines (x, y, z)
+    come in pg_lines() order and the w of each line ascending, which is the
+    ascending order of the tuples: two planes through one line first differ
+    at their smallest points off it.  A mask outside ALL_POINTS raises the
+    ValueError of lines_in.
+    """
+    lines = lines_in(points)
+    shifted = translates(points)
+    planes = []
+    for x, y, z in lines:
+        for w in bit_indices(points & shifted[x] & shifted[y] & shifted[z] & -(2 << y)):
+            if w < w ^ x and w < w ^ y:
+                planes.append(tuple(sorted((x, y, z, w, w ^ x, w ^ y, w ^ z))))
+    return tuple(planes)
+
+
+@cache
+def pg_planes() -> tuple[tuple[int, ...], ...]:
+    """All 1395 planes of PG(5,2) as sorted 7-point tuples."""
+    return planes_in(ALL_POINTS)
 
 
 def projective_index(points: int, lines: tuple[PgLine, ...] | None = None) -> int:

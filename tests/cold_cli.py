@@ -1,0 +1,54 @@
+"""Run the gqlab CLI cold, one process per target; no timing gate.
+
+First each of the 42 check ids, then each section prefix, is verified as its
+own process: every check builds what it reads, with no other check run
+first, and an id selects exactly its own report.  Then each of the 8 export
+pairs is written by its own process, and every JSON body must read back as
+``json.dumps(indent=2)`` lays it out.
+
+Each child is ``sys.executable -m gqlab.cli``, so any interpreter that can
+import gqlab runs the script, with or without the installed entry point::
+
+    PYTHONPATH=src python tests/cold_cli.py
+
+Pytest does not collect this file; CI runs it as a step of its own.
+"""
+
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from gqlab.checks import check_ids
+from gqlab.exports import EXPORTERS
+
+CLI = [sys.executable, "-m", "gqlab.cli"]
+
+
+def verify_each_check_and_section() -> None:
+    for target in check_ids() + ("sec2.", "sec3.", "sec4.", "sec5."):
+        cmd = [*CLI, "verify", "--check", target, "--format", "json"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 0, (target, proc.stdout, proc.stderr)
+        ids = [report["id"] for report in json.loads(proc.stdout)["checks"]]
+        assert ids and all(i.startswith(target) for i in ids), (target, ids)
+        assert target.endswith(".") or ids == [target], (target, ids)
+
+
+def export_each_pair() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for what, fmt in EXPORTERS:
+            out = Path(tmp, f"{what}.{fmt}")
+            cmd = [*CLI, "export", "--what", what, "--format", fmt, "--out", str(out)]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            assert proc.returncode == 0, (what, fmt, proc.stdout, proc.stderr)
+            body = out.read_text(encoding="utf-8")
+            assert body, (what, fmt)
+            if fmt == "json":
+                assert json.dumps(json.loads(body), indent=2) + "\n" == body, what
+
+
+if __name__ == "__main__":
+    verify_each_check_and_section()
+    export_each_pair()

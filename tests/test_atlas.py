@@ -11,7 +11,6 @@ from gqlab.atlas import (
     enumerate_invertible_symmetric,
     fano_action,
     label_of,
-    matrix_of,
     multiplicative_closure,
     opposite,
 )
@@ -59,9 +58,8 @@ def test_classify_examples():
 def test_labels_round_trip():
     at = atlas()
     for x in at.points:
-        assert matrix_of(label_of(x)) == x
+        assert at.by_label[label_of(x)] == x
     assert label_of(SYM_IDENTITY) == "1"
-    assert matrix_of("1") == SYM_IDENTITY
     assert label_of(parse_bits6("001100")) == "D1"
 
 
@@ -100,11 +98,11 @@ def test_fano_action_d1_fixes_a_line():
 
 
 def test_fano_action_d4_one_fixed_point():
-    assert len(fano_action(matrix_of("D4")).fixed_points) == 1
+    assert len(fano_action(atlas().by_label["D4"]).fixed_points) == 1
 
 
 def test_fano_action_u1_is_seven_cycle():
-    action = fano_action(matrix_of("U1"))
+    action = fano_action(atlas().by_label["U1"])
     assert action.fixed_points == ()
     cycles = action.cycles()
     assert len(cycles) == 1 and len(cycles[0]) == 7

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,13 +140,43 @@ def test_suite_json_is_pinned():
 
 
 def test_cold_suite_builds_no_plane_table(monkeypatch):
-    # every projective index is decided from lines and translates, so the
-    # 1395 planes and their incidence masks are never built
+    # every projective index is decided from lines and translates, so no
+    # plane is ever listed, let alone the 1395 of pg_planes()
     monkeypatch.setattr(gqlab.pg, "pg_planes", _raise_planted_fault)
-    monkeypatch.setattr(gqlab.pg, "planes_through", _raise_planted_fault)
+    monkeypatch.setattr(gqlab.pg, "planes_in", _raise_planted_fault)
     suite = run_suite()
     assert suite.passed
     assert _suite_digest(suite) == SUITE_SHA256
+
+
+# calls of each scalar kernel behind a value table in one cold run_suite();
+# a table built by linearity, or read off another table, would lower a count
+SCALAR_KERNEL_CALLS = {
+    "polar_form": 4096,
+    "hyperbolic_form": 64,
+    "sym_det": 339,
+    "minor_coordinates": 266,
+}
+
+
+def test_cold_suite_builds_each_value_table_from_its_scalar_kernel(monkeypatch):
+    calls = dict.fromkeys(SCALAR_KERNEL_CALLS, 0)
+
+    def counted(name, kernel):
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return wrapper
+
+    # every gqlab module that bound a kernel by name gets its own wrapper
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "gqlab" or module_name.startswith("gqlab."):
+            for name in SCALAR_KERNEL_CALLS:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    assert run_suite().passed
+    assert calls == SCALAR_KERNEL_CALLS
 
 
 def test_suite_json_schema():
@@ -221,7 +252,8 @@ def test_packed_polarized_matches_per_entry():
 
 def _translated_coordinates(*labels):
     coords, identity = gqlab.pg.coordinates(), gqlab.gf2.SYM_IDENTITY
-    return tuple(coords[gqlab.atlas.matrix_of(label) ^ identity] for label in labels)
+    by_label = gqlab.atlas.atlas().by_label
+    return tuple(coords[by_label[label] ^ identity] for label in labels)
 
 
 @pytest.mark.parametrize(
@@ -266,13 +298,18 @@ def _by_matrix_per_bit(table):
 
 def test_by_matrix_matches_the_per_bit_reindex(monkeypatch):
     rng = random.Random(7)
-    tables = [1 << v for v in range(64)] + [rng.getrandbits(64) for _ in range(64)]
-    assert gqlab.checks._by_matrix(tables) == [_by_matrix_per_bit(t) for t in tables]
+    batches = [[1 << v for v in range(64)], [rng.getrandbits(64) for _ in range(64)]]
+    for tables in batches:
+        assert gqlab.checks._by_matrix(tables) == [_by_matrix_per_bit(t) for t in tables]
     # a non-injective coordinate map: matrix 5 takes the vector of matrix 9
     planted = list(gqlab.pg.coordinates())
     planted[5] = planted[9]
     monkeypatch.setattr(gqlab.pg, "coordinates", lambda: tuple(planted))
-    assert gqlab.checks._by_matrix(iter(tables)) == [_by_matrix_per_bit(t) for t in tables]
+    for tables in batches:
+        assert gqlab.checks._by_matrix(iter(tables)) == [_by_matrix_per_bit(t) for t in tables]
+    # one transposed round trip holds at most 64 tables
+    with pytest.raises(ValueError, match="at most 64 rows, got 65"):
+        gqlab.checks._by_matrix(batches[1] + [0])
 
 
 # Planted faults in the inputs of the hot checks: each check must still see
@@ -321,7 +358,7 @@ def test_group_action_fails_on_one_wrong_product(monkeypatch):
 def test_sec5_group_checks_fail_on_one_wrong_conjugate(monkeypatch, image):
     at = gqlab.atlas.atlas()
     u1, k = at.u[0], at.points.index(at.by_label["D5"])
-    value = gqlab.atlas.matrix_of(image)
+    value = gqlab.gf2.SYM_IDENTITY if image == "1" else at.by_label[image]
     conjugates = gqlab.planes.conjugates
 
     def planted(u):
@@ -391,7 +428,7 @@ def test_collineation_sees_two_points_of_a_distinguished_plane_merged(monkeypatc
     # the blocks of U1 send 000010 to the image of 000001; both points lie
     # on (0|1), which is skew to the other 29 planes, so every meet count
     # stays the same and only the image of (0|1) itself shows the fault
-    u1 = gqlab.atlas.matrix_of("U1")
+    u1 = gqlab.atlas.atlas().by_label["U1"]
     block_collineation = gqlab.planes._block_collineation
 
     def merged(u):
@@ -423,7 +460,7 @@ def test_collineation_sees_two_swapped_images_through_the_planes_alone(monkeypat
         image[0b100000], image[0b000001] = image[0b000001], image[0b100000]
         return image
 
-    _plant_vector_map(monkeypatch, gqlab.atlas.matrix_of("V2"), swapped)
+    _plant_vector_map(monkeypatch, gqlab.atlas.atlas().by_label["V2"], swapped)
     report = _single_report("sec5.collineation")
     assert report.actual == (
         "maps (X|1) to (UXU|1) False, preserves intersection dimensions True"
@@ -443,7 +480,7 @@ def test_collineation_sees_two_points_of_meeting_family_planes_merged(monkeypatc
         image[a] = image[b]
         return image
 
-    _plant_vector_map(monkeypatch, gqlab.atlas.matrix_of("U3"), merged)
+    _plant_vector_map(monkeypatch, gqlab.atlas.atlas().by_label["U3"], merged)
     report = _single_report("sec5.collineation")
     assert report.actual == (
         "maps (X|1) to (UXU|1) False, preserves intersection dimensions False"
@@ -694,7 +731,7 @@ def test_plane_family_fails_on_a_line_in_place_of_a_plane(monkeypatch):
 )
 def test_matrix_quadrangle_fails_on_one_flipped_determinant(monkeypatch, pair, wanted):
     # det(X+Y) reads wrong for this one pair in the law the matrix model is built from
-    x, y = map(gqlab.atlas.matrix_of, pair)
+    x, y = (gqlab.atlas.atlas().by_label[label] for label in pair)
     flip = {x: 1 << y, y: 1 << x}
     translate_mask = gqlab.quadrangle.translate_mask
     monkeypatch.setattr(
@@ -709,7 +746,7 @@ def test_matrix_quadrangle_fails_on_one_flipped_determinant(monkeypatch, pair, w
 def test_pi_plane_model_fails_on_one_wrong_meet_of_family_planes(monkeypatch, pair):
     # the plane model's law reads the meet of these two planes wrong, and
     # no other meet
-    p, q = (gqlab.planes.plane_of(gqlab.atlas.matrix_of(label)) for label in pair)
+    p, q = (gqlab.planes.plane_of(gqlab.atlas.atlas().by_label[label]) for label in pair)
     meet_rows = gqlab.planes.meet_rows
 
     def faulty(planes):

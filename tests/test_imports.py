@@ -10,7 +10,7 @@ import pytest
 import gqlab
 import gqlab.checks
 import gqlab.quadrangle
-from gqlab.atlas import matrix_of
+from gqlab.atlas import atlas
 from gqlab.planes import intersection_statistics
 from gqlab.quadrangle import make_structure
 
@@ -79,7 +79,7 @@ def test_public_names_resolve_to_their_defining_modules():
 
 
 def test_records_keep_repr_immutability_and_hash():
-    profile = intersection_statistics(matrix_of("D1"))
+    profile = intersection_statistics(atlas().by_label["D1"])
     structure = make_structure("path", ["c", "a", "b"], [["b", "a"], ["c", "b"]])
     assert repr(profile) == "MeetProfile(label='D1', versus='U', points=4, lines=0, skew=2)"
     assert repr(structure) == (

@@ -10,7 +10,6 @@ from gqlab.atlas import (
     classify,
     fano_action,
     label_of,
-    matrix_of,
     multiplicative_closure,
 )
 from gqlab.checks import run_suite
@@ -70,7 +69,7 @@ def test_plane_of_zero_is_right_block():
 
 def test_plane_canonical_form_unique():
     # the same row space in a different basis reduces to the same plane
-    p = plane_of(matrix_of("D1"))
+    p = plane_of(atlas().by_label["D1"])
     r0, r1, r2 = echelon(p)
     assert make_plane((r0 ^ r1, r1 ^ r2, r2)) == p
 
@@ -166,9 +165,9 @@ def test_plane_points_count():
 
 def test_meet_with_identity_plane():
     # (D1|1) meets (1|1) in a line, (D4|1) in a point, (U1|1) not at all
-    assert intersection_dim(plane_of(matrix_of("D1")), PLANE_DIAGONAL) == 2
-    assert intersection_dim(plane_of(matrix_of("D4")), PLANE_DIAGONAL) == 1
-    assert intersection_dim(plane_of(matrix_of("U1")), PLANE_DIAGONAL) == 0
+    assert intersection_dim(plane_of(atlas().by_label["D1"]), PLANE_DIAGONAL) == 2
+    assert intersection_dim(plane_of(atlas().by_label["D4"]), PLANE_DIAGONAL) == 1
+    assert intersection_dim(plane_of(atlas().by_label["U1"]), PLANE_DIAGONAL) == 0
 
 
 def test_meet_identity_plane_split():
@@ -181,7 +180,7 @@ def test_meet_identity_plane_split():
 
 
 def test_u1_v1_planes_skew():
-    assert is_skew(plane_of(matrix_of("U1")), plane_of(matrix_of("V1")))
+    assert is_skew(plane_of(atlas().by_label["U1"]), plane_of(atlas().by_label["V1"]))
 
 
 def test_rank_meet_identity_exhaustive():
@@ -198,7 +197,7 @@ def test_mask_meet_matches_stacked_rank():
 
 def test_rank_meet_spot_values():
     # rank(D1+1) = 1 so the planes meet in dimension 2
-    d1, one = matrix_of("D1"), SYM_IDENTITY
+    d1, one = atlas().by_label["D1"], SYM_IDENTITY
     assert mat_rank(sym_to_mat(d1 ^ one)) == 1
     assert intersection_dim(plane_of(d1), plane_of(one)) == 2
 
@@ -222,7 +221,7 @@ def test_symplectic_isotropy():
 
 def test_symplectic_product_rows():
     # rows (x_i|e_i), (x_j|e_j) of (X|1) pair to X_ij + X_ji = 0
-    rows = raw_plane_rows(sym_to_mat(matrix_of("D5")))
+    rows = raw_plane_rows(sym_to_mat(atlas().by_label["D5"]))
     for i in range(3):
         for j in range(3):
             assert symplectic_product(rows[i], rows[j]) == 0
@@ -257,11 +256,11 @@ def plane_minor(rows, cols):
 
 
 def test_plucker_minor_examples():
-    rows = raw_plane_rows(sym_to_mat(matrix_of("D1")))
+    rows = raw_plane_rows(sym_to_mat(atlas().by_label["D1"]))
     from gqlab.gf2 import sym_det
 
     # left block = det X, right block = det 1
-    assert plane_minor(rows, (0, 1, 2)) == sym_det(matrix_of("D1"))
+    assert plane_minor(rows, (0, 1, 2)) == sym_det(atlas().by_label["D1"])
     assert plane_minor(rows, (3, 4, 5)) == 1
     # columns {1,5,6} pick out the entry a = 0 for D1
     assert plane_minor(rows, (0, 4, 5)) == 0
@@ -405,23 +404,23 @@ def test_collineation_preserves_intersection_dims():
 
 
 def test_intersection_statistics_cases():
-    prof = intersection_statistics(matrix_of("D1"))
+    prof = intersection_statistics(atlas().by_label["D1"])
     assert (prof.points, prof.lines, prof.skew) == (4, 0, 2)
-    prof = intersection_statistics(matrix_of("D4"))
+    prof = intersection_statistics(atlas().by_label["D4"])
     assert (prof.points, prof.lines, prof.skew) == (3, 1, 2)
-    prof = intersection_statistics(matrix_of("V1"))
+    prof = intersection_statistics(atlas().by_label["V1"])
     assert (prof.points, prof.lines, prof.skew) == (4, 1, 1)
     # roles of U and V interchanged
-    prof = intersection_statistics(matrix_of("U1"))
+    prof = intersection_statistics(atlas().by_label["U1"])
     assert prof.versus == "V"
     assert (prof.points, prof.lines, prof.skew) == (4, 1, 1)
-    prof = intersection_statistics(matrix_of("D1"), versus="V")
+    prof = intersection_statistics(atlas().by_label["D1"], versus="V")
     assert (prof.points, prof.lines, prof.skew) == (4, 0, 2)
 
 
 def test_intersection_statistics_rejects_own_class():
     with pytest.raises(WrongClassError):
-        intersection_statistics(matrix_of("U1"), versus="U")
+        intersection_statistics(atlas().by_label["U1"], versus="U")
     with pytest.raises(WrongClassError):
         intersection_statistics(SYM_IDENTITY)
 
@@ -436,7 +435,7 @@ def test_eigenvalue_free_readers_reject_other_tags(read):
 def test_intersection_statistics_versus_must_be_eigenvalue_free():
     # D is a class, but the statistics are taken against U or V only
     with pytest.raises(WrongClassError, match="must be U or V"):
-        intersection_statistics(matrix_of("U1"), versus="D")
+        intersection_statistics(atlas().by_label["U1"], versus="D")
 
 
 def test_skew_partner_pairing():
@@ -444,9 +443,9 @@ def test_skew_partner_pairing():
     for i in range(6):
         assert skew_partner(at.u[i]) == at.v[i]
         assert skew_partner(at.v[i]) == at.u[i]
-    for label in ("D1", "1"):
+    for label, x in (("D1", at.by_label["D1"]), ("1", SYM_IDENTITY)):
         with pytest.raises(WrongClassError, match=f"^{label} is not in U or V"):
-            skew_partner(matrix_of(label))
+            skew_partner(x)
 
 
 def test_meet_rows_name_a_negative_plane():
@@ -496,7 +495,7 @@ def test_plane_model_point_characterization():
         assert is_skew(plane_of(y), PLANE_DIAGONAL)
     assert 0 not in translated  # (0|1) is excluded
     # U1 + 1 stays in U, hence rank(U1+1+1) = rank(U1) = 3
-    u1 = matrix_of("U1")
+    u1 = atlas().by_label["U1"]
     assert is_skew(plane_of(u1 ^ SYM_IDENTITY), PLANE_DIAGONAL)
 
 
@@ -517,7 +516,7 @@ def test_class_planes_counts():
         skew_partner,
         multiplicative_closure,
         minor_coordinates,
-        lambda x: conjugate(x, matrix_of("D1")),
+        lambda x: conjugate(x, atlas().by_label["D1"]),
         conjugates,
         lambda x: collineation_action(x, [PLANE_LEFT]),
         sym_det,
@@ -544,7 +543,7 @@ def test_class_planes_counts():
         "label_of",
     ],
 )
-@pytest.mark.parametrize("x", [64 + matrix_of("U1"), -1], ids=["64+U1", "-1"])
+@pytest.mark.parametrize("x", [64 + atlas().by_label["U1"], -1], ids=["64+U1", "-1"])
 def test_packed_matrices_outside_0_63_are_rejected(call, x):
     with pytest.raises(ValueError, match="0..63"):
         call(x)

@@ -5,7 +5,7 @@ from itertools import combinations, islice
 
 import pytest
 
-from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of, matrix_of
+from gqlab.atlas import MatrixClass, NotInvertibleError, atlas, classify, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, sym_det
 from gqlab.pg import (
     ALL_ONES,
@@ -217,8 +217,8 @@ def test_axiom_violation_reports_witness():
 
 
 def test_collinear_matrices_examples():
-    u1, v2 = matrix_of("U1"), matrix_of("V2")
-    d1, u3 = matrix_of("D1"), matrix_of("U3")
+    u1, v2 = atlas().by_label["U1"], atlas().by_label["V2"]
+    d1, u3 = atlas().by_label["D1"], atlas().by_label["U3"]
     assert collinear_matrices(u1, v2)  # det(U1+V2) = 0 inside the double six
     assert collinear_matrices(d1, u3)  # det(D1+U3) = 1 in the mixed case
     assert not collinear_matrices(d1, u1)  # det(D1+U1) = 0 in the mixed case
@@ -227,7 +227,7 @@ def test_collinear_matrices_examples():
 def test_collinear_matrices_rejects_non_points():
     # 0, the 35 nonzero singular matrices and the identity, in either
     # argument; when both are bad, the first one is named
-    d1 = matrix_of("D1")
+    d1 = atlas().by_label["D1"]
     singular = [m for m in range(64) if sym_det(m) == 0]
     assert len(singular) == 36
     cases = [(m, f"matrix {m:06b} is singular") for m in singular]
@@ -241,10 +241,10 @@ def test_collinear_matrices_rejects_non_points():
             assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("x", [64 + matrix_of("U1"), -1], ids=["64+U1", "-1"])
+@pytest.mark.parametrize("x", [64 + atlas().by_label["U1"], -1], ids=["64+U1", "-1"])
 def test_collinear_matrices_rejects_packed_matrices_outside_0_63(x):
     with pytest.raises(ValueError, match="0..63"):
-        collinear_matrices(x, matrix_of("D1"))
+        collinear_matrices(x, atlas().by_label["D1"])
 
 
 def test_collinearity_agrees_with_lines():
@@ -599,7 +599,7 @@ def test_d_partners_structure():
         from_u = near & u_labels
         from_v = near & v_labels
         assert len(from_u) == 2 and len(from_v) == 2
-        assert {label_of(skew_partner(matrix_of(lab))) for lab in from_u} == from_v
+        assert {label_of(skew_partner(atlas().by_label[lab])) for lab in from_u} == from_v
         assert len(near & d_labels) == 6
 
 
