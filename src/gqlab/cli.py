@@ -6,23 +6,29 @@ Grammar::
     gqlab classify <bits6>
     gqlab export --what atlas|incidence|quadric|planes|isomorphism
                  --format json|dot|csv --out <path>
+    gqlab [verify|classify|export] -h|--help
+
+Options come in any order, as ``--opt value`` or ``--opt=value``; a repeated
+option keeps its last value; ``--`` before the bits of ``classify`` ends the
+options.  An option is never abbreviated.
 
 Exit codes: 0 success, 1 check failure or a failed start-up (inconsistent
 atlas tables, or any exception while building them or importing the
 command's modules), 2 usage error.  All behavior is controlled by flags;
 there is no configuration file and no environment variable.
 
-Each command imports only the modules it runs.  This module loads ``gf2``,
-``atlas``, ``pg`` and ``quadrangle``, which is all ``classify`` needs;
-``verify`` imports ``checks`` and ``export`` imports ``exports`` when they
-are called.
+Each command imports only the modules it runs.  The grammar is read by a
+small table-driven parser, so no ``argparse``, ``gettext`` or ``locale`` is
+loaded.  This module loads ``gf2``, ``atlas``, ``pg`` and ``quadrangle``,
+which is all ``classify`` needs; ``verify`` imports ``checks`` and
+``export`` imports ``exports`` and ``pathlib`` when they are called, and
+``json`` is loaded only for a JSON document.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from gqlab.atlas import AtlasError, MatrixClass, atlas, classify, label_key, label_of
 from gqlab.gf2 import bits6, eigenspace_dim, mat_row, parse_bits6, sym_det, sym_to_mat
@@ -30,6 +36,109 @@ from gqlab.pg import bit_indices, minor_coordinates
 from gqlab.quadrangle import build_matrix_quadrangle, compile_structure
 
 USAGE_ERROR = 2
+
+_USAGE = """\
+usage: gqlab verify [--check <prefix>] [--format text|json]
+       gqlab classify <bits6>
+       gqlab export --what atlas|incidence|quadric|planes|isomorphism
+                    --format json|dot|csv --out <path>
+       gqlab [verify|classify|export] -h|--help
+"""
+
+_HELP = ("-h", "--help")
+
+# command -> (its positionals, {option: (its choices, or None for any value,
+# its default, whether it is required)})
+_GRAMMAR = {
+    "verify": (
+        (),
+        {"--check": (None, None, False), "--format": (("text", "json"), "text", False)},
+    ),
+    "classify": (("bits",), {}),
+    "export": (
+        (),
+        {
+            "--what": (("atlas", "incidence", "quadric", "planes", "isomorphism"), None, True),
+            "--format": (("json", "dot", "csv"), None, True),
+            "--out": (None, None, True),
+        },
+    ),
+}
+
+
+class UsageError(Exception):
+    """A command line outside the grammar; ``main`` exits 2 on it."""
+
+
+def _is_value(token: str, options) -> bool:
+    """Whether ``token`` reads as a value rather than as an option of
+    ``options`` or a help flag.  As argparse reads it, ``-`` alone, a
+    negative number and an unknown token with a space are values too."""
+    name = token.partition("=")[0]
+    if name in options or name in _HELP:
+        return False
+    if token[:1] != "-" or token == "-" or " " in token:
+        return True
+    whole, dot, fraction = token[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (not whole or whole.isdecimal()) and fraction.isdecimal()
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command of ``argv`` and its fields, or None where it asks for help.
+
+    One walk, left to right.  A help flag returns at once.  An unknown
+    command, an option without its value and a value outside the choices
+    raise ``UsageError`` at once; an unknown option, a missing or stray
+    argument and a missing required option raise it once the walk ends
+    without a help flag, as argparse would.
+    """
+    command, names, options = None, (), {}
+    fields, positionals, unknown = {}, [], []
+    options_ended = False
+    tokens = iter(argv)
+    for token in tokens:
+        if options_ended or _is_value(token, options):
+            if command is not None:
+                positionals.append(token)
+                continue
+            if token not in _GRAMMAR:
+                raise UsageError(f"unknown command {token!r} (choose from {', '.join(_GRAMMAR)})")
+            command = token
+            names, options = _GRAMMAR[command]
+            fields = {name[2:]: default for name, (_, default, _) in options.items()}
+            continue
+        if token == "--" and names:
+            options_ended = True
+            continue
+        name, has_value, value = token.partition("=")
+        if name in _HELP:
+            if has_value:
+                raise UsageError(f"{name} takes no value")
+            return None
+        if name not in options:
+            unknown.append(token)
+            continue
+        if not has_value:
+            value = next(tokens, None)
+            if value is None or not _is_value(value, options):
+                raise UsageError(f"{name} needs a value")
+        choices = options[name][0]
+        if choices is not None and value not in choices:
+            raise UsageError(f"{name} {value!r} is not one of {'|'.join(choices)}")
+        fields[name[2:]] = value
+    if command is None:
+        raise UsageError(f"no command given (choose from {', '.join(_GRAMMAR)})")
+    # a given value is a string, so a required option still None is missing
+    missing = [o for o, (_, _, required) in options.items() if required and fields[o[2:]] is None]
+    missing += names[len(positionals) :]
+    if missing:
+        raise UsageError(f"{command} needs {' '.join(missing)}")
+    unknown += positionals[len(names) :]
+    if unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, **fields, **dict(zip(names, positionals)))
 
 
 def _print_suite_text(suite) -> None:
@@ -45,9 +154,7 @@ def _print_suite_text(suite) -> None:
     print(f"{passed}/{len(suite.reports)} checks passed in {total_ms:.0f} ms")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
+def _cmd_verify(args: SimpleNamespace) -> int:
     from gqlab.checks import UnknownCheckIdError, run_suite, suite_to_dict
 
     try:
@@ -56,13 +163,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.format == "json":
+        import json
+
         print(json.dumps(suite_to_dict(suite), indent=2))
     else:
         _print_suite_text(suite)
     return 0 if suite.passed else 1
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: SimpleNamespace) -> int:
     try:
         x = parse_bits6(args.bits)
     except ValueError as exc:
@@ -93,7 +202,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
+def _cmd_export(args: SimpleNamespace) -> int:
+    from pathlib import Path  # only export needs it, and with it re, fnmatch and urllib
+
     # read at call time, so a wrapper installed on gqlab.exports is honoured
     from gqlab.exports import UnsupportedFormatError, render_export
 
@@ -111,7 +222,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _startup_failed(args: argparse.Namespace, exc: Exception) -> int:
+def _startup_failed(args: SimpleNamespace, exc: Exception) -> int:
     """Report a failed start-up on stderr, and as a suite document that
     passes nothing for ``verify --format json``.
 
@@ -133,39 +244,15 @@ def _startup_failed(args: argparse.Namespace, exc: Exception) -> int:
     return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gqlab",
-        description="Build GQ(2,4) from the invertible symmetric 3x3 binary "
-        "matrices and verify its structure exhaustively.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run the verification suite")
-    verify.add_argument("--check", metavar="PREFIX", default=None, help="run only check ids with this prefix")
-    verify.add_argument("--format", choices=("text", "json"), default="text")
-
-    classify_cmd = sub.add_parser("classify", help="classify one matrix given as 6 bits abcdef")
-    classify_cmd.add_argument("bits", help='upper-triangle bit string, e.g. "001100"')
-
-    export = sub.add_parser("export", help="write a model to a file")
-    export.add_argument(
-        "--what",
-        required=True,
-        choices=("atlas", "incidence", "quadric", "planes", "isomorphism"),
-    )
-    export.add_argument("--format", required=True, choices=("json", "dot", "csv"))
-    export.add_argument("--out", required=True, metavar="PATH")
-
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"{_USAGE}error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    if args is None:
+        print(_USAGE, end="")
+        return 0
     try:
         atlas()  # fail loudly up front if the tables are inconsistent
         # a command's own modules load here, so a broken import fails start-up

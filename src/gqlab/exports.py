@@ -7,7 +7,6 @@ vectors), so repeated runs produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import io
 from json.encoder import encode_basestring_ascii as _string
 
@@ -92,6 +91,8 @@ def atlas_json() -> str:
 
 
 def atlas_csv() -> str:
+    import csv  # a C extension that only the CSV writers load
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     rows = _atlas_rows()
@@ -175,6 +176,8 @@ def planes_csv() -> str:
     D and V rows count meets with the U planes; U rows count meets with the
     V planes.
     """
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "meets_point", "meets_line", "skew", "class"])

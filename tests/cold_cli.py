@@ -4,7 +4,10 @@ First each of the 42 check ids, then each section prefix, is verified as its
 own process: every check builds what it reads, with no other check run
 first, and an id selects exactly its own report.  Then each of the 8 export
 pairs is written by its own process, and every JSON body must read back as
-``json.dumps(indent=2)`` lays it out.
+``json.dumps(indent=2)`` lays it out.  Last, each malformed argv of
+``tests/test_cli.py`` runs as its own process and must exit 2 with nothing
+on stdout, and ``--help`` must exit 0, at the top level and after each
+command.
 
 Each child is ``sys.executable -m gqlab.cli``, so any interpreter that can
 import gqlab runs the script, with or without the installed entry point::
@@ -22,6 +25,7 @@ from pathlib import Path
 
 from gqlab.checks import check_ids
 from gqlab.exports import EXPORTERS
+from test_cli import ABBREVIATIONS, MALFORMED
 
 CLI = [sys.executable, "-m", "gqlab.cli"]
 
@@ -49,6 +53,18 @@ def export_each_pair() -> None:
                 assert json.dumps(json.loads(body), indent=2) + "\n" == body, what
 
 
+def sweep_usage() -> None:
+    for argv in (*MALFORMED, *ABBREVIATIONS):
+        proc = subprocess.run([*CLI, *argv], capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == "", (argv, proc.stdout, proc.stderr)
+        assert "\nerror: " in proc.stderr, (argv, proc.stderr)
+    for command in ([], ["verify"], ["classify"], ["export"]):
+        proc = subprocess.run([*CLI, *command, "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", (command, proc.stderr)
+        assert proc.stdout.startswith("usage: gqlab "), (command, proc.stdout)
+
+
 if __name__ == "__main__":
     verify_each_check_and_section()
     export_each_pair()
+    sweep_usage()

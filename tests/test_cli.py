@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import hashlib
+import io
 import json
+import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from itertools import combinations, cycle, permutations, product
 
 import gqlab.atlas
 import gqlab.cli
-from gqlab.cli import main
+from gqlab.cli import UsageError, main, parse_args
 from gqlab.exports import EXPORTERS, render_export
 
 
@@ -151,6 +157,225 @@ def test_usage_error_exit_code(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# The command-line grammar, against the argparse reference
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that ``gqlab.cli`` once built, kept as the
+    reference its own parser is compared with."""
+    parser = argparse.ArgumentParser(
+        prog="gqlab",
+        description="Build GQ(2,4) from the invertible symmetric 3x3 binary "
+        "matrices and verify its structure exhaustively.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    verify = sub.add_parser("verify", help="run the verification suite")
+    verify.add_argument("--check", metavar="PREFIX", default=None, help="run only check ids with this prefix")
+    verify.add_argument("--format", choices=("text", "json"), default="text")
+
+    classify_cmd = sub.add_parser("classify", help="classify one matrix given as 6 bits abcdef")
+    classify_cmd.add_argument("bits", help='upper-triangle bit string, e.g. "001100"')
+
+    export = sub.add_parser("export", help="write a model to a file")
+    export.add_argument(
+        "--what",
+        required=True,
+        choices=("atlas", "incidence", "quadric", "planes", "isomorphism"),
+    )
+    export.add_argument("--format", required=True, choices=("json", "dot", "csv"))
+    export.add_argument("--out", required=True, metavar="PATH")
+
+    return parser
+
+
+@cache
+def _reference() -> argparse.ArgumentParser:
+    return _reference_parser()
+
+
+def _reference_grammar() -> dict:
+    """command -> (its positional dests, {option: (choices or None, required)}),
+    read from the reference."""
+    commands = next(a for a in _reference()._actions if a.dest == "command").choices
+    return {
+        command: (
+            tuple(a.dest for a in sub._actions if not a.option_strings),
+            {
+                a.option_strings[0]: (a.choices, a.required)
+                for a in sub._actions
+                if a.option_strings and a.dest != "help"
+            },
+        )
+        for command, sub in commands.items()
+    }
+
+
+# values tried for an option without choices and for the bits of classify:
+# "-1" reads as a value, not an option, and so does a token with a space
+_FREE_VALUES = ("sec2.", "", "-1", "a b")
+_BITS = ("001100", "", "-1", "a b", "0011x0")
+
+# one argv per usage error; tests/cold_cli.py also runs each cold
+MALFORMED = (
+    [],  # no command
+    ["frobnicate"],  # an unknown command
+    ["verify", "--bogus"],  # an unknown option
+    ["--bogus", "classify", "001100"],
+    ["verify", "--format"],  # a missing value
+    ["export", "--what", "atlas", "--format", "--out", "x.json"],
+    ["verify", "--format", "xml"],  # a value outside the choices
+    ["export", "--what=atlas", "--format=json"],  # a missing required export flag
+    ["classify"],  # a wrong number of classify arguments
+    ["classify", "001100", "001100"],
+    ["verify", "extra"],
+)
+
+# the one deliberate difference: argparse took a unique prefix of an option
+ABBREVIATIONS = (
+    ["verify", "--form", "json"],
+    ["verify", "--che=sec2."],
+    ["export", "--wh", "atlas", "--format", "json", "--ou", "x.json"],
+    ["--he"],
+)
+
+
+def _reference_reading(argv: list[str]):
+    """The reference's fields for argv, or "help", or "error"."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(_reference().parse_args(argv))
+    except SystemExit as exc:
+        return "help" if exc.code == 0 else "error"
+
+
+def _reading(argv: list[str], capsys):
+    """gqlab's fields for argv, or "help", or "error"; for help and errors
+    also what ``main`` prints and returns."""
+    try:
+        args = parse_args(argv)
+    except UsageError:
+        reading = "error"
+    else:
+        if args is not None:
+            return vars(args)
+        reading = "help"
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if reading == "help":
+        assert (code, err) == (0, "") and out.startswith("usage: gqlab verify"), argv
+    else:
+        assert (code, out) == (2, "") and err.startswith("usage: gqlab verify"), argv
+        assert "\nerror: " in err, argv
+    return reading
+
+
+def _full_argvs(command: str) -> list[list[str]]:
+    """Argvs of command with its required options present: every subset of
+    the others, in every order, with every combination of choices, each
+    option as ``--opt value`` or ``--opt=value``.  An option without choices
+    takes the free values in turn."""
+    positionals, options = _reference_grammar()[command]
+    required = [o for o, (_, req) in options.items() if req]
+    optional = [o for o, (_, req) in options.items() if not req]
+    tails = [["--", b] for b in _BITS[:2]] + [[b] for b in _BITS] if positionals else [[]]
+    free = cycle(_FREE_VALUES)
+    argvs = []
+    for k in range(len(optional) + 1):
+        for chosen in combinations(optional, k):
+            for order in permutations(required + list(chosen)):
+                choices = [options[o][0] or (None,) for o in order]
+                for picked, joined in product(product(*choices), product((False, True), repeat=len(order))):
+                    argv = [command]
+                    for option, value, eq in zip(order, picked, joined):
+                        value = next(free) if value is None else value
+                        argv += [f"{option}={value}"] if eq else [option, value]
+                    argvs += [argv + tail for tail in tails]
+    return argvs
+
+
+def _variants(argv: list[str]) -> list[list[str]]:
+    """argv with one token left out, or replaced by a bad one, or with a help
+    flag put in at each place."""
+    found = []
+    for i in range(len(argv) + 1):
+        found += [argv[:i] + [flag] + argv[i:] for flag in ("-h", "--help")]
+        if i < len(argv):
+            found.append(argv[:i] + argv[i + 1 :])
+            found += [argv[:i] + [bad] + argv[i + 1 :] for bad in ("xml", "--bogus", "-x", "-1")]
+    return found
+
+
+def _argv_table() -> list[list[str]]:
+    table = [[], ["-h"], ["--help"], *MALFORMED]
+    for command, (_, options) in _reference_grammar().items():
+        full = _full_argvs(command)
+        table += full
+        table += [v for argv in full[:: max(1, len(full) // 12)] for v in _variants(argv)]
+        for option, (choices, _) in options.items():  # repeated: the last one wins
+            base = next(argv for argv in full if argv[1:2] == [option])
+            tried = choices or _FREE_VALUES
+            for first, last in product((*tried, "xml"), tried):
+                table.append([command, option, first, option, last, *base[3:]])
+    return table
+
+
+def test_parser_reads_the_table_as_the_reference_does(capsys):
+    table = _argv_table()
+    mismatched = [argv for argv in table if _reading(argv, capsys) != _reference_reading(argv)]
+    assert mismatched == []
+    readings = [_reference_reading(argv) for argv in table]
+    assert {r["command"] for r in readings if isinstance(r, dict)} == {"verify", "classify", "export"}
+    assert "help" in readings
+    assert all(_reference_reading(argv) == "error" for argv in MALFORMED)
+
+
+def test_parser_reads_random_argvs_as_the_reference_does(capsys):
+    """Random argvs of up to 7 tokens from the grammar's words and some bad
+    ones.  Left out are ``--``, which argparse also takes inside the value
+    of an option (``--check -- x`` sets check to x), and clusters of short
+    flags (``-hh``); the grammar has neither."""
+    grammar = _reference_grammar()
+    alphabet = ["-h", "--help", "--help=x", "-h=", "--bogus", "-x", "-", "-1", "-.5", "-x y", ""]
+    alphabet += ["xml", "001100"]
+    for command, (_, options) in grammar.items():
+        alphabet.append(command)
+        for option, (choices, _) in options.items():
+            alphabet += [option, *(choices or ("sec2.",)), f"{option}={(choices or ('',))[0]}"]
+    rng = random.Random(0)
+    mismatched = []
+    for _ in range(2000):
+        argv = [rng.choice(alphabet) for _ in range(rng.randrange(7))]
+        if rng.random() < 0.7:
+            argv.insert(0, rng.choice(list(grammar)))
+        if _reading(argv, capsys) != _reference_reading(argv):
+            mismatched.append(argv)
+    assert mismatched == []
+
+
+def test_abbreviations_are_the_one_difference_from_the_reference(capsys):
+    for argv in ABBREVIATIONS:
+        assert _reference_reading(argv) != "error", argv
+        assert _reading(argv, capsys) == "error", argv
+
+
+def test_usage_names_every_command_option_and_choice_of_the_grammar(capsys):
+    assert main(["--help"]) == 0
+    usage = capsys.readouterr().out
+    words = set(usage.replace("|", " ").replace("[", " ").replace("]", " ").split())
+    for command, (_, options) in gqlab.cli._GRAMMAR.items():
+        assert command in words
+        for option, (choices, _, _) in options.items():
+            assert option in words and set(choices or ()) <= words, option
+    assert {"-h", "--help"} <= words
+    # the printed usage is the Grammar block of the module docstring
+    grammar = gqlab.cli.__doc__.split("Grammar::\n\n")[1].split("\n\n")[0]
+    lines = usage.removeprefix("usage:").splitlines()
+    assert [line.strip() for line in lines] == [line.strip() for line in grammar.splitlines()]
 
 
 def test_export_writes_files(tmp_path):

@@ -32,10 +32,10 @@ PROBE = (
 NOT_FOR_CLASSIFY = {"gqlab.checks", "gqlab.exports", "gqlab.planes", "dataclasses", "inspect"}
 
 
-def _modules_after(code: str, *args: str, cwd: Path) -> set[str]:
+def _modules_after(code: str, *args: str, cwd: Path, flags: tuple[str, ...] = ()) -> set[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -64,6 +64,36 @@ def test_cli_commands_import_only_what_they_run(tmp_path):
     assert "gqlab.exports" in exported
     assert "gqlab.checks" not in exported
     assert out.read_text(encoding="utf-8").startswith("label,bits,class,eigenspace_dim,involution\n")
+
+
+# argparse and the gettext and locale it pulls in; the CLI parses its
+# grammar itself
+PARSER_MODULES = {"argparse", "gettext", "locale"}
+
+
+def test_cold_commands_load_no_argparse_and_only_what_their_output_needs(tmp_path):
+    def loaded(*args: str, flags: tuple[str, ...] = ()) -> set[str]:
+        return _modules_after(PROBE, *args, cwd=tmp_path, flags=flags)
+
+    def exported(what: str, fmt: str, flags: tuple[str, ...] = ()) -> set[str]:
+        out = str(tmp_path / f"{what}.{fmt}")
+        return loaded("export", "--what", what, "--format", fmt, "--out", out, flags=flags)
+
+    classified = loaded("classify", "001100")
+    verified_json = loaded("verify", "--format", "json")
+    verified_text = loaded("verify", "--format", "text")
+    runs = [classified, verified_json, verified_text]
+    runs += [exported(*pair) for pair in (("atlas", "json"), ("incidence", "dot"), ("atlas", "csv"))]
+    for modules in runs:
+        assert not modules & PARSER_MODULES
+    assert "json" not in classified and "json" not in verified_text
+    assert "json" in verified_json
+    *writers, csv_export = runs[3:]
+    assert "csv" in csv_export
+    assert all("csv" not in modules for modules in writers)
+    # site may load pathlib itself (a .pth file can), so these run without it
+    assert "pathlib" not in loaded("classify", "001100", flags=("-S",))
+    assert "pathlib" in exported("atlas", "json", flags=("-S",))
 
 
 def test_public_names_resolve_to_their_defining_modules():
