@@ -130,6 +130,8 @@ def det_table() -> int:
 @cache
 def polar_column(y: int) -> int:
     """Value table of polar_form(., y): bit x is polar_form(x, y)."""
+    if not 0 <= y < 64:
+        raise ValueError(f"a vector is an int in 0..63, got {y}")
     column = 0
     for x in range(64):
         if polar_form(x, y):
@@ -196,6 +198,8 @@ def translate_mask(table: int, m: int) -> int:
     x + m is XOR of the indices, so one swap of the halves of every
     2^k-block for each set bit k of m does it.
     """
+    if not 0 <= m < 64:
+        require_sym(m)
     for k, low in enumerate(_LOW_HALVES):
         if m >> k & 1:
             width = 1 << k
@@ -400,8 +404,6 @@ def elliptic_matrix_points() -> int:
 def elliptic_matrix_points_at(m: int) -> int:
     """Nonzero X with det(X + M) = 1: the matrix-side zero set of Q_M, whose
     value at the coordinates of X is det(X + M) + 1."""
-    if not 0 <= m < 64:
-        require_sym(m)
     return ALL_POINTS & translate_mask(det_table(), m)
 
 

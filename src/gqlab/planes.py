@@ -211,13 +211,13 @@ def group_orbits(tag: str) -> tuple[tuple[str, ...], ...]:
     """Orbits of X -> UXU on the 21 matrices outside the acting group."""
     at = atlas()
     domain = at.d + at.members(opposite(tag))
-    group = conjugating_group(tag)
+    acts = [dict(zip(at.points, conjugates(g))) for g in conjugating_group(tag)]  # X -> GXG
     seen: set[int] = set()
     orbits = []
     for x in domain:
         if x in seen:
             continue
-        orbit = {conjugate(g, x) for g in group}
+        orbit = {act[x] for act in acts}
         seen |= orbit
         orbits.append(tuple(sorted((label_of(m) for m in orbit), key=label_key)))
     return tuple(orbits)

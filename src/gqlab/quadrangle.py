@@ -17,13 +17,15 @@ Every axiom, collinearity and isomorphism decision reads the compiled form
 of a structure, built once per structure by ``compile_structure``: point i
 is ``inc.points[i]``, each line is a tuple of point indices and a point mask
 (bit i set iff point i is on it), and each point has the point mask of its
-collinear neighbours and their number.  The labels are read back only to
-write witnesses and results.  The one axiom core, ``_gq_order``, decides
-many restrictions (point mask, line mask) of one compiled structure at once,
-one lane each; ``verify_gq_axioms`` is its one-lane call, and scans for a
-witness only when that lane fails.  The hyperplane survey finds its 63
-sections in one pass, each as the masks of the model's points and lines
-inside it, and decides its 36 candidates in one call of the core.
+collinear neighbours and their number.  A line names distinct points, and
+``compile_structure`` rejects a line that names a point twice.  The labels
+are read back only to write witnesses and results.  The one axiom core,
+``_gq_order``, decides many restrictions (point mask, line mask) of one
+compiled structure at once, one lane each; ``verify_gq_axioms`` is its
+one-lane call, and scans for a witness only when that lane fails.  The
+hyperplane survey finds its 63 sections in one pass, each as the masks of
+the model's points and lines inside it, and decides its 36 candidates in
+one call of the core.
 """
 
 from __future__ import annotations
@@ -65,11 +67,8 @@ class IncidenceStructure(NamedTuple):
 
 
 class CompiledStructure(NamedTuple):
-    """An incidence structure on the point indices 0..n-1.
-
-    Bit i of a point mask stands for point i.  ``lines`` keeps each line
-    as written, so a line that names a point twice still does.
-    """
+    """An incidence structure on the point indices 0..n-1; bit i of a point
+    mask stands for point i."""
 
     name: str
     labels: tuple[str, ...]  # point index -> label, read only for witnesses
@@ -99,12 +98,15 @@ def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[st
 
 @cache
 def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
-    """The compiled form of inc; point i is inc.points[i]."""
+    """The compiled form of inc; point i is inc.points[i].  ValueError
+    names the first line that names a point twice."""
     index = {p: i for i, p in enumerate(inc.points)}.__getitem__
     lines = tuple(tuple(map(index, line)) for line in inc.lines)
     line_points = tuple(map(point_mask, lines))
     near = [0] * len(inc.points)
-    for line, mask in zip(lines, line_points):
+    for written, line, mask in zip(inc.lines, lines, line_points):
+        if mask.bit_count() != len(line):
+            raise ValueError(f"line {written} names a point twice")
         for i in line:
             near[i] |= mask
     adjacency = tuple([mask & ~(1 << i) for i, mask in enumerate(near)])
@@ -141,13 +143,13 @@ def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
     elif axiom == "uniform point degree":
         degree = Counter(chain.from_iterable(lines))
         witness = f"degrees {sorted({degree[i] for i in range(len(labels))})}"
-    elif axiom != "unique perpendicular":
-        witness = next(found for fault, _, _, found in _line_pair_faults(c) if fault == axiom)
+    elif axiom == "at most one joining line":
+        witness = next(found for _, _, found in _line_pair_faults(c))
     else:
         witness = next(
             f"point {labels[i]}, line {tuple(labels[q] for q in lines[j])}, {hits} connections"
             for i, near in enumerate(c.adjacency)
-            for j, hits in enumerate([sum(near >> q & 1 for q in line) for line in lines])
+            for j, hits in enumerate([(near & mask).bit_count() for mask in c.line_points])
             if not c.line_points[j] >> i & 1 and hits != 1
         )
     raise AxiomViolationError(axiom, witness)
@@ -187,19 +189,12 @@ def _gq_order(
         sized[len(line)] = sized.get(len(line), 0) | lanes
     fails["uniform line size"] = reduce(or_, (x & y for x, y in combinations(sized.values(), 2)), 0)
 
-    # per line, the rows of its points in its lanes; the degrees add them
-    # up, and once more each point a line names again
+    # per line, the rows of its points in its lanes; the degrees add them up
     on_line = [
         reduce(or_, map(row.__getitem__, line), 0) * lanes for line, lanes in zip(lines, line_lanes)
     ]
-    repeats = sum(map(len, lines)) != sum(map(int.bit_count, line_points))
-    namings = on_line + [
-        lanes * row[i]
-        for line, lanes in zip(lines, line_lanes) if repeats
-        for k, i in enumerate(line) if i in line[:k]
-    ]
     counts: list[int] = []  # bit-sliced: bit b of each degree is in counts[b]
-    for carry in namings:
+    for carry in on_line:
         b = 0
         while carry:
             if b == len(counts):
@@ -210,15 +205,15 @@ def _gq_order(
     mixed = [has & _fold(point_lanes & ~plane, w, n) for has, plane in zip(with_bit, counts)]
     fails["uniform point degree"] = reduce(or_, mixed, 0)
 
-    # both "share two points" axioms hold on the whole of c, and so in every
-    # lane, unless two lines share two points or a line names a point twice
-    fails["at most one joining line"] = fails["at most one common point"] = 0
-    if repeats or sum(m * (m - 1) for m in map(int.bit_count, line_points)) != sum(c.degrees):
-        for axiom, j, k, _ in _line_pair_faults(c):
-            fails[axiom] |= line_lanes[j] & line_lanes[k]
+    # the axiom holds on all of c, and so in every lane, unless the lines of c
+    # join more pairs of points than c has collinear pairs: two share two points
+    fails["at most one joining line"] = 0
+    if sum(m * (m - 1) for m in map(int.bit_count, line_points)) != sum(c.degrees):
+        for j, k, _ in _line_pair_faults(c):
+            fails["at most one joining line"] |= line_lanes[j] & line_lanes[k]
 
-    # bit-sliced counters over each line's points as written: the points of
-    # its lanes off it that have not exactly one neighbour on it
+    # bit-sliced counters over each line's points: the points of its lanes
+    # off it that have not exactly one neighbour on it
     near = [0] * n  # point q -> per lane, the rows of q and its neighbours
     for line, wide in zip(lines, on_line):
         for q in line:
@@ -242,21 +237,16 @@ def _gq_order(
     ]
 
 
-def _line_pair_faults(c: CompiledStructure) -> Iterator[tuple[str, int, int, str]]:
-    """(axiom, j, k, witness) for lines j <= k of c that name one ordered pair
-    (j = k if one line names it twice), then for lines j < k that share two
-    points, in scan order."""
-    written = [tuple(c.labels[i] for i in line) for line in c.lines]
-    named: dict[tuple[int, int], list[int]] = {}  # (a, b) -> the lines naming a before b
+def _line_pair_faults(c: CompiledStructure) -> Iterator[tuple[int, int, str]]:
+    """(j, k, witness) for lines j < k of c that join the same two points, in
+    scan order: line k's pairs of points as it names them."""
+    joined: dict[int, list[int]] = {}  # mask of two points -> the lines joining them
     for k, line in enumerate(c.lines):
         for i, a in enumerate(line):
             for b in line[i + 1 :]:
-                for j in named.setdefault((a, b), []):
-                    yield "at most one joining line", j, k, f"points {c.labels[a]}, {c.labels[b]}"
-                named[a, b].append(k)
-    for j, k in combinations(range(len(c.lines)), 2):
-        if (c.line_points[j] & c.line_points[k]).bit_count() > 1:
-            yield "at most one common point", j, k, f"lines {written[j]}, {written[k]}"
+                for j in joined.setdefault(1 << a | 1 << b, []):
+                    yield j, k, f"points {c.labels[a]}, {c.labels[b]}"
+                joined[1 << a | 1 << b].append(k)
 
 
 @cache

@@ -593,21 +593,34 @@ def test_elliptic_table_holds_the_form_at_every_vector():
 
 @pytest.mark.parametrize("bad", [-1, 64])
 @pytest.mark.parametrize(
-    "read",
+    "read, what",
     [
-        elliptic_quadric_at,
-        elliptic_matrix_points_at,
-        elliptic_table,
-        lambda m: elliptic_form_at(m, 5),
-        lambda m: elliptic_form_sym_at(m, 3),
-        lambda v: elliptic_form_at(5, v),
-        lambda x: elliptic_form_sym_at(SYM_IDENTITY, x),
+        (elliptic_quadric_at, "a packed SymMat3"),
+        (elliptic_matrix_points_at, "a packed SymMat3"),
+        (elliptic_table, "a packed SymMat3"),
+        (lambda m: elliptic_form_at(m, 5), "a packed SymMat3"),
+        (lambda m: elliptic_form_sym_at(m, 3), "a packed SymMat3"),
+        (lambda v: elliptic_form_at(5, v), "a packed SymMat3"),
+        (lambda x: elliptic_form_sym_at(SYM_IDENTITY, x), "a packed SymMat3"),
+        (lambda m: translate_mask(det_table(), m), "a packed SymMat3"),
+        (polar_column, "a vector"),
     ],
-    ids=["quadric-m", "matrix-points-m", "table-m", "form-m", "form-sym-m", "form-v", "form-sym-x"],
+    ids=[
+        "quadric-m",
+        "matrix-points-m",
+        "table-m",
+        "form-m",
+        "form-sym-m",
+        "form-v",
+        "form-sym-x",
+        "translate-m",
+        "polar-column-y",
+    ],
 )
-def test_at_readers_reject_indices_outside_0_to_63(read, bad):
-    # unchecked, -1 would wrap in coordinates() and 64 alias 0 in translate_mask
-    with pytest.raises(ValueError, match=f"a packed SymMat3 is an int in 0..63, got {bad}"):
+def test_at_readers_reject_indices_outside_0_to_63(read, what, bad):
+    # unchecked, -1 would wrap in coordinates(), and translate_mask and
+    # polar_column would read only the low six bits, so that 64 aliases 0
+    with pytest.raises(ValueError, match=f"{what} is an int in 0..63, got {bad}"):
         read(bad)
 
 

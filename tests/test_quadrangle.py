@@ -1,6 +1,7 @@
 """Tests for the GQ axioms, the models and isomorphism machinery."""
 
 import random
+import re
 from itertools import combinations, islice
 
 import pytest
@@ -405,14 +406,21 @@ def test_find_isomorphism_agrees_with_networkx(a, b, isomorphic):
     assert (find_isomorphism(a, b) is not None) is isomorphic
 
 
+def _reference_point_sets(inc):
+    """The lines of inc as sets; ValueError, worded as compile_structure's,
+    names the first line that names a point twice."""
+    for line in inc.lines:
+        if len(set(line)) != len(line):
+            raise ValueError(f"line {line} names a point twice")
+    return [set(line) for line in inc.lines]
+
+
 def _reference_collinearity(inc):
     """The label-level form of collinearity, kept as its oracle."""
     adj = {p: set() for p in inc.points}
-    for line in inc.lines:
+    for line in _reference_point_sets(inc):
         for a in line:
-            for b in line:
-                if a != b:
-                    adj[a].add(b)
+            adj[a] |= line - {a}
     return {p: frozenset(near) for p, near in adj.items()}
 
 
@@ -615,8 +623,19 @@ def test_make_structure_rejects_bad_input():
         make_structure("x", ["a", "a"], [])
 
 
+def test_compile_structure_rejects_a_line_naming_a_point_twice():
+    sorted_repeat = make_structure("x", ["a", "b", "c"], [("a", "b", "c"), ("c", "a", "c")])
+    assert sorted_repeat.lines == (("a", "b", "c"), ("a", "c", "c"))
+    as_written = IncidenceStructure("x", ("a", "b", "c"), (("a", "b", "c"), ("c", "a", "c")))
+    for inc, line in ((sorted_repeat, "('a', 'c', 'c')"), (as_written, "('c', 'a', 'c')")):
+        for read in (compile_structure, verify_gq_axioms, collinearity):
+            with pytest.raises(ValueError, match=re.escape(f"line {line} names a point twice")):
+                read(inc)
+
+
 def _reference_verify_gq_axioms(inc):
     """The element-by-element loop form of verify_gq_axioms, kept as its oracle."""
+    _reference_point_sets(inc)
     if not inc.points or not inc.lines:
         raise AxiomViolationError("nonempty", inc.name)
     sizes = {len(line) for line in inc.lines}
@@ -637,15 +656,10 @@ def _reference_verify_gq_axioms(inc):
     for line in inc.lines:
         for i, a in enumerate(line):
             for b in line[i + 1 :]:
-                pair = (a, b)
+                pair = frozenset((a, b))
                 if pair in joined:
                     raise AxiomViolationError("at most one joining line", f"points {a}, {b}")
                 joined.add(pair)
-    for i, l1 in enumerate(inc.lines):
-        s1 = set(l1)
-        for l2 in inc.lines[i + 1 :]:
-            if len(s1.intersection(l2)) > 1:
-                raise AxiomViolationError("at most one common point", f"lines {l1}, {l2}")
 
     adj = _reference_collinearity(inc)
     for p in inc.points:
@@ -661,10 +675,14 @@ def _reference_verify_gq_axioms(inc):
 
 
 def _axiom_outcome(verify, inc):
+    """verify(inc), its (axiom, witness), or ("rejected", message) when inc
+    has a line that names a point twice."""
     try:
         return verify(inc)
     except AxiomViolationError as exc:
         return (exc.axiom, exc.witness)
+    except ValueError as exc:
+        return ("rejected", str(exc))
 
 
 def _replace_lines(inc, replacements, first=()):
@@ -735,13 +753,13 @@ AXIOM_MUTANTS = {
     ),
     "two unsorted lines sharing two points": (
         lambda: _grid_mutant(("p01", "p00", "p20"), ("p11", "p10", "p21")),
-        "at most one common point",
+        "at most one joining line",
     ),
     "line of a different size": (
         lambda: _replace_lines(grid_gq21(), {("p00", "p01", "p02"): ("p00", "p01", "p02", "p22")}),
         "uniform line size",
     ),
-    "line naming a point twice": (_doily_repeat_mutant, "unique perpendicular"),
+    "line naming a point twice": (_doily_repeat_mutant, "rejected"),
 }
 
 
@@ -759,9 +777,9 @@ def _repeated_lines(inc, reverse, every):
     [
         (False, False, "uniform point degree"),
         (True, False, "uniform point degree"),
-        # every point keeps one degree, and no ordered pair repeats, so only
-        # the scan for two lines sharing two points can see the repeats
-        (True, True, "at most one common point"),
+        # every point keeps one degree, and each line's pairs come back
+        # reversed, which joins them a second time all the same
+        (True, True, "at most one joining line"),
         (False, True, "at most one joining line"),
     ],
 )
@@ -784,7 +802,8 @@ def test_bitset_axioms_match_reference_on_mutants(name):
 
 def test_bitset_axioms_match_reference_on_random_swaps():
     # swapping points between lines keeps every line size and point degree,
-    # and may repeat a pair, unsort a line or repeat a point within a line
+    # and may repeat a pair, unsort a line or repeat a point within a line,
+    # which both sides reject
     rng = random.Random(20101)
     bases = [grid_gq21(), doily_substructure(), build_quadric_quadrangle()]
     for _ in range(300):
@@ -801,7 +820,7 @@ def test_bitset_axioms_match_reference_on_random_swaps():
         assert _axiom_outcome(verify_gq_axioms, inc) == _axiom_outcome(
             _reference_verify_gq_axioms, inc
         )
-        assert collinearity(inc) == _reference_collinearity(inc)
+        assert _axiom_outcome(collinearity, inc) == _axiom_outcome(_reference_collinearity, inc)
 
 
 def _reference_section(axis):
@@ -911,7 +930,8 @@ def test_gq_order_lanes_match_reference_on_sections():
 
 def test_gq_order_lanes_match_reference_on_random_swaps():
     # each swapped quadric model restricted by every section, in one call;
-    # a swap may repeat a point in a line or unsort a line
+    # a swap may unsort a line, or repeat a point in a line, which both
+    # compile_structure and the reference reject
     rng = random.Random(2026)
     base = build_quadric_quadrangle()
     sections = _section_points(compile_structure(base))
@@ -924,7 +944,13 @@ def test_gq_order_lanes_match_reference_on_random_swaps():
             lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
             if rng.random() < 0.5:
                 rng.shuffle(lines[i])
-        c = compile_structure(IncidenceStructure("swapped", base.points, tuple(map(tuple, lines))))
+        swapped = IncidenceStructure("swapped", base.points, tuple(map(tuple, lines)))
+        try:
+            c = compile_structure(swapped)
+        except ValueError as exc:
+            assert _axiom_outcome(_reference_point_sets, swapped) == ("rejected", str(exc))
+            outcomes.add("rejected")
+            continue
         restrictions, structures = _restricted_to_sections(c, sections)
         for inc, lane in zip(structures, _gq_order(c, restrictions)):
             assert lane == _reference_lane(inc, seen)
