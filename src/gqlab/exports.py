@@ -8,6 +8,8 @@ vectors), so repeated runs produce identical bytes.
 from __future__ import annotations
 
 import io
+from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
 from gqlab.atlas import atlas, classify, label_of
@@ -55,9 +57,15 @@ def _dump(value: object, newline: str) -> str:
     except TypeError:
         body = None
     if body is None and all(isinstance(row, (list, tuple)) and row for row in value):
+        # a block of nonempty rows of strings is one format over all its cells; the
+        # template holds only brackets, commas and indentation, never a cell's "%"
         row_open, row_sep, row_close = "[" + inner + "  ", sep + "  ", inner + "]"
-        try:  # so does each row of a list of nonempty rows of strings
-            body = sep.join(row_open + row_sep.join(map(_string, row)) + row_close for row in value)
+        widths = set(map(len, value))
+        template_of = {n: row_open + row_sep.join(["%s"] * n) + row_close for n in widths}
+        try:
+            body = sep.join(map(template_of.__getitem__, map(len, value))) % tuple(
+                map(_string, chain.from_iterable(value))
+            )
         except TypeError:
             pass
     if body is None:
@@ -69,25 +77,22 @@ def _json_text(payload: object) -> str:
     return _dump(payload, "\n") + "\n"
 
 
-def _atlas_rows() -> list[dict]:
-    at = atlas()
+_ATLAS_FIELDS = ("label", "bits", "class", "eigenspace_dim", "involution")
+
+
+@cache
+def _atlas_rows() -> tuple[tuple, ...]:
+    """One row per atlas matrix, identity first, its values in ``_ATLAS_FIELDS`` order."""
     rows = []
-    for x in (SYM_IDENTITY,) + at.points:
+    for x in (SYM_IDENTITY,) + atlas().points:
         m = sym_to_mat(x)
-        rows.append(
-            {
-                "label": label_of(x),
-                "bits": _BITS[x],
-                "class": classify(x).value,
-                "eigenspace_dim": eigenspace_dim(m),
-                "involution": mat_mul(m, m) == MAT_IDENTITY,
-            }
-        )
-    return rows
+        involution = mat_mul(m, m) == MAT_IDENTITY
+        rows.append((label_of(x), _BITS[x], classify(x).value, eigenspace_dim(m), involution))
+    return tuple(rows)
 
 
 def atlas_json() -> str:
-    return _json_text(_atlas_rows())
+    return _json_text([dict(zip(_ATLAS_FIELDS, row)) for row in _atlas_rows()])
 
 
 def atlas_csv() -> str:
@@ -95,9 +100,8 @@ def atlas_csv() -> str:
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    rows = _atlas_rows()
-    writer.writerow(rows[0].keys())
-    writer.writerows(row.values() for row in rows)
+    writer.writerow(_ATLAS_FIELDS)
+    writer.writerows(_atlas_rows())
     return buf.getvalue()
 
 

@@ -1,6 +1,7 @@
 """The JSON exports' own emitter against json.dumps(indent=2), and the bit-string table."""
 
 import json
+import random
 
 import pytest
 
@@ -61,8 +62,8 @@ EDGE_CASES = [
     [[s] for s in ESCAPES],
     {s: s for s in ESCAPES},
     {s + "key": {s: [s, 1]} for s in ESCAPES},
-    # lists of rows, which join a row of strings in one pass, and the
-    # lists next to them that must fall back to one item at a time
+    # blocks of rows of strings, which one format lays out, and the lists
+    # next to them that must fall back to one item at a time
     [["a"], []],
     [[], ["a"]],
     [("a", "b"), ["c"]],
@@ -72,6 +73,12 @@ EDGE_CASES = [
     [["a", 1]],
     [["a", ["b"]]],
     [[s, s] for s in ESCAPES],
+    # a "%" in a cell is text, never a format code of the block's template
+    [[s, "%", "%s", "%%"] for s in ESCAPES],
+    [["%(k)s", "%d"], ["%", "%%%"]],
+    [["a", "b", "c"]],
+    [("a", "b"), ("c", "%s"), ("d", "e")],
+    [["a"], ["b", "c", "d"], ("e", "f"), ["%"]],
 ]
 
 
@@ -92,12 +99,64 @@ def test_tuples_are_laid_out_as_lists(payload):
 
 @pytest.mark.parametrize(
     "payload",
-    [{1: "a"}, {"a": {2: []}}, {1, 2}, [1.5], {"a": object()}, [["a", 1.5]], [["a"], [object()]]],
-    ids=["int-key", "nested-int-key", "set", "float", "object", "float-in-row", "object-in-row"],
+    [
+        {1: "a"},
+        {"a": {2: []}},
+        {1, 2},
+        [1.5],
+        {"a": object()},
+        [["a", 1.5]],
+        [["a"], [object()]],
+        [["a", "b"], ["c", "d"], ["e", 1.5]],
+        [["a", "b"], ("c", "d"), ["e", object()]],
+    ],
+    ids=[
+        "int-key",
+        "nested-int-key",
+        "set",
+        "float",
+        "object",
+        "float-in-row",
+        "object-in-row",
+        "float-in-last-row",
+        "object-in-last-row",
+    ],
 )
 def test_emitter_rejects_other_types(payload):
     with pytest.raises(TypeError):
         _json_text(payload)
+
+
+STRINGS = ["", "a", "%", "%s", "%%", "%(k)s", *ESCAPES]
+ATOMS = [0, 1, -7, 2**70, True, False, None, *STRINGS]
+
+
+def _random_payload(rng, depth):
+    kind = rng.randrange(5) if depth else 0
+    if kind == 0:
+        return rng.choice(ATOMS)
+    if kind == 1:
+        return rng.choices(STRINGS, k=rng.randrange(4))
+    if kind == 2:  # a block of rows, now and then with an empty row or an int cell
+        cells = STRINGS if rng.random() < 0.8 else [*STRINGS, 1, []]
+        block = [
+            rng.choice((list, tuple))(rng.choices(cells, k=rng.randrange(1, 4)))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        if rng.random() < 0.1:
+            block.append([])
+        return block
+    items = [_random_payload(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 3:
+        return rng.choice((list, tuple))(items)
+    return {rng.choice(STRINGS) + str(i): item for i, item in enumerate(items)}
+
+
+def test_emitter_matches_json_dumps_on_random_payloads():
+    rng = random.Random(2010)
+    for _ in range(2000):
+        payload = _random_payload(rng, 3)
+        assert _json_text(payload) == _oracle(payload), payload
 
 
 def test_bits_table_matches_bits6():
