@@ -21,8 +21,9 @@ Each command imports only the modules it runs.  The grammar is read by a
 small table-driven parser, so no ``argparse``, ``gettext`` or ``locale`` is
 loaded.  This module loads ``gf2``, ``atlas``, ``pg`` and ``quadrangle``,
 which is all ``classify`` needs; ``verify`` imports ``checks`` and
-``export`` imports ``exports`` and ``pathlib`` when they are called, and
-``json`` is loaded only for a JSON document.
+``export`` imports ``exports`` and ``pathlib`` when they are called.  A JSON
+document, of ``verify`` or of ``export``, is laid out by ``jsontext``, so no
+command loads ``json``.
 """
 
 from __future__ import annotations
@@ -163,9 +164,9 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.format == "json":
-        import json
+        from gqlab.jsontext import dumps
 
-        print(json.dumps(suite_to_dict(suite), indent=2))
+        print(dumps(suite_to_dict(suite)))
     else:
         _print_suite_text(suite)
     return 0 if suite.passed else 1
@@ -238,9 +239,9 @@ def _startup_failed(args: SimpleNamespace, exc: Exception) -> int:
         message = f"{type(exc).__name__}: {exc}"
     print(f"error: {message}", file=sys.stderr)
     if args.command == "verify" and args.format == "json":
-        import json
+        from gqlab.jsontext import dumps
 
-        print(json.dumps({"schema": 1, "passed": False, "error": message, "checks": []}, indent=2))
+        print(dumps({"schema": 1, "passed": False, "error": message, "checks": []}))
     return 1
 
 

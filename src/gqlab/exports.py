@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import io
 from functools import cache
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _string
 
 from gqlab.atlas import atlas, classify, label_of
 from gqlab.gf2 import MAT_IDENTITY, SYM_IDENTITY, bits6, eigenspace_dim, mat_mul, sym_to_mat
+from gqlab.jsontext import dumps
 from gqlab.pg import (
     bit_indices,
     elliptic_quadric,
@@ -30,51 +29,10 @@ from gqlab.quadrangle import (
 
 _CLASS_COLORS = {"D": "lightblue", "U": "palegreen", "V": "lightsalmon"}
 _BITS = tuple(bits6(v) for v in range(64))
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _dump(value: object, newline: str) -> str:
-    """Lay out ``value`` as ``json`` does with ``indent=2``, nested after ``newline``.
-
-    Takes dict (str keys), list, tuple, str, int, bool and None; strings go
-    through ``json``'s C escaper, the one its ``ensure_ascii`` mode uses.
-    """
-    if isinstance(value, str):
-        return _string(value)
-    if value is None or isinstance(value, bool):
-        return _CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        body = ("," + inner).join(_string(k) + ": " + _dump(v, inner) for k, v in value.items())
-        return "{" + inner + body + newline + "}" if body else "{}"
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    sep = "," + inner
-    try:  # a list of strings joins in one pass; the escaper raises on anything else
-        body = sep.join(map(_string, value))
-    except TypeError:
-        body = None
-    if body is None and all(isinstance(row, (list, tuple)) and row for row in value):
-        # a block of nonempty rows of strings is one format over all its cells; the
-        # template holds only brackets, commas and indentation, never a cell's "%"
-        row_open, row_sep, row_close = "[" + inner + "  ", sep + "  ", inner + "]"
-        widths = set(map(len, value))
-        template_of = {n: row_open + row_sep.join(["%s"] * n) + row_close for n in widths}
-        try:
-            body = sep.join(map(template_of.__getitem__, map(len, value))) % tuple(
-                map(_string, chain.from_iterable(value))
-            )
-        except TypeError:
-            pass
-    if body is None:
-        body = sep.join(_dump(item, inner) for item in value)
-    return "[" + inner + body + newline + "]" if body else "[]"
 
 
 def _json_text(payload: object) -> str:
-    return _dump(payload, "\n") + "\n"
+    return dumps(payload) + "\n"
 
 
 _ATLAS_FIELDS = ("label", "bits", "class", "eigenspace_dim", "involution")

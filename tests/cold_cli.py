@@ -2,7 +2,8 @@
 
 First each of the 42 check ids, then each section prefix, is verified as its
 own process: every check builds what it reads, with no other check run
-first, and an id selects exactly its own report.  Then each of the 8 export
+first, an id selects exactly its own report, and the JSON document reads
+back as ``json.dumps(indent=2)`` lays it out.  Then each of the 8 export
 pairs is written by its own process, and every JSON body must read back as
 ``json.dumps(indent=2)`` lays it out.  Last, each malformed argv of
 ``tests/test_cli.py`` runs as its own process and must exit 2 with nothing
@@ -35,7 +36,9 @@ def verify_each_check_and_section() -> None:
         cmd = [*CLI, "verify", "--check", target, "--format", "json"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, (target, proc.stdout, proc.stderr)
-        ids = [report["id"] for report in json.loads(proc.stdout)["checks"]]
+        document = json.loads(proc.stdout)
+        assert json.dumps(document, indent=2) + "\n" == proc.stdout, target
+        ids = [report["id"] for report in document["checks"]]
         assert ids and all(i.startswith(target) for i in ids), (target, ids)
         assert target.endswith(".") or ids == [target], (target, ids)
 

@@ -74,6 +74,16 @@ def test_verify_json(capsys):
     assert all(entry["id"].startswith("sec2.") for entry in payload["checks"])
 
 
+def _laid_out_as_json_dumps(text):
+    # floats round-trip through repr, so json reads back and writes the same text
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_verify_json_is_laid_out_as_json_dumps(capsys):
+    assert main(["verify", "--format", "json"]) == 0
+    assert _laid_out_as_json_dumps(capsys.readouterr().out)
+
+
 def test_verify_unknown_check(capsys):
     assert main(["verify", "--check", "nonexistent."]) == 2
     assert "error" in capsys.readouterr().err
@@ -102,6 +112,7 @@ def test_inconsistent_atlas_verify_json_prints_a_failed_document(monkeypatch, ca
     assert _run_with_corrupted_atlas(monkeypatch, ["verify", "--format", "json"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: atlas tables contain duplicates\n"
+    assert _laid_out_as_json_dumps(captured.out)
     payload = json.loads(captured.out)
     assert payload == {
         "schema": 1,

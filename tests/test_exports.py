@@ -79,6 +79,24 @@ EDGE_CASES = [
     [["a", "b", "c"]],
     [("a", "b"), ("c", "%s"), ("d", "e")],
     [["a"], ["b", "c", "d"], ("e", "f"), ["%"]],
+    # floats, written as float.__repr__ writes them, alone and in rows
+    [1.5],
+    [["a", 1.5]],
+    [["a", "b"], ["c", "d"], ["e", 1.5]],
+    0.0,
+    -0.0,
+    0.1,
+    1e-05,
+    1e16,
+    123.456,
+    {"elapsed_ms": 12.345, "pass": True},
+    # blocks of equal widths 1, 2 and 4, a block of one row, and mixed
+    # widths where a later row is wider than the first, each with a "%" cell
+    [["a"], ["%"], ("b",)],
+    [("a", "%s"), ["b", "c"], ["d", "e"]],
+    [["a", "b", "%", "d"], ("e", "f", "g", "%%")],
+    [["%(k)s", "a"]],
+    [["a"], ("b", "%", "c"), ["d", "e"]],
 ]
 
 
@@ -103,22 +121,16 @@ def test_tuples_are_laid_out_as_lists(payload):
         {1: "a"},
         {"a": {2: []}},
         {1, 2},
-        [1.5],
         {"a": object()},
-        [["a", 1.5]],
         [["a"], [object()]],
-        [["a", "b"], ["c", "d"], ["e", 1.5]],
         [["a", "b"], ("c", "d"), ["e", object()]],
     ],
     ids=[
         "int-key",
         "nested-int-key",
         "set",
-        "float",
         "object",
-        "float-in-row",
         "object-in-row",
-        "float-in-last-row",
         "object-in-last-row",
     ],
 )
@@ -127,8 +139,17 @@ def test_emitter_rejects_other_types(payload):
         _json_text(payload)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+def test_emitter_rejects_nan_and_infinities(value):
+    # json.dumps would write NaN or Infinity, which is not JSON
+    for payload in (value, [value], {"a": value}, [["a"], ["b", value]]):
+        with pytest.raises(ValueError):
+            _json_text(payload)
+
+
 STRINGS = ["", "a", "%", "%s", "%%", "%(k)s", *ESCAPES]
-ATOMS = [0, 1, -7, 2**70, True, False, None, *STRINGS]
+FLOATS = [0.0, -0.0, 0.1, 1e-05, 1e16, 123.456, -2.5e-300, 1.7976931348623157e308]
+ATOMS = [0, 1, -7, 2**70, True, False, None, *FLOATS, *STRINGS]
 
 
 def _random_payload(rng, depth):
@@ -137,8 +158,8 @@ def _random_payload(rng, depth):
         return rng.choice(ATOMS)
     if kind == 1:
         return rng.choices(STRINGS, k=rng.randrange(4))
-    if kind == 2:  # a block of rows, now and then with an empty row or an int cell
-        cells = STRINGS if rng.random() < 0.8 else [*STRINGS, 1, []]
+    if kind == 2:  # a block of rows, now and then with an empty row, an int or a float cell
+        cells = STRINGS if rng.random() < 0.8 else [*STRINGS, 1, 0.5, []]
         block = [
             rng.choice((list, tuple))(rng.choices(cells, k=rng.randrange(1, 4)))
             for _ in range(rng.randrange(1, 5))
