@@ -17,8 +17,8 @@ Every axiom, collinearity and isomorphism decision reads the compiled form
 of a structure, built once per structure by ``compile_structure``: point i
 is ``inc.points[i]``, each line is a tuple of point indices and a point mask
 (bit i set iff point i is on it), and each point has the point mask of its
-collinear neighbours and their number.  A line names distinct points, and
-``compile_structure`` rejects a line that names a point twice.  The labels
+collinear neighbours and their number.  Lines are distinct sets of distinct
+points: ``compile_structure`` rejects a repeated point or line.  The labels
 are read back only to write witnesses and results.  The one axiom core,
 ``_gq_order``, decides many restrictions (point mask, line mask) of one
 compiled structure at once, one lane each; ``verify_gq_axioms`` is its
@@ -98,8 +98,8 @@ def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[st
 
 @cache
 def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
-    """The compiled form of inc; point i is inc.points[i].  ValueError
-    names the first line that names a point twice."""
+    """The compiled form of inc; point i is inc.points[i].  A plain ValueError (not
+    AxiomViolationError) names the first line naming a point twice, else repeating a line."""
     index = {p: i for i, p in enumerate(inc.points)}.__getitem__
     lines = tuple(tuple(map(index, line)) for line in inc.lines)
     line_points = tuple(map(point_mask, lines))
@@ -109,6 +109,10 @@ def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
             raise ValueError(f"line {written} names a point twice")
         for i in line:
             near[i] |= mask
+    if len(set(line_points)) != len(line_points):
+        k = next(k for k, mask in enumerate(line_points) if mask in line_points[:k])
+        first = inc.lines[line_points.index(line_points[k])]
+        raise ValueError(f"line {inc.lines[k]} repeats line {first}")
     adjacency = tuple([mask & ~(1 << i) for i, mask in enumerate(near)])
     degrees = tuple(map(int.bit_count, adjacency))
     return CompiledStructure(inc.name, tuple(inc.points), lines, line_points, adjacency, degrees)
@@ -125,11 +129,11 @@ def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
 
 
 def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
-    """Check the three axioms and return the order (s, t).
+    """Check the GQ axioms and return the order (s, t).
 
     Raises AxiomViolationError with the first failing axiom and its first
-    witness, which element-by-element scans find only once an axiom fails.
-    """
+    witness, which element-by-element scans find only once an axiom fails;
+    a malformed structure raises compile_structure's plain ValueError."""
     c = compile_structure(inc)
     # one lane: the order (s, t), or the name of the first failing axiom
     (lane,) = _gq_order(c, [((1 << len(c.labels)) - 1, (1 << len(c.lines)) - 1)])
@@ -143,8 +147,6 @@ def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
     elif axiom == "uniform point degree":
         degree = Counter(chain.from_iterable(lines))
         witness = f"degrees {sorted({degree[i] for i in range(len(labels))})}"
-    elif axiom == "at most one joining line":
-        witness = next(found for _, _, found in _line_pair_faults(c))
     else:
         witness = next(
             f"point {labels[i]}, line {tuple(labels[q] for q in lines[j])}, {hits} connections"
@@ -177,8 +179,10 @@ def _gq_order(
     """Per restriction (point mask, mask of line indices) of c, its order
     (s, t) or its first failing axiom, all w <= 64 at once: bit a of a lane mask
     stands for restrictions[a], and bit i*w + a of a wide mask for point i
-    in lane a.  A lane's degrees and adjacency come from its own lines."""
-    lines, line_points, n, w = c.lines, c.line_points, len(c.labels), len(restrictions)
+    in lane a.  A lane's degrees and adjacency come from its own lines, which
+    lie inside its points: so of two distinct lines of one size that share two
+    points, a point of one off the other fails "unique perpendicular"."""
+    lines, n, w = c.lines, len(c.labels), len(restrictions)
     row = [1 << w * i for i in range(n)]
     point_lanes = sum(map(mul, _lanes([points for points, _ in restrictions], n), row))
     line_lanes = _lanes([kept for _, kept in restrictions], len(lines))
@@ -205,13 +209,6 @@ def _gq_order(
     mixed = [has & _fold(point_lanes & ~plane, w, n) for has, plane in zip(with_bit, counts)]
     fails["uniform point degree"] = reduce(or_, mixed, 0)
 
-    # the axiom holds on all of c, and so in every lane, unless the lines of c
-    # join more pairs of points than c has collinear pairs: two share two points
-    fails["at most one joining line"] = 0
-    if sum(m * (m - 1) for m in map(int.bit_count, line_points)) != sum(c.degrees):
-        for j, k, _ in _line_pair_faults(c):
-            fails["at most one joining line"] |= line_lanes[j] & line_lanes[k]
-
     # bit-sliced counters over each line's points: the points of its lanes
     # off it that have not exactly one neighbour on it
     near = [0] * n  # point q -> per lane, the rows of q and its neighbours
@@ -235,18 +232,6 @@ def _gq_order(
         else (len(lines[(kept & -kept).bit_length() - 1]) - 1, degrees[a] - 1)
         for a, (_, kept) in enumerate(restrictions)
     ]
-
-
-def _line_pair_faults(c: CompiledStructure) -> Iterator[tuple[int, int, str]]:
-    """(j, k, witness) for lines j < k of c that join the same two points, in
-    scan order: line k's pairs of points as it names them."""
-    joined: dict[int, list[int]] = {}  # mask of two points -> the lines joining them
-    for k, line in enumerate(c.lines):
-        for i, a in enumerate(line):
-            for b in line[i + 1 :]:
-                for j in joined.setdefault(1 << a | 1 << b, []):
-                    yield j, k, f"points {c.labels[a]}, {c.labels[b]}"
-                joined[1 << a | 1 << b].append(k)
 
 
 @cache

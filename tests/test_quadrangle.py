@@ -408,11 +408,17 @@ def test_find_isomorphism_agrees_with_networkx(a, b, isomorphic):
 
 def _reference_point_sets(inc):
     """The lines of inc as sets; ValueError, worded as compile_structure's,
-    names the first line that names a point twice."""
+    names the first line that names a point twice, else the first line that
+    repeats an earlier one, found by position."""
     for line in inc.lines:
         if len(set(line)) != len(line):
             raise ValueError(f"line {line} names a point twice")
-    return [set(line) for line in inc.lines]
+    sets = [set(line) for line in inc.lines]
+    for k, line in enumerate(sets):
+        for j in range(k):
+            if sets[j] == line:
+                raise ValueError(f"line {inc.lines[k]} repeats line {inc.lines[j]}")
+    return sets
 
 
 def _reference_collinearity(inc):
@@ -627,10 +633,22 @@ def test_compile_structure_rejects_a_line_naming_a_point_twice():
     sorted_repeat = make_structure("x", ["a", "b", "c"], [("a", "b", "c"), ("c", "a", "c")])
     assert sorted_repeat.lines == (("a", "b", "c"), ("a", "c", "c"))
     as_written = IncidenceStructure("x", ("a", "b", "c"), (("a", "b", "c"), ("c", "a", "c")))
-    for inc, line in ((sorted_repeat, "('a', 'c', 'c')"), (as_written, "('c', 'a', 'c')")):
+    abc = ("a", "b", "c")
+    # a line repeated as written (the same tuple object), reversed and rotated
+    repeats = [
+        IncidenceStructure("x", ("a", "b", "c", "d"), (abc, ("a", "d"), again))
+        for again in (abc, abc[::-1], abc[1:] + abc[:1])
+    ]
+    assert repeats[0].lines[2] is abc
+    cases = [(sorted_repeat, "line ('a', 'c', 'c') names a point twice")]
+    cases.append((as_written, "line ('c', 'a', 'c') names a point twice"))
+    cases += [(inc, f"line {inc.lines[2]} repeats line {abc}") for inc in repeats]
+    for inc, message in cases:
+        assert _axiom_outcome(_reference_point_sets, inc) == ("rejected", message)
         for read in (compile_structure, verify_gq_axioms, collinearity):
-            with pytest.raises(ValueError, match=re.escape(f"line {line} names a point twice")):
+            with pytest.raises(ValueError, match=re.escape(message)) as caught:
                 read(inc)
+            assert not isinstance(caught.value, AxiomViolationError)
 
 
 def _reference_verify_gq_axioms(inc):
@@ -652,15 +670,6 @@ def _reference_verify_gq_axioms(inc):
         raise AxiomViolationError("uniform point degree", f"degrees {sorted(degrees)}")
     t = degrees.pop() - 1
 
-    joined = set()
-    for line in inc.lines:
-        for i, a in enumerate(line):
-            for b in line[i + 1 :]:
-                pair = frozenset((a, b))
-                if pair in joined:
-                    raise AxiomViolationError("at most one joining line", f"points {a}, {b}")
-                joined.add(pair)
-
     adj = _reference_collinearity(inc)
     for p in inc.points:
         for line in inc.lines:
@@ -676,7 +685,7 @@ def _reference_verify_gq_axioms(inc):
 
 def _axiom_outcome(verify, inc):
     """verify(inc), its (axiom, witness), or ("rejected", message) when inc
-    has a line that names a point twice."""
+    has a line that names a point twice or repeats a line."""
     try:
         return verify(inc)
     except AxiomViolationError as exc:
@@ -749,17 +758,22 @@ AXIOM_MUTANTS = {
     "point moved between two lines": (_point_moved_mutant, "unique perpendicular"),
     "line repeating a joined pair": (
         lambda: _grid_mutant(("p00", "p01", "p20"), ("p10", "p11", "p21")),
-        "at most one joining line",
+        "unique perpendicular",
     ),
     "two unsorted lines sharing two points": (
         lambda: _grid_mutant(("p01", "p00", "p20"), ("p11", "p10", "p21")),
-        "at most one joining line",
+        "unique perpendicular",
     ),
     "line of a different size": (
         lambda: _replace_lines(grid_gq21(), {("p00", "p01", "p02"): ("p00", "p01", "p02", "p22")}),
         "uniform line size",
     ),
     "line naming a point twice": (_doily_repeat_mutant, "rejected"),
+    # every two lines share two points, and no point off a line misses it
+    "all four triples of four points": (
+        lambda: make_structure("triples", "abcd", combinations("abcd", 3)),
+        "unique perpendicular",
+    ),
 }
 
 
@@ -772,23 +786,18 @@ def _repeated_lines(inc, reverse, every):
     )
 
 
+# with every line repeated, every point keeps one degree and every
+# perpendicular count, so only the rejection of a repeated line tells the
+# structure from its base
 @pytest.mark.parametrize(
-    "reverse, every, axiom",
-    [
-        (False, False, "uniform point degree"),
-        (True, False, "uniform point degree"),
-        # every point keeps one degree, and each line's pairs come back
-        # reversed, which joins them a second time all the same
-        (True, True, "at most one joining line"),
-        (False, True, "at most one joining line"),
-    ],
+    "reverse, every", [(False, False), (True, False), (True, True), (False, True)]
 )
-def test_repeated_lines_give_the_reference_axiom_and_witness(reverse, every, axiom):
+def test_repeated_lines_give_the_reference_axiom_and_witness(reverse, every):
     for base in (grid_gq21(), doily_substructure(), build_quadric_quadrangle()):
         inc = _repeated_lines(base, reverse, every)
         outcome = _axiom_outcome(verify_gq_axioms, inc)
         assert outcome == _axiom_outcome(_reference_verify_gq_axioms, inc)
-        assert outcome[0] == axiom
+        assert outcome[0] == "rejected"
 
 
 @pytest.mark.parametrize("name", sorted(AXIOM_MUTANTS))
@@ -800,12 +809,20 @@ def test_bitset_axioms_match_reference_on_mutants(name):
     assert outcome[0] == axiom
 
 
+def _lines_sharing_two_points(lines):
+    """The pairs (j, k), j < k, of the given point masks that share two points."""
+    return [
+        (j, k) for (j, a), (k, b) in combinations(enumerate(lines), 2) if (a & b).bit_count() > 1
+    ]
+
+
 def test_bitset_axioms_match_reference_on_random_swaps():
-    # swapping points between lines keeps every line size and point degree,
-    # and may repeat a pair, unsort a line or repeat a point within a line,
-    # which both sides reject
+    # swapping points between lines keeps every line size and point degree;
+    # it may unsort a line, and it may repeat a point within a line or make
+    # two lines share two points, which both sides reject
     rng = random.Random(20101)
     bases = [grid_gq21(), doily_substructure(), build_quadric_quadrangle()]
+    shared = 0  # structures that compile with two lines sharing two points
     for _ in range(300):
         base = rng.choice(bases)
         lines = [list(line) for line in base.lines]
@@ -817,10 +834,16 @@ def test_bitset_axioms_match_reference_on_random_swaps():
             for line in lines:
                 rng.shuffle(line)
         inc = IncidenceStructure("swapped", base.points, tuple(map(tuple, lines)))
-        assert _axiom_outcome(verify_gq_axioms, inc) == _axiom_outcome(
-            _reference_verify_gq_axioms, inc
-        )
+        outcome = _axiom_outcome(verify_gq_axioms, inc)
+        assert outcome == _axiom_outcome(_reference_verify_gq_axioms, inc)
         assert _axiom_outcome(collinearity, inc) == _axiom_outcome(_reference_collinearity, inc)
+        # independently of the reference: two lines that share two points
+        # are never accepted
+        index = {p: i for i, p in enumerate(inc.points)}
+        if _lines_sharing_two_points([sum(1 << index[p] for p in line) for line in lines]):
+            assert isinstance(outcome[0], str)
+            shared += outcome[0] != "rejected"
+    assert shared
 
 
 def _reference_section(axis):
@@ -930,12 +953,12 @@ def test_gq_order_lanes_match_reference_on_sections():
 
 def test_gq_order_lanes_match_reference_on_random_swaps():
     # each swapped quadric model restricted by every section, in one call;
-    # a swap may unsort a line, or repeat a point in a line, which both
-    # compile_structure and the reference reject
+    # a swap may unsort a line, and it may repeat a point within a line or
+    # repeat a whole line, which compile_structure and the reference reject
     rng = random.Random(2026)
     base = build_quadric_quadrangle()
     sections = _section_points(compile_structure(base))
-    seen, outcomes = {}, set()
+    seen, outcomes, shared = {}, set(), 0
     for _ in range(200):
         lines = [list(line) for line in base.lines]
         for _ in range(rng.randint(1, 3)):
@@ -952,7 +975,13 @@ def test_gq_order_lanes_match_reference_on_random_swaps():
             outcomes.add("rejected")
             continue
         restrictions, structures = _restricted_to_sections(c, sections)
-        for inc, lane in zip(structures, _gq_order(c, restrictions)):
+        pairs = _lines_sharing_two_points(c.line_points)
+        for inc, lane, (_, kept) in zip(structures, _gq_order(c, restrictions), restrictions):
             assert lane == _reference_lane(inc, seen)
             outcomes.add(lane if isinstance(lane, str) else "order")
-    assert len(outcomes) >= 4
+            # independently of the reference: a lane that keeps two lines
+            # sharing two points is never accepted
+            if any(kept >> j & kept >> k & 1 for j, k in pairs):
+                assert isinstance(lane, str)
+                shared += 1
+    assert len(outcomes) >= 4 and shared
