@@ -10,8 +10,9 @@ The classes are
   together with 0 and the identity each class forms a field with 8
   elements.
 
-This module alone knows the class tags: ``Atlas.members`` reads a class by
-its tag, and ``opposite``, the one U/V switch, rejects every other tag.
+A class is its tag, the one class vocabulary: ``classify`` returns
+"identity", "D", "U" or "V", ``Atlas.members`` reads a class by its tag,
+and ``opposite``, the one U/V switch, rejects every other tag.
 
 The index assignment inside each class is data, not derivable: the
 explicit double-six isomorphism depends on it.  The tables below are the
@@ -21,9 +22,8 @@ any mismatch.
 
 from __future__ import annotations
 
-import enum
+from collections import namedtuple
 from functools import cache
-from typing import Mapping, NamedTuple
 
 from gqlab.gf2 import (
     MAT_IDENTITY,
@@ -50,13 +50,6 @@ class WrongClassError(ValueError):
     """A matrix of the wrong class was passed to a class-specific operation."""
 
 
-class MatrixClass(enum.Enum):
-    IDENTITY = "identity"
-    D = "D"
-    U = "U"
-    V = "V"
-
-
 _D_BITS = tuple(
     int(s, 2)
     for s in (
@@ -76,15 +69,12 @@ def label_key(label: str) -> tuple[int, int]:
     return (_CLASS_ORDER[label[0]], int(label[1:]))
 
 
-class Atlas(NamedTuple):
-    """Verified lookup tables for the 27 non-identity invertible matrices."""
+class Atlas(namedtuple("Atlas", "d u v points labels by_label")):
+    """Verified lookup tables for the 27 non-identity invertible matrices:
+    the tuples d, u, v and points of packed matrices, labels (matrix ->
+    label) and by_label (label -> matrix)."""
 
-    d: tuple[int, ...]
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-    points: tuple[int, ...]
-    labels: Mapping[int, str]
-    by_label: Mapping[str, int]
+    __slots__ = ()
 
     def members(self, tag: str) -> tuple[int, ...]:
         """The matrices of the class "D", "U" or "V", in label order."""
@@ -100,11 +90,10 @@ def opposite(tag: str) -> str:
     return "V" if tag == "U" else "U"
 
 
-class FanoAction(NamedTuple):
+class FanoAction(namedtuple("FanoAction", "images fixed_points")):
     """Permutation induced on the 7 nonzero row vectors by v -> v*x."""
 
-    images: tuple[int, ...]
-    fixed_points: tuple[int, ...]
+    __slots__ = ()
 
     def image_of(self, point: int) -> int:
         return self.images[point - 1]
@@ -186,14 +175,15 @@ def _require_invertible(x: int) -> None:
         raise NotInvertibleError(f"matrix {x:06b} has determinant 0")
 
 
-def classify(x: int) -> MatrixClass:
-    """Class of an invertible SymMat3; raises NotInvertibleError on det 0."""
+def classify(x: int) -> str:
+    """Class tag of an invertible SymMat3: "identity", "D", "U" or "V";
+    raises NotInvertibleError on det 0."""
     _require_invertible(x)
     if x == SYM_IDENTITY:
-        return MatrixClass.IDENTITY
+        return "identity"
     if sym_det(x ^ SYM_IDENTITY) == 0:
-        return MatrixClass.D
-    return MatrixClass.U if x in atlas().u else MatrixClass.V
+        return "D"
+    return "U" if x in atlas().u else "V"
 
 
 def label_of(x: int) -> str:
@@ -207,7 +197,7 @@ def label_of(x: int) -> str:
 
 def multiplicative_closure(x: int) -> frozenset[int]:
     """The powers {x, x^2, ..., 1}; defined for the eigenvalue-free classes."""
-    if classify(x) not in (MatrixClass.U, MatrixClass.V):
+    if classify(x) not in ("U", "V"):
         raise WrongClassError(f"matrix {x:06b} has an eigenvalue; no GF(8) closure")
     return _powers(x)
 

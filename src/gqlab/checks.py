@@ -18,10 +18,10 @@ becomes a failing report instead of stopping the suite.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple
 
 from gqlab import atlas as atlas_mod
 from gqlab import pg
@@ -44,19 +44,12 @@ from gqlab.gf2 import (
 )
 
 
-class CheckReport(NamedTuple):
-    """Outcome of one identified verification check.
-
-    A report passes iff the printable forms of expected and actual agree,
-    so every check states up front what it must see.
-    """
-
-    check_id: str
-    description: str
-    expected: str
-    actual: str
-    passed: bool
-    elapsed: float = 0.0
+# Outcome of one identified verification check.  A report passes iff the
+# printable forms of expected and actual agree, so every check states up
+# front what it must see.
+CheckReport = namedtuple(
+    "CheckReport", "check_id description expected actual passed elapsed", defaults=(0.0,)
+)
 
 
 def make_report(check_id: str, description: str, expected: object, actual: object) -> CheckReport:
@@ -64,10 +57,10 @@ def make_report(check_id: str, description: str, expected: object, actual: objec
     return CheckReport(check_id, description, exp, act, exp == act)
 
 
-class SuiteResult(NamedTuple):
+class SuiteResult(namedtuple("SuiteResult", "reports")):
     """Ordered collection of check reports; passes iff every member passes."""
 
-    reports: tuple[CheckReport, ...]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -21,9 +21,9 @@ Each command imports only the modules it runs.  The grammar is read by a
 small table-driven parser, so no ``argparse``, ``gettext`` or ``locale`` is
 loaded.  This module loads ``gf2``, ``atlas``, ``pg`` and ``quadrangle``,
 which is all ``classify`` needs; ``verify`` imports ``checks`` and
-``export`` imports ``exports`` and ``pathlib`` when they are called.  A JSON
-document, of ``verify`` or of ``export``, is laid out by ``jsontext``, so no
-command loads ``json``.
+``export`` imports ``exports`` when they are called.  A JSON document, of
+``verify`` or of ``export``, is laid out by ``jsontext``, so no command loads
+``json``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from gqlab.atlas import AtlasError, MatrixClass, atlas, classify, label_key, label_of
+from gqlab.atlas import AtlasError, atlas, classify, label_key, label_of
 from gqlab.gf2 import bits6, eigenspace_dim, mat_row, parse_bits6, sym_det, sym_to_mat
 from gqlab.pg import bit_indices, minor_coordinates
 from gqlab.quadrangle import build_matrix_quadrangle, compile_structure
@@ -190,10 +190,10 @@ def _cmd_classify(args: SimpleNamespace) -> int:
         return 0
     cls = classify(x)
     print(f"label           {label_of(x)}")
-    print(f"class           {cls.value}")
+    print(f"class           {cls}")
     print(f"eigenspace_dim  {eigenspace_dim(m)}")
     print(f"coordinates     {bits6(minor_coordinates(x))}")
-    if cls is MatrixClass.IDENTITY:
+    if cls == "identity":
         print("note            the identity is not a quadrangle point")
         return 0
     c = compile_structure(build_matrix_quadrangle())
@@ -204,8 +204,6 @@ def _cmd_classify(args: SimpleNamespace) -> int:
 
 
 def _cmd_export(args: SimpleNamespace) -> int:
-    from pathlib import Path  # only export needs it, and with it re, fnmatch and urllib
-
     # read at call time, so a wrapper installed on gqlab.exports is honoured
     from gqlab.exports import UnsupportedFormatError, render_export
 
@@ -214,11 +212,11 @@ def _cmd_export(args: SimpleNamespace) -> int:
     except UnsupportedFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    out = Path(args.out)
     try:
-        out.write_text(body, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(body)
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     return 0
 

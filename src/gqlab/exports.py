@@ -45,7 +45,7 @@ def _atlas_rows() -> tuple[tuple, ...]:
     for x in (SYM_IDENTITY,) + atlas().points:
         m = sym_to_mat(x)
         involution = mat_mul(m, m) == MAT_IDENTITY
-        rows.append((label_of(x), _BITS[x], classify(x).value, eigenspace_dim(m), involution))
+        rows.append((label_of(x), _BITS[x], classify(x), eigenspace_dim(m), involution))
     return tuple(rows)
 
 
@@ -79,7 +79,7 @@ def incidence_dot() -> str:
     lines = ["graph collinearity {", "  node [shape=circle style=filled];"]
     for x in at.points:
         label = label_of(x)
-        cls = classify(x).value
+        cls = classify(x)
         lines.append(f'  "{label}" [class="{cls}" fillcolor="{_CLASS_COLORS[cls]}"];')
     for a, b in collinearity_graph_edges():
         lines.append(f'  "{a}" -- "{b}";')
@@ -116,7 +116,7 @@ def planes_json() -> str:
                 "label": label_of(x),
                 "matrix_rows": [_BITS[r] for r in raw],
                 "echelon": [_BITS[r] for r in echelon(plane_of(x))],
-                "class": classify(x).value,
+                "class": classify(x),
             }
         )
     for plane, label in DISTINGUISHED.items():
@@ -145,7 +145,7 @@ def planes_csv() -> str:
     writer.writerow(["label", "meets_point", "meets_line", "skew", "class"])
     for x in atlas().points:
         prof = intersection_statistics(x)
-        writer.writerow([prof.label, prof.points, prof.lines, prof.skew, classify(x).value])
+        writer.writerow([prof.label, prof.points, prof.lines, prof.skew, classify(x)])
     return buf.getvalue()
 
 

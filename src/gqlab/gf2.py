@@ -22,7 +22,7 @@ for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class SingularMatrixError(ValueError):

@@ -53,8 +53,8 @@ rows, ``transposed``, turn 64 masks into one mask per bit position, one bit per 
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable, Iterable, Sequence
 from functools import cache
-from typing import Callable, Iterable, Sequence
 
 from gqlab.gf2 import SYM_IDENTITY, require_sym, sym_det, sym_entries
 

@@ -13,13 +13,13 @@ reads.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from functools import cache, reduce
 from itertools import combinations
 from operator import or_
-from typing import Iterable, NamedTuple, Sequence
 
-from gqlab.atlas import MatrixClass, WrongClassError, atlas, classify, label_key, label_of, opposite
+from gqlab.atlas import WrongClassError, atlas, classify, label_key, label_of, opposite
 from gqlab.gf2 import (
     SYM_IDENTITY,
     Lanes,
@@ -248,12 +248,7 @@ def collineation_action(u: int, planes: Sequence[Plane]) -> tuple[Plane, ...]:
     return transposed(moved)[: len(planes)]
 
 
-class MeetProfile(NamedTuple):
-    label: str
-    versus: str
-    points: int
-    lines: int
-    skew: int
+MeetProfile = namedtuple("MeetProfile", "label versus points lines skew")
 
 
 def intersection_statistics(x: int, versus: str | None = None) -> MeetProfile:
@@ -263,12 +258,12 @@ def intersection_statistics(x: int, versus: str | None = None) -> MeetProfile:
     must be U or V, by default the class opposite to x (U for x in D).
     """
     cls = classify(x)
-    if cls is MatrixClass.IDENTITY:
+    if cls == "identity":
         raise WrongClassError("statistics are defined for the 27 quadrangle points")
     if versus is None:
-        versus = "U" if cls is MatrixClass.D else opposite(cls.value)
+        versus = "U" if cls == "D" else opposite(cls)
     opposite(versus)  # raises WrongClassError unless versus is U or V
-    if cls.value == versus:
+    if cls == versus:
         raise WrongClassError(f"{label_of(x)} lies in the class it is measured against")
     mine = plane_of(x)
     dims = [intersection_dim(mine, other) for other in class_planes(versus)]
@@ -279,7 +274,7 @@ def skew_partner(x: int) -> int:
     """The unique matrix of the opposite eigenvalue-free class whose plane
     is skew to (X|1)."""
     try:
-        pool = atlas().members(opposite(classify(x).value))
+        pool = atlas().members(opposite(classify(x)))
     except WrongClassError as err:
         raise WrongClassError(f"{label_of(x)} is not in U or V, which skew partners pair") from err
     mine = plane_of(x)

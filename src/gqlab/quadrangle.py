@@ -30,11 +30,11 @@ one call of the core.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache, reduce
 from itertools import chain, combinations
 from operator import and_, mul, or_
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from gqlab.atlas import atlas, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6
@@ -60,22 +60,14 @@ class AxiomViolationError(ValueError):
         self.witness = witness
 
 
-class IncidenceStructure(NamedTuple):
-    name: str
-    points: tuple[str, ...]
-    lines: tuple[tuple[str, ...], ...]
+IncidenceStructure = namedtuple("IncidenceStructure", "name points lines")
 
-
-class CompiledStructure(NamedTuple):
-    """An incidence structure on the point indices 0..n-1; bit i of a point
-    mask stands for point i."""
-
-    name: str
-    labels: tuple[str, ...]  # point index -> label, read only for witnesses
-    lines: tuple[tuple[int, ...], ...]
-    line_points: tuple[int, ...]  # line -> point mask of its points
-    adjacency: tuple[int, ...]  # point -> point mask of its collinear points
-    degrees: tuple[int, ...]  # point -> number of collinear points
+# An incidence structure on the point indices 0..n-1; bit i of a point mask
+# stands for point i.  labels maps a point index to its label and is read
+# only for witnesses; lines are tuples of point indices; line_points gives
+# each line the point mask of its points, adjacency each point the point
+# mask of its collinear points, and degrees each point their number.
+CompiledStructure = namedtuple("CompiledStructure", "name labels lines line_points adjacency degrees")
 
 
 def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[str]]) -> IncidenceStructure:
@@ -434,18 +426,10 @@ def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[str, 
     return None
 
 
-class HyperplaneSection(NamedTuple):
-    axis: str
-    kind: str  # "tangent" (a cone), "gq22" (order (2,2)) or "neither"
-    n_points: int
-    n_lines: int
+# kind is "tangent" (a cone), "gq22" (order (2,2)) or "neither"
+HyperplaneSection = namedtuple("HyperplaneSection", "axis kind n_points n_lines")
 
-
-class SurveySummary(NamedTuple):
-    tangent: int
-    nondegenerate: int
-    sections: tuple[HyperplaneSection, ...]
-    all_gq22_pass: bool
+SurveySummary = namedtuple("SurveySummary", "tangent nondegenerate sections all_gq22_pass")
 
 
 def _sections(axes: Sequence[int]) -> Iterator[tuple[int, int, int]]:

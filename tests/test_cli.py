@@ -402,6 +402,14 @@ def test_export_unsupported_combo(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_export_to_an_unwritable_path_exits_1(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "a.json")
+    assert main(["export", "--what", "atlas", "--format", "json", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
 def test_export_deterministic():
     for key in EXPORTERS:
         assert render_export(*key) == render_export(*key)
