@@ -187,12 +187,16 @@ def classify(x: int) -> str:
 
 
 def label_of(x: int) -> str:
-    """Canonical label D1..V6 of a point, or "1" for the identity."""
+    """Canonical label D1..V6 of a point, or "1" for the identity; a singular
+    matrix raises NotInvertibleError, as in classify."""
     if not 0 <= x < 64:
         require_sym(x)
     if x == SYM_IDENTITY:
         return "1"
-    return atlas().labels[x]
+    try:
+        return atlas().labels[x]
+    except KeyError:
+        raise NotInvertibleError(f"matrix {x:06b} has determinant 0") from None
 
 
 def multiplicative_closure(x: int) -> frozenset[int]:

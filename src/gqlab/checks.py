@@ -676,7 +676,8 @@ def _check_group_action() -> str:
         }
         xs = at.d + at.members(opposite(tag))
         action = all(
-            [acts[ab][x] for x in xs] == [acts[a].get(acts[b][x]) for x in xs]
+            list(map(acts[ab].__getitem__, xs))
+            == list(map(acts[a].get, map(acts[b].__getitem__, xs)))
             for (a, b), ab in products.items()
         )
         parts.append(f"{tag}: commutative {commutative}, action {action}")

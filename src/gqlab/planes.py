@@ -304,11 +304,12 @@ def build_plane_model() -> IncidenceStructure:
 
 def rank_meet_identity_holds() -> bool:
     """rank(X+Y) + dim((X|1) cap (Y|1)) = 3 over all 64x64 symmetric pairs,
-    the rank by row reduction and the meet from the two point masks."""
+    the rank by row reduction and the meet from the two point masks.  Both
+    terms are symmetric in X and Y, so each unordered pair, y >= x, is read once."""
     ranks = [mat_rank(sym_to_mat(s)) for s in range(64)]
     planes = [plane_of(x) for x in range(64)]
     for x, p in enumerate(planes):
-        for y, q in enumerate(planes):
-            if ranks[x ^ y] + (p & q).bit_count().bit_length() != 3:
+        for y in range(x, 64):
+            if ranks[x ^ y] + (p & planes[y]).bit_count().bit_length() != 3:
                 return False
     return True

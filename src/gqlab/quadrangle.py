@@ -314,11 +314,13 @@ def verify_isomorphism(
         return False, "mapping domain differs from the point set"
     if set(mapping.values()) != set(b.points):
         return False, "mapping image differs from the target point set"
+    if len(mapping) != len(set(b.points)):  # so two points share an image
+        return False, f"point counts differ: {len(mapping)} vs {len(set(b.points))}"
     if len(a.lines) != len(b.lines):
         return False, f"line counts differ: {len(a.lines)} vs {len(b.lines)}"
-    b_lines = set(b.lines)
+    b_lines, image_of = set(b.lines), mapping.__getitem__
     for line in a.lines:
-        image = tuple(sorted(mapping[p] for p in line))
+        image = tuple(sorted(map(image_of, line)))
         if image not in b_lines:
             return False, f"line {line} maps to non-line {image}"
     return True, ""
@@ -348,23 +350,36 @@ def _search_order(c: CompiledStructure) -> list[int]:
     return order
 
 
-def _backtrack(a: CompiledStructure, b: CompiledStructure, order: list[int]) -> Iterator[list[int]]:
-    """The images of order[0], order[1], ... under every bijection from a
-    onto b that sends collinear points to collinear points, one list per map
-    (reused).  A position's candidates are the unused points of b collinear
-    with the images of its earlier collinear positions, tried in ascending
-    order, which is label order.  Nothing else prunes: when a and b have as
-    many collinear pairs, such a map also sends the other pairs onto the
-    other pairs and keeps every degree, so degree classes could only prune.
+@cache
+def _search_plan(c: CompiledStructure) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The search order of c's points and, per position, the earlier
+    positions collinear with it; built once per compiled source model."""
+    order = tuple(_search_order(c))
+    earlier = tuple(
+        tuple(j for j in range(k) if c.adjacency[p] >> order[j] & 1) for k, p in enumerate(order)
+    )
+    return order, earlier
+
+
+def _backtrack(earlier: Sequence[Sequence[int]], b: CompiledStructure) -> Iterator[list[int]]:
+    """The images of positions 0, 1, ... of a search plan under every
+    bijection onto b that sends collinear points to collinear points, one
+    list per map (reused); earlier[k] lists the earlier positions collinear
+    with position k.  A position's candidates are the unused points of b
+    collinear with the images of its earlier collinear positions, tried in
+    ascending order, which is label order.  A candidate is dropped at once
+    when it is collinear with the image of any other earlier position.  When
+    the two structures have as many collinear pairs, a map that sends
+    collinear pairs to collinear pairs sends the other pairs onto the other
+    pairs, so that test cuts only branches that no such map completes, and
+    the maps come in the sequence they would without it.
     """
-    n = len(order)
+    n = len(earlier)
     if not n:
         yield []
         return
-    earlier = [  # per position: the earlier positions collinear with it
-        [j for j in range(k) if a.adjacency[p] >> order[j] & 1] for k, p in enumerate(order)
-    ]
     candidates = [(1 << n) - 1] + [0] * (n - 1)  # those of each depth not yet tried
+    collinear = list(map(len, earlier))  # per depth: the used points a candidate may meet
     images, free, k = [0] * n, (1 << n) - 1, 0  # free: the points of b no lower depth maps onto
     onto = b.adjacency
     while True:
@@ -377,7 +392,12 @@ def _backtrack(a: CompiledStructure, b: CompiledStructure, order: list[int]) -> 
             continue
         low = c & -c
         candidates[k] = c ^ low
-        images[k] = low.bit_length() - 1
+        i = low.bit_length() - 1
+        # i is collinear with the images of earlier[k], all used; any other
+        # used neighbour of i is the image of a point it must not meet
+        if (onto[i] & ~free).bit_count() != collinear[k]:
+            continue
+        images[k] = i
         if k == n - 1:
             yield images
             continue
@@ -397,20 +417,22 @@ def collinearity_isomorphisms(
 
     Points of a are mapped breadth-first from the smallest label; a point's
     candidate images are the unused points collinear with the images of its
-    mapped neighbours, tried in label order.  Each map is a new dict whose
-    keys follow the search order.
+    mapped neighbours and with no other mapped image, tried in label order.
+    Each map is a new dict whose keys follow the search order.
     """
     if len(a.points) != len(b.points) or len(a.lines) != len(b.lines):
         return
     ca, cb = _label_ordered(a), _label_ordered(b)
-    # the one premise of _backtrack: equal sorted degrees give a and b as
-    # many collinear pairs, so a bijection that sends collinear pairs to
-    # collinear pairs sends the other pairs onto the other pairs too
+    # the one premise of _backtrack's pruning: equal sorted degrees give a
+    # and b as many collinear pairs, so a bijection that sends collinear
+    # pairs to collinear pairs sends the other pairs onto the other pairs too,
+    # and a partial map that sends a non-collinear pair to a collinear one
+    # has no completion
     if sorted(ca.degrees) != sorted(cb.degrees):
         return
-    order = _search_order(ca)
+    order, earlier = _search_plan(ca)
     keys = [ca.labels[p] for p in order]
-    for images in _backtrack(ca, cb, order):
+    for images in _backtrack(earlier, cb):
         yield dict(zip(keys, map(cb.labels.__getitem__, images)))
 
 

@@ -64,6 +64,22 @@ def test_labels_round_trip():
     assert label_of(parse_bits6("001100")) == "D1"
 
 
+def test_label_of_reads_as_classify_on_every_symmetric_matrix():
+    # a singular matrix has no label: label_of raises classify's error
+    singular = 0
+    for x in range(64):
+        try:
+            tag = classify(x)
+        except NotInvertibleError as exc:
+            with pytest.raises(NotInvertibleError) as raised:
+                label_of(x)
+            assert str(raised.value) == str(exc) == f"matrix {x:06b} has determinant 0"
+            singular += 1
+            continue
+        assert label_of(x) == ("1" if tag == "identity" else atlas().labels[x])
+    assert singular == 36
+
+
 def test_multiplicative_closure_of_u1_is_u():
     at = atlas()
     assert multiplicative_closure(at.u[0]) == frozenset((SYM_IDENTITY, *at.u))

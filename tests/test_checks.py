@@ -861,6 +861,21 @@ def test_rank_meet_identity_fails_on_two_swapped_planes(monkeypatch):
     assert report.actual == "identity fails"
 
 
+def test_rank_meet_identity_fails_on_the_two_last_planes_swapped(monkeypatch):
+    # 62 and 63 trade planes; the pairs among them still pass, so the
+    # identity must fail on a pair (x, 62) or (x, 63) with a smaller x
+    swap, plane_of = {62: 63, 63: 62}, gqlab.planes.plane_of
+    monkeypatch.setattr(gqlab.planes, "plane_of", lambda x: plane_of(swap.get(x, x)))
+    rank = gqlab.planes.mat_rank
+    for x in (62, 63):
+        for y in (62, 63):
+            meet = gqlab.planes.plane_of(x) & gqlab.planes.plane_of(y)
+            assert rank(gqlab.gf2.sym_to_mat(x ^ y)) + meet.bit_count().bit_length() == 3
+    report = _single_report("sec5.rank-meet-identity")
+    assert not report.passed
+    assert report.actual == "identity fails"
+
+
 def _three_space(plane):
     # the 15-point 3-space spanned by a plane and its smallest point off it
     w = next(v for v in range(1, 64) if not plane >> v & 1)

@@ -27,6 +27,7 @@ from gqlab.quadrangle import (
     IncidenceStructure,
     SurveySummary,
     _gq_order,
+    _label_ordered,
     _sections,
     build_double_six_model,
     build_matrix_quadrangle,
@@ -507,6 +508,115 @@ def test_find_isomorphism_matches_reference_search():
     for a, b in negatives:
         assert find_isomorphism(a, b) is None
         assert _reference_find_isomorphism(a, b) is None
+
+
+class _CountingRows(tuple):
+    """A tuple of adjacency rows that counts the rows read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def _double_six_plant():
+    """The double-six model with the first points of lines 8 and 18 traded:
+    every degree stays 10, but it is not a GQ."""
+    inc = build_double_six_model()
+    lines = list(inc.lines)
+    lines[8], lines[18] = lines[18][:1] + lines[8][1:], lines[8][:1] + lines[18][1:]
+    return IncidenceStructure("double-six-plant", inc.points, tuple(lines))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    list(combinations(four_models(), 2)),
+    ids=[f"{a.name}-{b.name}" for a, b in combinations(four_models(), 2)],
+)
+def test_search_reads_few_rows_of_the_target_before_its_first_map(monkeypatch, a, b):
+    # a tried image collinear with the image of a point it must not be
+    # collinear with is cut at once, not many levels later; the search
+    # compiles a, then its target b, whose rows are counted
+    compiled = []
+
+    def counting(inc):
+        c = _label_ordered(inc)
+        compiled.append(c._replace(adjacency=_CountingRows(c.adjacency)) if compiled else c)
+        return compiled[-1]
+
+    monkeypatch.setattr("gqlab.quadrangle._label_ordered", counting)
+    first = next(collinearity_isomorphisms(a, b))
+    assert len(compiled) == 2
+    assert 0 < compiled[1].adjacency.reads <= 200
+    assert list(first.items()) == list(_reference_find_isomorphism(a, b).items())
+
+
+def test_search_finds_no_map_onto_the_planted_double_six():
+    plant = _double_six_plant()
+    assert sorted(compile_structure(plant).degrees) == [10] * 27
+    for model in (build_quadric_quadrangle(), build_matrix_quadrangle(), build_plane_model()):
+        assert next(collinearity_isomorphisms(model, plant), None) is None
+
+
+def _reference_verify_isomorphism(mapping, a, b):
+    """verify_isomorphism's label scan without its point-count check, kept as
+    its oracle: the two differ only on a map that folds two points onto one."""
+    if set(mapping) != set(a.points):
+        return False, "mapping domain differs from the point set"
+    if set(mapping.values()) != set(b.points):
+        return False, "mapping image differs from the target point set"
+    if len(a.lines) != len(b.lines):
+        return False, f"line counts differ: {len(a.lines)} vs {len(b.lines)}"
+    b_lines = set(b.lines)
+    for line in a.lines:
+        image = tuple(sorted(mapping[p] for p in line))
+        if image not in b_lines:
+            return False, f"line {line} maps to non-line {image}"
+    return True, ""
+
+
+def test_verify_isomorphism_matches_the_label_scan():
+    matrices, double_six = build_matrix_quadrangle(), build_double_six_model()
+    iso = DOUBLE_SIX_ISOMORPHISM
+    cases = [(iso, matrices, double_six)]
+    rng = random.Random(0)
+    for _ in range(200):
+        x, y = rng.sample(sorted(iso), 2)
+        cases.append(({**iso, x: iso[y], y: iso[x]}, matrices, double_six))
+    dropped = {p: q for p, q in iso.items() if p != "D1"}
+    for mapping in (dropped, {**iso, "W1": "1"}, {**iso, "D1": "7"}, {**iso, "D1": iso["D2"]}):
+        cases.append((mapping, matrices, double_six))
+    cases.append((iso, matrices, double_six._replace(lines=double_six.lines[:-1])))
+    cases.append((iso, matrices._replace(lines=matrices.lines[1:]), double_six))
+    # hand-built structures that compile_structure would reject, which the
+    # scan still answers: a line that names a point twice, a line that names
+    # a point off the point set, and lines held in lists
+    abc = ("a", "b", "c")
+    twice = IncidenceStructure("twice", abc, (abc, ("a", "c", "c")))
+    unknown = IncidenceStructure("unknown", abc, (abc, ("a", "z")))
+    listed = IncidenceStructure("listed", abc, (list(abc), ["a", "c"]))
+    plain = make_structure("plain", abc, [abc, ("a", "c")])
+    identity = {p: p for p in abc}
+    for a, b in ((twice, twice), (twice, plain), (plain, twice), (plain, unknown), (listed, plain)):
+        cases.append((identity, a, b))
+    outcomes = []
+    for mapping, a, b in cases:
+        outcomes.append(verify_isomorphism(mapping, a, b))
+        assert outcomes[-1] == _reference_verify_isomorphism(mapping, a, b)
+    assert outcomes[0] == (True, "")
+    assert all(not ok and "maps to non-line" in witness for ok, witness in outcomes[1:201])
+    assert [ok for ok, _ in outcomes[201:-5]] == [False] * 6
+    assert [ok for ok, _ in outcomes[-5:]] == [True, False, False, False, True]
+
+
+def test_verify_isomorphism_rejects_a_map_that_is_not_injective():
+    # c and d share an image, and no line of a holds both
+    a = make_structure("four", "abcd", [("a", "b")])
+    b = make_structure("three", "xyz", [("x", "y")])
+    mapping = {"a": "x", "b": "y", "c": "z", "d": "z"}
+    assert verify_isomorphism(mapping, a, b) == (False, "point counts differ: 4 vs 3")
+    assert _reference_verify_isomorphism(mapping, a, b) == (True, "")
 
 
 # (a, b, how many maps to compare, how many the search yields up to that)
