@@ -32,7 +32,7 @@ from gqlab.gf2 import (
     mat_mul,
     mat_to_sym,
     require_sym,
-    row_times_mat,
+    row_images,
     sym_det,
     sym_to_mat,
 )
@@ -209,7 +209,6 @@ def multiplicative_closure(x: int) -> frozenset[int]:
 def fano_action(x: int) -> FanoAction:
     """Permutation of the 7 points of the Fano plane induced from the right."""
     _require_invertible(x)
-    m = sym_to_mat(x)
-    images = tuple(row_times_mat(v, m) for v in range(1, 8))
+    images = row_images(sym_to_mat(x))[1:]
     fixed = tuple(v for v in range(1, 8) if images[v - 1] == v)
     return FanoAction(images=images, fixed_points=fixed)

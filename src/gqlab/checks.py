@@ -33,7 +33,6 @@ from gqlab.gf2 import (
     SYM_IDENTITY,
     asymmetric_lanes,
     bits6,
-    broadcast_lanes,
     eigenspace_dim,
     inverse3,
     is_symmetric,
@@ -267,15 +266,20 @@ def _check_singer() -> str:
 def _check_jordan_closure() -> str:
     bad = []
     mats = [sym_to_mat(b) for b in range(64)]
-    # bit b of every lane is B, so one pair of lane products decides A*B*A for all B
-    b_lanes = pg.transposed(mats)[:9]
-    for a in atlas_mod.enumerate_invertible_symmetric():
-        am = mats[a]
-        if not is_symmetric(inverse3(am)):
+    invertible = atlas_mod.enumerate_invertible_symmetric()
+    # bit 64i + b of a wide lane stands for the pair (A_i, B): block i of A's
+    # lane k is all ones or all zeros by bit k of A_i, and every block of B's
+    # lane k is the lane k of all 64 B, so one pair of wide lane products
+    # decides A*B*A for every pair
+    a_mats = [mats[a] for a in invertible]
+    a_lanes = [pg.pack([m >> k & 1 for m in a_mats]) * ((1 << 64) - 1) for k in range(9)]
+    one_per_block = pg.pack([1] * len(invertible))
+    b_lanes = [lane * one_per_block for lane in pg.transposed(mats)[:9]]
+    asymmetric = asymmetric_lanes(lanes_mul(lanes_mul(a_lanes, b_lanes), a_lanes))
+    for a, row in zip(invertible, pg.rows(asymmetric)):
+        if not is_symmetric(inverse3(mats[a])):
             bad.append(f"inverse({a:06b})")
-        a_lanes = broadcast_lanes(am, 64)
-        asymmetric = asymmetric_lanes(lanes_mul(lanes_mul(a_lanes, b_lanes), a_lanes))
-        bad.extend(f"{a:06b}*{b:06b}*{a:06b}" for b in range(64) if asymmetric >> b & 1)
+        bad.extend(f"{a:06b}*{b:06b}*{a:06b}" for b in pg.bit_indices(row))
     return "closed for all 28x64 pairs" if not bad else f"violations: {bad[:3]}"
 
 

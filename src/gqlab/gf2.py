@@ -11,6 +11,8 @@ Packing conventions, fixed for the whole package:
 * ``GfVec6``: an int of 6 bits, bit 5 = first coordinate; text form is the
   bit string of the six coordinates.
 * Row vectors of length 3: ints 0..7, bit 2 = first coordinate.
+  ``row_images(m)`` lists the 8 products v*m at once, the table that
+  ``mat_mul`` inlines; ``row_times_mat`` computes one of them.
 * ``Lanes``: many Mat3 at once, bit-sliced: a tuple of 9 ints, lane b
   holding bit b of every matrix, the k-th matrix at bit k.  They are the
   rows of ``gqlab.pg.transposed``: ``transposed(mats)[:9]`` builds them for
@@ -107,9 +109,16 @@ def row_times_mat(v: int, m: int) -> int:
     return acc & 7
 
 
+def row_images(m: int) -> tuple[int, ...]:
+    """The 8 row vectors v*m, v = 0..7, in one pass: entry v is the XOR of
+    the rows of m selected by v, as row_times_mat computes it for one v."""
+    r0, r1, r2 = m >> 6 & 7, m >> 3 & 7, m & 7
+    return (0, r2, r1, r1 ^ r2, r0, r0 ^ r2, r0 ^ r1, r0 ^ r1 ^ r2)
+
+
 def mat_mul(x: int, y: int) -> int:
     r0, r1, r2 = y >> 6 & 7, y >> 3 & 7, y & 7
-    # combos[v] is the row vector v times y
+    # combos[v] is the row vector v times y, as in row_images
     combos = (0, r2, r1, r1 ^ r2, r0, r0 ^ r2, r0 ^ r1, r0 ^ r1 ^ r2)
     return combos[x >> 6 & 7] << 6 | combos[x >> 3 & 7] << 3 | combos[x & 7]
 
@@ -216,9 +225,11 @@ def mat_rank(m: int) -> int:
 def eigenspace_one(m: int) -> tuple[int, ...]:
     """All row vectors v with v*m = v, zero included; always a subspace.
 
-    The domain has 8 vectors, so plain enumeration is the implementation.
+    The domain has 8 vectors, so plain enumeration of row_images(m) is the
+    implementation.
     """
-    return tuple(v for v in range(8) if row_times_mat(v, m) == v)
+    images = row_images(m)
+    return tuple(v for v in range(8) if images[v] == v)
 
 
 def eigenspace_dim(m: int) -> int:

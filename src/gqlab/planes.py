@@ -9,15 +9,19 @@ planes share 0, 1, 3 or 7 points, and the bit length of that count is
 the dimension of their meet.  ``echelon`` gives the reduced row echelon
 basis of a plane, which the planes export prints and the isotropy test
 reads.
+
+``plane_of`` reads one table of the 64 planes (X|1), built in one lane pass
+over the bit-sliced matrices; ``make_plane`` spans given rows, for the
+distinguished planes and for matrices that are not symmetric.  ``meet_rows``
+decides which of up to 64 planes meet by walking the set bits of each.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
-from functools import cache, reduce
+from functools import cache
 from itertools import combinations
-from operator import or_
 
 from gqlab.atlas import WrongClassError, atlas, classify, label_key, label_of, opposite
 from gqlab.gf2 import (
@@ -33,7 +37,7 @@ from gqlab.gf2 import (
     mat_row,
     mat_to_sym,
     require_sym,
-    row_times_mat,
+    row_images,
     rref,
     sym_lanes,
     sym_to_mat,
@@ -74,10 +78,36 @@ def plane_of_mat(m: int) -> Plane:
 
 
 @cache
+def _all_planes() -> tuple[Plane, ...]:
+    """The planes (X|1) of the 64 packed SymMat3, from one lane pass.  The
+    plane of X holds the points (v*X | v), v = 1..7.  Over the 64 bit-sliced
+    matrices, the lanes of v*X are the XOR of the row lanes that v selects,
+    and for each value w the mask of the X with v*X = w is the holder row of
+    point w << 3 | v; one transpose turns the 64 holder rows into the planes."""
+    lanes = transposed([sym_to_mat(x) for x in range(64)])
+    full = (1 << 64) - 1
+    # the lanes of bits 2, 1 and 0 of rows 2, 1 and 0, which bits 0, 1 and 2 of v select
+    row_lanes = [(lanes[b + 2], lanes[b + 1], lanes[b]) for b in (0, 3, 6)]
+    holders = [0] * 64
+    for v in range(1, 8):
+        hi = mid = lo = 0
+        for k, (x2, x1, x0) in enumerate(row_lanes):
+            if v >> k & 1:
+                hi, mid, lo = hi ^ x2, mid ^ x1, lo ^ x0
+        for w in range(8):
+            holders[w << 3 | v] = (
+                (hi if w & 4 else full ^ hi)
+                & (mid if w & 2 else full ^ mid)
+                & (lo if w & 1 else full ^ lo)
+            )
+    return transposed(holders)
+
+
+@cache
 def plane_of(x: int) -> Plane:
-    """The plane (X|1) of a packed SymMat3."""
+    """The plane (X|1) of a packed SymMat3, read from the table of all 64."""
     require_sym(x)
-    return plane_of_mat(sym_to_mat(x))
+    return _all_planes()[x]
 
 
 PLANE_LEFT: Plane = make_plane((0b100000, 0b010000, 0b001000))
@@ -101,7 +131,15 @@ def meet_rows(planes: Sequence[Plane]) -> list[int]:
     planes: the OR of the transposed rows of plane i's points, bit j of the
     row of point v set iff planes[j] holds v."""
     holders = transposed(planes)
-    return [reduce(or_, [holders[v] for v in bit_indices(p)], 0) for p in planes]
+    rows = []
+    for p in planes:
+        row = 0
+        while p:
+            low = p & -p
+            row |= holders[low.bit_length() - 1]
+            p ^= low
+        rows.append(row)
+    return rows
 
 
 def symplectic_product(r1: int, r2: int) -> int:
@@ -228,10 +266,8 @@ def _block_collineation(u: int) -> tuple[int, ...]:
     """Image of each 6-bit row (v|w) under the blocks (U, U^-1) attached to u."""
     require_sym(u)
     um = sym_to_mat(u)
-    uinv = inverse3(um)
-    left = [row_times_mat(v, um) << 3 for v in range(8)]
-    right = [row_times_mat(w, uinv) for w in range(8)]
-    return tuple(lv | rw for lv in left for rw in right)
+    right = row_images(inverse3(um))
+    return tuple(lv << 3 | rw for lv in row_images(um) for rw in right)
 
 
 def collineation_action(u: int, planes: Sequence[Plane]) -> tuple[Plane, ...]:

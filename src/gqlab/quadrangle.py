@@ -239,10 +239,18 @@ def triangles(adjacency: Sequence[int], labels: Sequence | Mapping) -> Iterator[
     """The triangles a < b < c, as (labels[a], labels[b], labels[c]), of the
     graph in which v and w are adjacent iff bit w of adjacency[v] is set."""
     for a, near in enumerate(adjacency):
-        later = near & -(2 << a)  # the neighbours of a above a
-        for b in bit_indices(later):
-            for c in bit_indices(later & adjacency[b] & -(2 << b)):
-                yield labels[a], labels[b], labels[c]
+        later = near & -(2 << a)  # the neighbours of a above a not yet taken as b
+        if later < 0:
+            raise ValueError(f"adjacency row {a} is negative: {near}")
+        while later:
+            low = later & -later
+            later ^= low
+            b = low.bit_length() - 1
+            common = later & adjacency[b]  # the neighbours of a and b above b
+            while common:
+                low = common & -common
+                common ^= low
+                yield labels[a], labels[b], labels[low.bit_length() - 1]
 
 
 @cache
@@ -355,10 +363,20 @@ def _search_plan(c: CompiledStructure) -> tuple[tuple[int, ...], tuple[tuple[int
     """The search order of c's points and, per position, the earlier
     positions collinear with it; built once per compiled source model."""
     order = tuple(_search_order(c))
-    earlier = tuple(
-        tuple(j for j in range(k) if c.adjacency[p] >> order[j] & 1) for k, p in enumerate(order)
-    )
-    return order, earlier
+    position = [0] * len(order)  # point -> its position in order, once placed
+    placed, earlier = 0, []
+    for k, p in enumerate(order):
+        near = c.adjacency[p] & placed
+        found = []
+        while near:
+            low = near & -near
+            near ^= low
+            found.append(position[low.bit_length() - 1])
+        found.sort()
+        earlier.append(tuple(found))
+        position[p] = k
+        placed |= 1 << p
+    return order, tuple(earlier)
 
 
 def _backtrack(earlier: Sequence[Sequence[int]], b: CompiledStructure) -> Iterator[list[int]]:

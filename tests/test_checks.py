@@ -899,3 +899,51 @@ def test_rank_meet_identity_fails_on_one_oversized_plane(monkeypatch, grow):
     report = _single_report("sec5.rank-meet-identity")
     assert not report.passed
     assert report.actual == "identity fails"
+
+
+# Faults planted at a table builder: the builder is rebound in every gqlab
+# module that bound it, the caches are cleared, and one cold run_suite()
+# fails exactly the pinned ids, in registry order.
+
+
+def _cold_failing_ids(monkeypatch, clear_gqlab_caches, original, planted):
+    name = original.__name__
+    rebound = []
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "gqlab" or module_name.startswith("gqlab."):
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, planted)
+                rebound.append(module_name)
+    assert rebound
+    clear_gqlab_caches()
+    return [report.check_id for report in run_suite().reports if not report.passed]
+
+
+def test_one_flipped_point_of_the_plane_table_fails_its_readers(monkeypatch, clear_gqlab_caches):
+    # the plane of D5 loses its lowest point
+    x, all_planes = gqlab.atlas.atlas().by_label["D5"], gqlab.planes._all_planes
+
+    def planted():
+        planes = list(all_planes())
+        planes[x] ^= planes[x] & -planes[x]
+        return tuple(planes)
+
+    assert _cold_failing_ids(monkeypatch, clear_gqlab_caches, all_planes, planted) == [
+        "sec5.plane-family",
+        "sec5.rank-meet-identity",
+        "sec5.collineation",
+    ]
+
+
+def test_one_wrong_row_image_of_a_d_matrix_fails_the_fano_check(monkeypatch, clear_gqlab_caches):
+    # D5 fixes only 110; its image of 001 is planted as 001, a second fixed point
+    row_images, m = gqlab.gf2.row_images, gqlab.gf2.sym_to_mat(gqlab.atlas.atlas().by_label["D5"])
+    assert [v for v, w in enumerate(row_images(m)) if v == w] == [0, 0b110]
+
+    def planted(n):
+        images = row_images(n)
+        return images[:1] + (1,) + images[2:] if n == m else images
+
+    assert _cold_failing_ids(monkeypatch, clear_gqlab_caches, row_images, planted) == [
+        "sec3.fano-fixed-points",
+    ]

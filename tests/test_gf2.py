@@ -22,6 +22,7 @@ from gqlab.gf2 import (
     mat_to_sym,
     mat_transpose,
     parse_bits6,
+    row_images,
     row_rank,
     row_times_mat,
     rref,
@@ -191,6 +192,15 @@ def test_mat_mul_matches_entrywise_reference():
     for v in range(8):
         for m in range(512):
             assert row_times_mat(v, m) == _reference_mul(v << 6, m) >> 6
+
+
+def test_row_images_match_row_times_mat():
+    # row_times_mat stays the scalar reference of the one-pass table
+    for m in range(512):
+        images = row_images(m)
+        assert len(images) == 8
+        for v in range(8):
+            assert images[v] == row_times_mat(v, m)
 
 
 def test_invertible_symmetric_dichotomy():

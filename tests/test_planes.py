@@ -33,6 +33,7 @@ from gqlab.planes import (
     PLANE_DIAGONAL,
     PLANE_LEFT,
     PLANE_RIGHT,
+    _all_planes,
     _block_collineation,
     build_plane_model,
     class_planes,
@@ -65,6 +66,15 @@ from gqlab.quadrangle import AxiomViolationError, verify_gq_axioms
 
 def test_plane_of_zero_is_right_block():
     assert plane_of(0) == PLANE_RIGHT
+
+
+def test_plane_table_matches_the_span_of_the_rows_of_x_and_one():
+    # the lane-built table against make_plane's span of the rows of (X|1)
+    planes = _all_planes()
+    assert len(planes) == 64
+    for x in range(64):
+        assert planes[x] == plane_of_mat(sym_to_mat(x))
+        assert plane_of(x) == planes[x]
 
 
 def test_plane_canonical_form_unique():

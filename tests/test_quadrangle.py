@@ -28,6 +28,8 @@ from gqlab.quadrangle import (
     SurveySummary,
     _gq_order,
     _label_ordered,
+    _search_order,
+    _search_plan,
     _sections,
     build_double_six_model,
     build_matrix_quadrangle,
@@ -191,6 +193,33 @@ def test_triangles_lists_each_triangle_once_in_ascending_order():
         adjacency[b] |= 1 << a
     assert list(triangles(adjacency, "abcde")) == [("a", "b", "c"), ("a", "c", "d")]
     assert list(triangles([0] * 64, range(64))) == []
+
+
+def _reference_triangles(adjacency, labels):
+    """Every triple a < b < c of mutually adjacent vertices, by brute force."""
+    return [
+        (labels[a], labels[b], labels[c])
+        for a, b, c in combinations(range(len(adjacency)), 3)
+        if adjacency[a] >> b & 1 and adjacency[a] >> c & 1 and adjacency[b] >> c & 1
+    ]
+
+
+def _random_graph(rng, n, density):
+    adjacency = [0] * n
+    for a, b in combinations(range(n), 2):
+        if rng.random() < density:
+            adjacency[a] |= 1 << b
+            adjacency[b] |= 1 << a
+    return adjacency
+
+
+@pytest.mark.parametrize("n", [3, 9, 27, 64, 65, 80])
+def test_triangles_match_the_brute_force_reference_on_random_graphs(n):
+    rng = random.Random(n)
+    for density in (0.1, 0.4, 0.8):
+        adjacency = _random_graph(rng, n, density)
+        labels = [f"v{i}" for i in range(n)]
+        assert list(triangles(adjacency, labels)) == _reference_triangles(adjacency, labels)
 
 
 def test_translation_map_is_isomorphism_onto_quadric_model():
@@ -639,6 +668,34 @@ def test_collinearity_isomorphisms_match_the_reference_sequence(a, b, limit, cou
     wanted = [list(m.items()) for m in islice(_reference_isomorphisms(a, b), limit)]
     assert len(found) == count
     assert found == wanted
+
+
+def _reference_search_plan(c):
+    """The search plan as one comprehension over earlier positions, kept as
+    the oracle of _search_plan's one pass over the search order."""
+    order = tuple(_search_order(c))
+    earlier = tuple(
+        tuple(j for j in range(k) if c.adjacency[p] >> order[j] & 1) for k, p in enumerate(order)
+    )
+    return order, earlier
+
+
+def _random_structure(rng, n, n_lines):
+    """n points and up to n_lines distinct lines of 2 to 4 distinct points."""
+    points = [f"p{i:03d}" for i in range(n)]
+    lines = {tuple(sorted(rng.sample(points, rng.randint(2, 4)))) for _ in range(n_lines)}
+    return make_structure(f"random-{n}", points, lines)
+
+
+def test_search_plan_matches_the_reference_plan():
+    rng = random.Random(7)
+    structures = four_models() + [doily_substructure(), grid_gq21()]
+    for n, n_lines in ((5, 2), (20, 12), (40, 60), (80, 30), (90, 200)):
+        structures.append(_random_structure(rng, n, n_lines))
+    assert max(len(inc.points) for inc in structures) > 64
+    for inc in structures:
+        c = _label_ordered(inc)
+        assert _search_plan(c) == _reference_search_plan(c), inc.name
 
 
 def test_degree_guard_rejects_collinearity_embeddings():
