@@ -22,6 +22,7 @@ from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable
 from functools import partial
 from itertools import combinations
+from operator import itemgetter
 
 from gqlab import atlas as atlas_mod
 from gqlab import pg
@@ -199,11 +200,9 @@ def _is_gf8(closure: frozenset[int]) -> bool:
     add_closed = all(a ^ b in field for a in field for b in field)
     elems = sorted(closure)
     mats = {x: sym_to_mat(x) for x in elems}
-    closure_mats = set(mats.values())
-    mul_closed = all(mat_mul(mats[a], mats[b]) in closure_mats for a in elems for b in elems)
-    commutative = all(
-        mat_mul(mats[a], mats[b]) == mat_mul(mats[b], mats[a]) for a in elems for b in elems
-    )
+    products = {(a, b): mat_mul(mats[a], mats[b]) for a in elems for b in elems}
+    mul_closed = set(products.values()) <= set(mats.values())
+    commutative = all(products[a, b] == products[b, a] for a, b in combinations(elems, 2))
     return add_closed and mul_closed and commutative
 
 
@@ -253,7 +252,9 @@ def _check_singer() -> str:
     for tag in ("U", "V"):
         cycles = all([len(c) for c in fano_action(x).cycles()] == [7] for x in at.members(tag))
         actions = [fano_action(g) for g in multiplicative_closure(at.members(tag)[0])]
-        regular = all(sorted(a.image_of(p) for a in actions) == [*range(1, 8)] for p in range(1, 8))
+        # column p - 1 of the image tuples holds the images of point p
+        columns = zip(*(a.images for a in actions))
+        regular = all(sorted(column) == [*range(1, 8)] for column in columns)
         parts.append(f"{tag}: 7-cycles {cycles}, regular {regular}")
     return "; ".join(parts)
 
@@ -401,9 +402,9 @@ def _check_complement() -> str:
     )
 
 
-def _translated(xs: Iterable[int], m: int = SYM_IDENTITY) -> int:
-    """Point mask of the images of matrix points under x -> x + m."""
-    return pg.point_mask(x ^ m for x in xs)
+def _translated(xs: Iterable[int]) -> int:
+    """Point mask of the images of matrix points under x -> x + 1."""
+    return pg.point_mask(x ^ SYM_IDENTITY for x in xs)
 
 
 @check(
@@ -450,7 +451,7 @@ def _check_qm_family() -> str:
             points_ok = False
         if index != 1:
             index_ok = False
-        image = _translated((x for x in at.points if x != m), m) | 1 << (m ^ SYM_IDENTITY)
+        image = pg.point_mask([x ^ m for x in at.points if x != m]) | 1 << (m ^ SYM_IDENTITY)
         if image != pg.elliptic_matrix_points_at(m):
             bijection_ok = False
     return (
@@ -667,22 +668,19 @@ def _check_group_action() -> str:
     for tag in ("U", "V"):
         group = planes_mod.conjugating_group(tag)
         mats = {g: sym_to_mat(g) for g in group}
-        commutative = all(
-            mat_mul(mats[a], mats[b]) == mat_mul(mats[b], mats[a])
-            for a, b in combinations(group, 2)
-        )
+        raw = {(a, b): mat_mul(mats[a], mats[b]) for a in group for b in group}
+        commutative = all(raw[a, b] == raw[b, a] for a, b in combinations(group, 2))
         # products are packed first, so a non-symmetric one raises in mat_to_sym
-        products = {(a, b): mat_to_sym(mat_mul(mats[a], mats[b])) for a in group for b in group}
+        products = {pair: mat_to_sym(m) for pair, m in raw.items()}
         # g -> {X: G X G} from the table of g; an image X off the 27 points
         # has no entry there, so G X G reads None and the pair mismatches
         acts = {
             g: dict(zip(at.points, planes_mod.conjugates(g))) for g in {*group, *products.values()}
         }
-        xs = at.d + at.members(opposite(tag))
+        read = itemgetter(*at.d, *at.members(opposite(tag)))
+        images = {g: read(act) for g, act in acts.items()}
         action = all(
-            list(map(acts[ab].__getitem__, xs))
-            == list(map(acts[a].get, map(acts[b].__getitem__, xs)))
-            for (a, b), ab in products.items()
+            images[ab] == tuple(map(acts[a].get, images[b])) for (a, b), ab in products.items()
         )
         parts.append(f"{tag}: commutative {commutative}, action {action}")
     return "; ".join(parts)
@@ -841,12 +839,17 @@ def _check_pi_plane_model() -> str:
     c = quad.compile_structure(model)
     dets = pg.det_table()
     ys = [int(label, 2) for label in c.labels]
+    # bit i of column j is bit j of row i: moving column j to ys[j] and back
+    # turns each adjacency row into the mask of its neighbours' vectors
+    moved = [0] * 64
+    for y, column in zip(ys, pg.transposed(c.adjacency)):
+        moved[y] = column
     law_ok = True
-    for y, near in zip(ys, c.adjacency):
+    for y, near in zip(ys, pg.transposed(moved)):
         # Z ~ Y iff det(Y+Z) + det Z, bit z of the law, equals det Y
         law = pg.translate_mask(dets, y) ^ dets
         wanted = translated & (law if dets >> y & 1 else ~law) & ~(1 << y)
-        law_ok &= pg.point_mask(ys[j] for j in pg.bit_indices(near)) == wanted
+        law_ok &= near == wanted
     try:
         order = quad.verify_gq_axioms(model)
     except quad.AxiomViolationError:

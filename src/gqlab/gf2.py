@@ -42,7 +42,7 @@ def bits6(value: int) -> str:
 
 def parse_bits6(text: str) -> int:
     """Parse the canonical 6-character 0/1 string; raises ValueError otherwise."""
-    if len(text) != 6 or any(ch not in "01" for ch in text):
+    if len(text) != 6 or text.strip("01"):
         raise ValueError(f"expected 6 characters over 0/1, got {text!r}")
     return int(text, 2)
 

@@ -34,7 +34,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cache, reduce
 from itertools import chain, combinations
-from operator import and_, mul, or_
+from operator import mul, or_
 
 from gqlab.atlas import atlas, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6
@@ -181,14 +181,13 @@ def _gq_order(
     filled = _fold(point_lanes, w, n) & reduce(or_, line_lanes, 0)
     fails = {"nonempty": (1 << w) - 1 ^ filled}  # axiom -> its failing lanes, in axiom order
     sized: dict[int, int] = {}  # line size -> the lanes that keep a line of that size
-    for line, lanes in zip(lines, line_lanes):
-        sized[len(line)] = sized.get(len(line), 0) | lanes
+    if len(set(map(len, lines))) > 1:  # else no lane mixes sizes
+        for line, lanes in zip(lines, line_lanes):
+            sized[len(line)] = sized.get(len(line), 0) | lanes
     fails["uniform line size"] = reduce(or_, (x & y for x, y in combinations(sized.values(), 2)), 0)
 
-    # per line, the rows of its points in its lanes; the degrees add them up
-    on_line = [
-        reduce(or_, map(row.__getitem__, line), 0) * lanes for line, lanes in zip(lines, line_lanes)
-    ]
+    # per line, the rows of its distinct points in its lanes; the degrees add them up
+    on_line = [sum(map(row.__getitem__, line)) * lanes for line, lanes in zip(lines, line_lanes)]
     counts: list[int] = []  # bit-sliced: bit b of each degree is in counts[b]
     for carry in on_line:
         b = 0
@@ -230,8 +229,10 @@ def _gq_order(
 def build_quadric_quadrangle() -> IncidenceStructure:
     """GQ on the 27-point quadric; labels are coordinate bit strings."""
     quad = elliptic_quadric()
-    points = [bits6(v) for v in bit_indices(quad)]
-    lines = [tuple(bits6(v) for v in line) for line in lines_in(quad)]
+    # all 64 vectors: a line off the quadric is labelled, and make_structure rejects it
+    label = [bits6(v) for v in range(64)]
+    points = [label[v] for v in bit_indices(quad)]
+    lines = [tuple(map(label.__getitem__, line)) for line in lines_in(quad)]
     return make_structure("quadric", points, lines)
 
 
@@ -514,14 +515,16 @@ def hyperplane_section_survey() -> SurveySummary:
     for a, ((axis, _, kept), (n_points, n_lines)) in enumerate(zip(found, sizes)):
         name, kind = bits6(axis), "gq22" if orders.get(a) == (2, 2) else "neither"
         if n_points == 11 and n_lines == 5:
-            masks = [c.line_points[j] for j in bit_indices(kept)]
-            common = reduce(and_, masks)
+            common, covered = -1, 0
+            while kept:
+                mask = c.line_points[(kept & -kept).bit_length() - 1]
+                common, covered, kept = common & mask, covered | mask, kept & kept - 1
             # all 11 points on the 5 lines, whose one common point is the axis
-            if reduce(or_, masks).bit_count() == 11 and common.bit_count() == 1:
+            if covered.bit_count() == 11 and common.bit_count() == 1:
                 if c.labels[common.bit_length() - 1] == name:
                     kind = "tangent"
         sections.append(HyperplaneSection(name, kind, n_points, n_lines))
-    all_pass = all(s.kind == "gq22" or quad >> parse_bits6(s.axis) & 1 for s in sections)
+    all_pass = all(s.kind == "gq22" or quad >> axis & 1 for s, (axis, _, _) in zip(sections, found))
     kinds = [section.kind for section in sections]
     return SurveySummary(kinds.count("tangent"), kinds.count("gq22"), tuple(sections), all_pass)
 

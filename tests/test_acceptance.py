@@ -54,7 +54,7 @@ from gqlab.quadrangle import (
     verify_gq_axioms,
     verify_isomorphism,
 )
-from test_quadrangle import collinear_matrices
+from gq_models import collinear_matrices
 
 
 def _passed(n: int, text: str) -> None:

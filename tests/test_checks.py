@@ -906,7 +906,7 @@ def test_rank_meet_identity_fails_on_one_oversized_plane(monkeypatch, grow):
 # fails exactly the pinned ids, in registry order.
 
 
-def _cold_failing_ids(monkeypatch, clear_gqlab_caches, original, planted):
+def _cold_failing_reports(monkeypatch, clear_gqlab_caches, original, planted):
     name = original.__name__
     rebound = []
     for module_name, module in list(sys.modules.items()):
@@ -916,7 +916,12 @@ def _cold_failing_ids(monkeypatch, clear_gqlab_caches, original, planted):
                 rebound.append(module_name)
     assert rebound
     clear_gqlab_caches()
-    return [report.check_id for report in run_suite().reports if not report.passed]
+    return [report for report in run_suite().reports if not report.passed]
+
+
+def _cold_failing_ids(monkeypatch, clear_gqlab_caches, original, planted):
+    failing = _cold_failing_reports(monkeypatch, clear_gqlab_caches, original, planted)
+    return [report.check_id for report in failing]
 
 
 def test_one_flipped_point_of_the_plane_table_fails_its_readers(monkeypatch, clear_gqlab_caches):
@@ -946,4 +951,55 @@ def test_one_wrong_row_image_of_a_d_matrix_fails_the_fano_check(monkeypatch, cle
 
     assert _cold_failing_ids(monkeypatch, clear_gqlab_caches, row_images, planted) == [
         "sec3.fano-fixed-points",
+    ]
+
+
+def test_plane_model_with_two_labels_traded_fails_only_its_law(monkeypatch, clear_gqlab_caches):
+    # the first two points trade places on every line: the model is still a
+    # GQ(2,4) on the same 27 planes, but each of the two now has the other's
+    # neighbours, which the determinant law of its own label refuses
+    build_plane_model = gqlab.planes.build_plane_model
+
+    def planted():
+        inc = build_plane_model()
+        a, b = inc.points[:2]
+        trade = {a: b, b: a}
+        lines = [[trade.get(p, p) for p in line] for line in inc.lines]
+        return gqlab.quadrangle.make_structure(inc.name, inc.points, lines)
+
+    failing = _cold_failing_reports(monkeypatch, clear_gqlab_caches, build_plane_model, planted)
+    assert [(r.check_id, r.actual) for r in failing] == [
+        ("sec5.pi-plane-model", "set match True, law match False, order (2, 4)"),
+    ]
+
+
+def test_hyperplane_survey_fails_on_a_cone_without_its_apex(monkeypatch, clear_gqlab_caches):
+    # the first tangent section trades its first line through the axis for
+    # a line off the axis that meets the other four lines once: 11 points on
+    # 5 lines still, but the 5 lines have no common point, so it is no cone
+    sections = gqlab.quadrangle._sections
+    axis = _first_axis(True)
+
+    def planted(axes):
+        quad = gqlab.quadrangle
+        c = quad.compile_structure(quad.build_quadric_quadrangle())
+        apex = c.labels.index(gqlab.gf2.bits6(axis))
+        for a, points, lines in sections(axes):
+            if a == axis:
+                lines &= lines - 1
+                covered = 0
+                for j in gqlab.pg.bit_indices(lines):
+                    covered |= c.line_points[j]
+                off_axis = next(
+                    mask
+                    for mask in c.line_points
+                    if not mask >> apex & 1 and (mask & covered).bit_count() == 1
+                )
+                lines |= 1 << c.line_points.index(off_axis)
+                assert (lines.bit_count(), (covered | off_axis).bit_count()) == (5, 11)
+            yield a, points, lines
+
+    failing = _cold_failing_reports(monkeypatch, clear_gqlab_caches, sections, planted)
+    assert [(r.check_id, r.actual) for r in failing] == [
+        ("sec2.hyperplane-survey", "36 sections of order (2,2), 26 tangent"),
     ]

@@ -12,6 +12,8 @@ from itertools import combinations, cycle, permutations, product
 
 import gqlab.atlas
 import gqlab.cli
+import gqlab.pg
+import gqlab.quadrangle
 from gqlab.cli import UsageError, main, parse_args
 from gqlab.exports import EXPORTERS, render_export
 
@@ -64,6 +66,29 @@ def test_verify_all_passes(capsys):
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+def test_verify_text_prints_what_a_failing_check_expected_and_saw(monkeypatch, capsys):
+    # the first tangent section loses a line, so sec2.hyperplane-survey alone
+    # fails; its two report lines sit under the 28-wide id column
+    sections = gqlab.quadrangle._sections
+    axis = next(a for a in range(1, 64) if gqlab.pg.elliptic_quadric() >> a & 1)
+
+    def planted(axes):
+        for a, points, lines in sections(axes):
+            yield a, points, (lines & lines - 1 if a == axis else lines)
+
+    monkeypatch.setattr(gqlab.quadrangle, "_sections", planted)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    (failed,) = [k for k, line in enumerate(out) if "  FAIL  " in line]
+    assert out[failed].startswith("sec2.hyperplane-survey        FAIL  ")
+    assert out[failed + 1 : failed + 3] == [
+        "                                    expected: 36 sections of order (2,2), 27 tangent",
+        "                                    actual:   36 sections of order (2,2), 26 tangent",
+    ]
+    assert len(out) == 42 + 2 + 1
+    assert out[-1].startswith("41/42 checks passed in ")
 
 
 def test_verify_json(capsys):

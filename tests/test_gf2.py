@@ -1,6 +1,7 @@
 """Exact-value and exhaustive-property tests for the GF(2) kernels."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -46,6 +47,30 @@ def test_parse_bits6_rejects_garbage():
     for bad in ("", "10110", "1011001", "10110x"):
         with pytest.raises(ValueError):
             parse_bits6(bad)
+
+
+def _reference_parse_bits6(text):
+    """parse_bits6 with its per-character check, kept as the oracle of strip."""
+    if len(text) != 6 or any(ch not in "01" for ch in text):
+        raise ValueError(f"expected 6 characters over 0/1, got {text!r}")
+    return int(text, 2)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_parse_bits6_matches_the_per_character_reference():
+    # every string of length 0..7 over 0, 1, x and a space, and the digits
+    # of other scripts that int(text, 2) would read as 0 and 1
+    texts = ["".join(chars) for n in range(8) for chars in product("01x ", repeat=n)]
+    texts += ["\uff10", "\u0661", "10110\uff10", "\u066110110", "\uff10" * 6]
+    for text in texts:
+        assert _parsed(parse_bits6, text) == _parsed(_reference_parse_bits6, text), repr(text)
+    assert sum(isinstance(_parsed(parse_bits6, text), int) for text in texts) == 64
 
 
 def test_sym_round_trip_all():

@@ -1,5 +1,6 @@
 """What each command imports, and the public surface of the lazy package."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -139,3 +140,35 @@ def test_records_keep_repr_immutability_and_hash():
             setattr(record, field, ())
     assert hash(profile) == hash(("D1", "U", 4, 0, 2))
     assert hash(structure) == hash(("path", ("a", "b", "c"), (("a", "b"), ("b", "c"))))
+
+
+# every builder of a model or a section, by the name gqlab modules bind it to
+MODEL_BUILDERS = (
+    "build_quadric_quadrangle",
+    "build_matrix_quadrangle",
+    "build_double_six_model",
+    "build_plane_model",
+    "doily_substructure",
+    "quadric_section",
+)
+
+
+def test_test_modules_build_no_model_at_import(monkeypatch):
+    # a broken model builder must fail the tests that read the model, not
+    # the collection of their module: with every model builder raising, each
+    # test module, and the shared gq_models it reads, imports afresh
+    def broken(*args):
+        raise AssertionError("a model was built at import")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "gqlab" or module_name.startswith("gqlab."):
+            for name in MODEL_BUILDERS:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, broken)
+    monkeypatch.delitem(sys.modules, "gq_models", raising=False)
+    paths = sorted(Path(__file__).parent.glob("test_*.py"))
+    assert {"test_quadrangle.py", "test_acceptance.py"} <= {path.name for path in paths}
+    for path in paths:
+        spec = importlib.util.spec_from_file_location(f"fresh_{path.stem}", path)
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    assert sys.modules["gq_models"].build_double_six_model is broken

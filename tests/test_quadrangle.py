@@ -6,18 +6,16 @@ from itertools import combinations, islice
 
 import pytest
 
-from gqlab.atlas import NotInvertibleError, atlas, classify, label_of
+from gqlab.atlas import atlas, label_of
 from gqlab.gf2 import SYM_IDENTITY, bits6, parse_bits6, sym_det
 from gqlab.pg import (
     ALL_ONES,
     bit_indices,
-    coordinates,
     elliptic_quadric,
     from_minor_coordinates,
     lines_in,
     minor_coordinates,
     perp_hyperplane,
-    polar_column,
 )
 from gqlab.planes import build_plane_model
 from gqlab.quadrangle import (
@@ -49,44 +47,16 @@ from gqlab.quadrangle import (
     verify_gq_axioms,
     verify_isomorphism,
 )
-
-
-class NotInSError(ValueError):
-    """Argument is singular or the identity, hence not a quadrangle point."""
-
-
-def _reject_non_points(x, y):
-    for m in (x, y):
-        try:
-            cls = classify(m)
-        except NotInvertibleError as exc:
-            raise NotInSError(f"matrix {m:06b} is singular") from exc
-        if cls == "identity":
-            raise NotInSError("the identity is not a quadrangle point")
-
-
-def collinear_matrices(x, y):
-    """Collinearity of two distinct quadrangle matrices, kept as the tests'
-    reference for the models' collinearity laws.
-
-    Criterion: the polar form of the translated coordinate vectors vanishes,
-    equivalently det(X+Y) + det(X+1) + det(Y+1) = 0.
-    """
-    labels = atlas().labels
-    if x not in labels or y not in labels:
-        _reject_non_points(x, y)
-    if x == y:
-        raise ValueError("collinearity is defined for distinct points")
-    coords = coordinates()
-    return not polar_column(coords[y ^ SYM_IDENTITY]) >> coords[x ^ SYM_IDENTITY] & 1
-
-
-def grid_gq21():
-    """The 3x3 grid: rows and columns as lines, a GQ of order (2,1)."""
-    points = [f"p{r}{c}" for r in range(3) for c in range(3)]
-    lines = [tuple(f"p{r}{c}" for c in range(3)) for r in range(3)]
-    lines += [tuple(f"p{r}{c}" for r in range(3)) for c in range(3)]
-    return make_structure("grid", points, lines)
+from gq_models import (
+    MODEL_NAMES,
+    NotInSError,
+    collinear_matrices,
+    four_models,
+    grid_gq21,
+    model,
+    point_graph,
+    point_swapped,
+)
 
 
 def test_grid_is_gq21():
@@ -351,30 +321,11 @@ def test_find_isomorphism_rejects_different_orders():
 # collinearity or search code.
 
 
-def four_models():
-    return [
-        build_quadric_quadrangle(),
-        build_matrix_quadrangle(),
-        build_double_six_model(),
-        build_plane_model(),
-    ]
-
-
-def point_graph(inc):
-    """Collinearity graph built straight from the lines: point -> neighbours."""
-    adj = {p: set() for p in inc.points}
-    for line in inc.lines:
-        for p, q in combinations(line, 2):
-            adj[p].add(q)
-            adj[q].add(p)
-    return adj
-
-
-@pytest.mark.parametrize("inc", four_models(), ids=lambda inc: inc.name)
-def test_collinearity_graph_is_srg_27_10_1_5(inc):
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_collinearity_graph_is_srg_27_10_1_5(name):
     # GQ(s,t) has an SRG((s+1)(st+1), s(t+1), s-1, t+1) collinearity graph
     # (Payne and Thas, Finite Generalized Quadrangles, 1.2)
-    adj = point_graph(inc)
+    adj = point_graph(model(name))
     assert len(adj) == 27
     assert {len(near) for near in adj.values()} == {10}
     for p, q in combinations(adj, 2):
@@ -402,36 +353,19 @@ def _nx_isomorphic(a, b):
     return nx.vf2pp_is_isomorphic(_nx_graph(nx, a), _nx_graph(nx, b))
 
 
-def point_swapped(inc):
-    """inc with two collinear points p, q traded between two disjoint lines.
-
-    Every point keeps 10 neighbours and the line count stays 45, so only the
-    search can tell it from GQ(2,4); the GQ axioms fail on it.
-    """
-    adj = point_graph(inc)
-    for i, j in combinations(range(len(inc.lines)), 2):
-        left, right = inc.lines[i], inc.lines[j]
-        p, q = left[0], right[0]
-        if q in adj[p] and not set(left) & set(right):
-            lines = list(inc.lines)
-            lines[i] = (q,) + left[1:]
-            lines[j] = (p,) + right[1:]
-            return make_structure(f"{inc.name}-swapped", inc.points, lines)
-    raise AssertionError("no swappable pair")
-
-
 # In a GQ the triangles of the collinearity graph are exactly its lines of
 # size 3, so two GQs of order (2,4) are isomorphic iff their graphs are; for
 # any structures, non-isomorphic graphs mean non-isomorphic structures.
-MODEL_PAIRS = [(a, b, True) for a, b in combinations(four_models(), 2)] + [
-    (point_swapped(build_matrix_quadrangle()), build_double_six_model(), False),
+MODEL_PAIRS = [(a, b, True) for a, b in combinations(MODEL_NAMES, 2)] + [
+    ("matrices-swapped", "double-six", False),
 ]
 
 
 @pytest.mark.parametrize(
-    "a, b, isomorphic", MODEL_PAIRS, ids=[f"{a.name}-{b.name}" for a, b, _ in MODEL_PAIRS]
+    "a, b, isomorphic", MODEL_PAIRS, ids=[f"{a}-{b}" for a, b, _ in MODEL_PAIRS]
 )
 def test_find_isomorphism_agrees_with_networkx(a, b, isomorphic):
+    a, b = model(a), model(b)
     assert _nx_isomorphic(a, b) is isomorphic
     assert (find_isomorphism(a, b) is not None) is isomorphic
 
@@ -560,13 +494,14 @@ def _double_six_plant():
 
 @pytest.mark.parametrize(
     "a, b",
-    list(combinations(four_models(), 2)),
-    ids=[f"{a.name}-{b.name}" for a, b in combinations(four_models(), 2)],
+    list(combinations(MODEL_NAMES, 2)),
+    ids=[f"{a}-{b}" for a, b in combinations(MODEL_NAMES, 2)],
 )
 def test_search_reads_few_rows_of_the_target_before_its_first_map(monkeypatch, a, b):
     # a tried image collinear with the image of a point it must not be
     # collinear with is cut at once, not many levels later; the search
     # compiles a, then its target b, whose rows are counted
+    a, b = model(a), model(b)
     compiled = []
 
     def counting(inc):
@@ -650,20 +585,19 @@ def test_verify_isomorphism_rejects_a_map_that_is_not_injective():
 
 # (a, b, how many maps to compare, how many the search yields up to that)
 SEQUENCE_CASES = [
-    (doily_substructure(), doily_substructure(), None, 720),
-    (quadric_section(ALL_ONES), doily_substructure(), None, 720),
-    (grid_gq21(), grid_gq21(), None, 72),
-] + [(a, b, 500, 500) for a, b in combinations(four_models(), 2)]
+    ("doily", "doily", None, 720),
+    ("section-111111", "doily", None, 720),
+    ("grid", "grid", None, 72),
+] + [(a, b, 500, 500) for a, b in combinations(MODEL_NAMES, 2)]
 
 
 @pytest.mark.parametrize(
-    "a, b, limit, count",
-    SEQUENCE_CASES,
-    ids=[f"{a.name}-{b.name}" for a, b, _, _ in SEQUENCE_CASES],
+    "a, b, limit, count", SEQUENCE_CASES, ids=[f"{a}-{b}" for a, b, _, _ in SEQUENCE_CASES]
 )
 def test_collinearity_isomorphisms_match_the_reference_sequence(a, b, limit, count):
     # the same maps in the same order, each with the points of a in the same
     # search order, whatever the search prunes on
+    a, b = model(a), model(b)
     found = [list(m.items()) for m in islice(collinearity_isomorphisms(a, b), limit)]
     wanted = [list(m.items()) for m in islice(_reference_isomorphisms(a, b), limit)]
     assert len(found) == count
@@ -1116,6 +1050,35 @@ def test_gq_order_lanes_match_reference_on_sections():
     lanes = _gq_order(c, restrictions)
     assert sorted(map(str, lanes)) == ["(2, 2)"] * 36 + ["uniform point degree"] * 27
     assert lanes == [_reference_lane(inc, {}) for inc in structures]
+
+
+def test_gq_order_mixes_line_sizes_in_the_one_lane_that_keeps_both():
+    # the grid plus a 2-point line: the structure has two line sizes, but
+    # only the lane that keeps every line mixes them; the lane that keeps
+    # the short line alone is uniform
+    grid = grid_gq21()
+    c = compile_structure(make_structure("grid", grid.points, [*grid.lines, ("p00", "p11")]))
+    written = [tuple(c.labels[i] for i in line) for line in c.lines]
+    rows = [line for line in grid.lines if line[0][1] == line[1][1]]  # p{r}{c}, one r each
+    lanes = [
+        (c.labels, grid.lines),
+        (c.labels, written),
+        (c.labels, rows),
+        (("p00", "p11"), [("p00", "p11")]),
+    ]
+    restrictions = [
+        (
+            sum(1 << c.labels.index(p) for p in points),
+            sum(1 << written.index(line) for line in lines),
+        )
+        for points, lines in lanes
+    ]
+    outcomes = _gq_order(c, restrictions)
+    assert outcomes == [(2, 1), "uniform line size", "unique perpendicular", (1, 0)]
+    assert outcomes == [
+        _reference_lane(IncidenceStructure(c.name, tuple(points), tuple(lines)), {})
+        for points, lines in lanes
+    ]
 
 
 def test_gq_order_lanes_match_reference_on_random_swaps():
