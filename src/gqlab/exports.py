@@ -11,7 +11,7 @@ import io
 from functools import cache
 
 from gqlab.atlas import atlas, classify, label_of
-from gqlab.gf2 import MAT_IDENTITY, SYM_IDENTITY, bits6, eigenspace_dim, mat_mul, sym_to_mat
+from gqlab.gf2 import MAT_IDENTITY, SYM_IDENTITY, bits6, eigenspace_dim, mat_mul, rref, sym_to_mat
 from gqlab.jsontext import dumps
 from gqlab.pg import (
     bit_indices,
@@ -20,7 +20,7 @@ from gqlab.pg import (
     klein_quadric,
     lines_in,
 )
-from gqlab.planes import DISTINGUISHED, echelon, intersection_statistics, plane_of, raw_plane_rows
+from gqlab.planes import DISTINGUISHED, echelon, intersection_statistics, raw_plane_rows
 from gqlab.quadrangle import (
     DOUBLE_SIX_ISOMORPHISM,
     build_matrix_quadrangle,
@@ -40,13 +40,20 @@ _ATLAS_FIELDS = ("label", "bits", "class", "eigenspace_dim", "involution")
 
 @cache
 def _atlas_rows() -> tuple[tuple, ...]:
-    """One row per atlas matrix, identity first, its values in ``_ATLAS_FIELDS`` order."""
+    """One row per atlas matrix, identity first, its values in ``_ATLAS_FIELDS``
+    order: the one place an export derives a matrix's label and class."""
     rows = []
     for x in (SYM_IDENTITY,) + atlas().points:
         m = sym_to_mat(x)
         involution = mat_mul(m, m) == MAT_IDENTITY
         rows.append((label_of(x), _BITS[x], classify(x), eigenspace_dim(m), involution))
     return tuple(rows)
+
+
+def _points() -> list[tuple[int, str, str]]:
+    """(matrix, label, class) of the 27 quadrangle points in atlas order,
+    the label and class read from the atlas rows."""
+    return [(x, row[0], row[2]) for x, row in zip(atlas().points, _atlas_rows()[1:])]
 
 
 def atlas_json() -> str:
@@ -75,11 +82,8 @@ def incidence_json() -> str:
 
 
 def incidence_dot() -> str:
-    at = atlas()
     lines = ["graph collinearity {", "  node [shape=circle style=filled];"]
-    for x in at.points:
-        label = label_of(x)
-        cls = classify(x)
+    for _, label, cls in _points():
         lines.append(f'  "{label}" [class="{cls}" fillcolor="{_CLASS_COLORS[cls]}"];')
     for a, b in collinearity_graph_edges():
         lines.append(f'  "{a}" -- "{b}";')
@@ -97,7 +101,7 @@ def _quadric_record(form_name: str, points: int, lines: tuple) -> dict:
 
 def quadrics_json() -> str:
     forms = [("q0", klein_quadric()), ("q", elliptic_quadric())]
-    forms += [(f"qM:{label_of(m)}", elliptic_quadric_at(m)) for m in atlas().points]
+    forms += [(f"qM:{label}", elliptic_quadric_at(m)) for m, label, _ in _points()]
     masks = [points for _, points in forms]
     return _json_text(
         [
@@ -109,14 +113,15 @@ def quadrics_json() -> str:
 
 def planes_json() -> str:
     records = []
-    for x in atlas().points:
+    for x, label, cls in _points():
         raw = raw_plane_rows(sym_to_mat(x))
         records.append(
             {
-                "label": label_of(x),
+                "label": label,
                 "matrix_rows": [_BITS[r] for r in raw],
-                "echelon": [_BITS[r] for r in echelon(plane_of(x))],
-                "class": classify(x),
+                # the unique RREF of the rows of (X|1), the echelon of its plane
+                "echelon": [_BITS[r] for r in rref(raw)],
+                "class": cls,
             }
         )
     for plane, label in DISTINGUISHED.items():
@@ -143,16 +148,14 @@ def planes_csv() -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["label", "meets_point", "meets_line", "skew", "class"])
-    for x in atlas().points:
+    for x, label, cls in _points():
         prof = intersection_statistics(x)
-        writer.writerow([prof.label, prof.points, prof.lines, prof.skew, classify(x)])
+        writer.writerow([label, prof.points, prof.lines, prof.skew, cls])
     return buf.getvalue()
 
 
 def isomorphism_json() -> str:
-    at = atlas()
-    ordered = {label_of(x): DOUBLE_SIX_ISOMORPHISM[label_of(x)] for x in at.points}
-    return _json_text(ordered)
+    return _json_text({label: DOUBLE_SIX_ISOMORPHISM[label] for _, label, _ in _points()})
 
 
 EXPORTERS = {

@@ -7,13 +7,16 @@ bit 0 is never set.  A 6-bit row (leftmost column = highest bit) keeps
 its left block in bits 5..3 and its right block in bits 2..0.  Two
 planes share 0, 1, 3 or 7 points, and the bit length of that count is
 the dimension of their meet.  ``echelon`` gives the reduced row echelon
-basis of a plane, which the planes export prints and the isotropy test
-reads.
+basis of a plane, which the isotropy test reads and the planes export
+prints for the distinguished planes; for a plane (X|1) the export reduces
+the three rows of (X|1) instead, which have the same unique RREF.
 
 ``plane_of`` reads one table of the 64 planes (X|1), built in one lane pass
 over the bit-sliced matrices; ``make_plane`` spans given rows, for the
-distinguished planes and for matrices that are not symmetric.  ``meet_rows``
-decides which of up to 64 planes meet by walking the set bits of each.
+distinguished planes and for matrices that are not symmetric.
+``class_planes`` builds the planes of one class once and caches them for
+``intersection_statistics`` and ``spread``.  ``meet_rows`` decides which of
+up to 64 planes meet by walking the set bits of each.
 """
 
 from __future__ import annotations
@@ -164,7 +167,9 @@ def family_planes() -> dict[str, Plane]:
     return {label_of(x): plane_of(x) for x in atlas().points}
 
 
+@cache
 def class_planes(tag: str) -> tuple[Plane, ...]:
+    """The planes (X|1) of the class "D", "U" or "V", in label order."""
     return tuple(plane_of(x) for x in atlas().members(tag))
 
 

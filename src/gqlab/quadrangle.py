@@ -511,6 +511,7 @@ def hyperplane_section_survey() -> SurveySummary:
     sizes = [(held.bit_count(), kept.bit_count()) for _, held, kept in found]
     candidates = [a for a, size in enumerate(sizes) if size == (15, 15)]
     orders = dict(zip(candidates, _gq_order(c, [found[a][1:] for a in candidates])))
+    apex = {label: 1 << i for i, label in enumerate(c.labels)}  # an axis's own point bit
     sections = []
     for a, ((axis, _, kept), (n_points, n_lines)) in enumerate(zip(found, sizes)):
         name, kind = bits6(axis), "gq22" if orders.get(a) == (2, 2) else "neither"
@@ -519,10 +520,9 @@ def hyperplane_section_survey() -> SurveySummary:
             while kept:
                 mask = c.line_points[(kept & -kept).bit_length() - 1]
                 common, covered, kept = common & mask, covered | mask, kept & kept - 1
-            # all 11 points on the 5 lines, whose one common point is the axis
-            if covered.bit_count() == 11 and common.bit_count() == 1:
-                if c.labels[common.bit_length() - 1] == name:
-                    kind = "tangent"
+            # all 11 points on the 5 lines, whose common points are the axis alone
+            if covered.bit_count() == 11 and common == apex.get(name):
+                kind = "tangent"
         sections.append(HyperplaneSection(name, kind, n_points, n_lines))
     all_pass = all(s.kind == "gq22" or quad >> axis & 1 for s, (axis, _, _) in zip(sections, found))
     kinds = [section.kind for section in sections]

@@ -973,12 +973,11 @@ def test_plane_model_with_two_labels_traded_fails_only_its_law(monkeypatch, clea
     ]
 
 
-def test_hyperplane_survey_fails_on_a_cone_without_its_apex(monkeypatch, clear_gqlab_caches):
-    # the first tangent section trades its first line through the axis for
-    # a line off the axis that meets the other four lines once: 11 points on
-    # 5 lines still, but the 5 lines have no common point, so it is no cone
-    sections = gqlab.quadrangle._sections
-    axis = _first_axis(True)
+def _cone_without_its_apex(sections, axis):
+    """A stand-in for _sections in which the tangent section of axis trades
+    its first line through the axis for a line off the axis that meets the
+    other four lines once: 11 points on 5 lines still, but the 5 lines have
+    no common point, so it is no cone."""
 
     def planted(axes):
         quad = gqlab.quadrangle
@@ -999,6 +998,28 @@ def test_hyperplane_survey_fails_on_a_cone_without_its_apex(monkeypatch, clear_g
                 assert (lines.bit_count(), (covered | off_axis).bit_count()) == (5, 11)
             yield a, points, lines
 
+    return planted
+
+
+def test_hyperplane_survey_fails_on_a_cone_without_its_apex(monkeypatch, clear_gqlab_caches):
+    sections = gqlab.quadrangle._sections
+    planted = _cone_without_its_apex(sections, _first_axis(True))
+    failing = _cold_failing_reports(monkeypatch, clear_gqlab_caches, sections, planted)
+    assert [(r.check_id, r.actual) for r in failing] == [
+        ("sec2.hyperplane-survey", "36 sections of order (2,2), 26 tangent"),
+    ]
+
+
+def test_hyperplane_survey_fails_on_a_cone_without_its_apex_at_the_last_label(
+    monkeypatch, clear_gqlab_caches
+):
+    # the 5 lines share no point, so their common mask is 0; the axis is
+    # the quadric model's last label, which a read of the label at the
+    # highest set bit of 0 would wrap to and call the apex
+    sections = gqlab.quadrangle._sections
+    quad = gqlab.quadrangle
+    last = quad.compile_structure(quad.build_quadric_quadrangle()).labels[-1]
+    planted = _cone_without_its_apex(sections, int(last, 2))
     failing = _cold_failing_reports(monkeypatch, clear_gqlab_caches, sections, planted)
     assert [(r.check_id, r.actual) for r in failing] == [
         ("sec2.hyperplane-survey", "36 sections of order (2,2), 26 tangent"),

@@ -2,11 +2,12 @@
 
 import json
 import random
+import sys
 
 import pytest
 
 import gqlab.exports
-from gqlab.exports import _BITS, EXPORTERS, _json_text
+from gqlab.exports import _BITS, EXPORTERS, UnsupportedFormatError, _json_text, render_export
 from gqlab.gf2 import bits6
 
 JSON_EXPORTS = {what: exporter for (what, fmt), exporter in EXPORTERS.items() if fmt == "json"}
@@ -27,6 +28,85 @@ def _export_payload(monkeypatch, what):
     text = JSON_EXPORTS[what]()
     (payload,) = seen
     return payload, text
+
+
+def _render_all():
+    return {f"{what}-{fmt}": render_export(what, fmt) for what, fmt in EXPORTERS}
+
+
+def test_render_export_names_an_unknown_selector():
+    with pytest.raises(UnsupportedFormatError) as err:
+        render_export("spreads", "json")
+    assert str(err.value) == "unknown export selector 'spreads'"
+
+
+# a cold render of all 8 exports: the 28 atlas rows, then one more class and
+# label per point from intersection_statistics, and one plane per point plus
+# the six U and six V planes, each class built once
+COLD_EXPORT_CALLS = {"classify": 55, "label_of": 55, "plane_of": 39}
+
+
+def test_cold_export_derives_each_label_class_and_plane_once(monkeypatch):
+    calls = dict.fromkeys(COLD_EXPORT_CALLS, 0)
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    # every gqlab module that bound a function by name gets its own wrapper
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "gqlab" or module_name.startswith("gqlab."):
+            for name in COLD_EXPORT_CALLS:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+    _render_all()
+    assert calls == COLD_EXPORT_CALLS
+
+
+def _plant_class(rows):
+    # D1 tagged V
+    rows[1] = rows[1][:2] + ("V",) + rows[1][3:]
+
+
+def _swap_labels(rows):
+    # D1 and D2 trade labels
+    (a, *rest_a), (b, *rest_b) = rows[1:3]
+    rows[1:3] = (b, *rest_a), (a, *rest_b)
+
+
+@pytest.mark.parametrize(
+    "plant, changed",
+    [
+        (_plant_class, ["atlas-csv", "atlas-json", "incidence-dot", "planes-csv", "planes-json"]),
+        (
+            _swap_labels,
+            [
+                "atlas-csv",
+                "atlas-json",
+                "incidence-dot",
+                "isomorphism-json",
+                "planes-csv",
+                "planes-json",
+                "quadric-json",
+            ],
+        ),
+    ],
+    ids=["class", "labels"],
+)
+def test_a_planted_atlas_row_changes_exactly_the_exports_that_read_it(
+    monkeypatch, clear_gqlab_caches, plant, changed
+):
+    # every per-matrix exporter reads labels and classes from the one table
+    clean = _render_all()
+    rows = list(gqlab.exports._atlas_rows())
+    plant(rows)
+    monkeypatch.setattr(gqlab.exports, "_atlas_rows", lambda: tuple(rows))
+    clear_gqlab_caches()
+    planted = _render_all()
+    assert sorted(key for key in clean if planted[key] != clean[key]) == changed
 
 
 def test_five_json_exports():

@@ -458,6 +458,16 @@ def test_skew_partner_pairing():
             skew_partner(x)
 
 
+@pytest.mark.parametrize("skew, count", [(True, 6), (False, 0)], ids=["every", "none"])
+def test_skew_partner_names_a_count_other_than_one(monkeypatch, skew, count):
+    # a skew test that holds for every pair, or for none, leaves U1 with
+    # every V plane or none as partner
+    monkeypatch.setattr(gqlab.planes, "is_skew", lambda p, q: skew)
+    with pytest.raises(ValueError) as err:
+        skew_partner(atlas().by_label["U1"])
+    assert str(err.value) == f"U1 has {count} skew partners"
+
+
 def test_meet_rows_name_a_negative_plane():
     with pytest.raises(ValueError, match=r"in 0\.\.2\*\*64-1, got -8$"):
         meet_rows([-8])
