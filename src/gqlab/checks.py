@@ -40,6 +40,7 @@ from gqlab.gf2 import (
     lanes_mul,
     mat_mul,
     mat_to_sym,
+    parse_bits6,
     sym_to_mat,
 )
 
@@ -838,7 +839,7 @@ def _check_pi_plane_model() -> str:
     )
     c = quad.compile_structure(model)
     dets = pg.det_table()
-    ys = [int(label, 2) for label in c.labels]
+    ys = list(map(parse_bits6, c.labels))
     # bit i of column j is bit j of row i: moving column j to ys[j] and back
     # turns each adjacency row into the mask of its neighbours' vectors
     moved = [0] * 64

@@ -2,12 +2,13 @@
 
 Each function returns the complete file body as a string.  Orderings are
 canonical (atlas order D1..D15, U1..U6, V1..V6, ascending bit strings for
-vectors), so repeated runs produce identical bytes.
+vectors), so repeated runs produce identical bytes.  No CSV cell needs
+quoting, so the CSV bodies are joined by hand, as ``csv`` would write them.
 """
 
 from __future__ import annotations
 
-import io
+from collections.abc import Iterable
 from functools import cache
 
 from gqlab.atlas import atlas, classify, label_of
@@ -33,6 +34,11 @@ _BITS = tuple(bits6(v) for v in range(64))
 
 def _json_text(payload: object) -> str:
     return dumps(payload) + "\n"
+
+
+def _csv_text(rows: Iterable[Iterable[object]]) -> str:
+    """Each row's cells joined by commas and ended by a newline."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 _ATLAS_FIELDS = ("label", "bits", "class", "eigenspace_dim", "involution")
@@ -61,13 +67,7 @@ def atlas_json() -> str:
 
 
 def atlas_csv() -> str:
-    import csv  # a C extension that only the CSV writers load
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_ATLAS_FIELDS)
-    writer.writerows(_atlas_rows())
-    return buf.getvalue()
+    return _csv_text((_ATLAS_FIELDS, *_atlas_rows()))
 
 
 def incidence_json() -> str:
@@ -143,15 +143,11 @@ def planes_csv() -> str:
     D and V rows count meets with the U planes; U rows count meets with the
     V planes.
     """
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "meets_point", "meets_line", "skew", "class"])
+    rows = [("label", "meets_point", "meets_line", "skew", "class")]
     for x, label, cls in _points():
         prof = intersection_statistics(x)
-        writer.writerow([label, prof.points, prof.lines, prof.skew, cls])
-    return buf.getvalue()
+        rows.append((label, prof.points, prof.lines, prof.skew, cls))
+    return _csv_text(rows)
 
 
 def isomorphism_json() -> str:

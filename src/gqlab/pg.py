@@ -35,11 +35,12 @@ of a value table is the form at ``v``, for all 64 vectors ``v`` including
 ``sym_det``, ``polar_column(y)`` holds ``polar_form(x, y)`` at bit ``x``,
 and ``coordinates()[x]`` is ``minor_coordinates(x)``.  Each is built from
 its scalar kernel on first use and cached, one polar column per centre.  A
-quadric is then the complement of a value table within ``ALL_POINTS``, and
-``translate_mask`` moves a table by XOR: bit ``x`` of
-``translate_mask(t, m)`` is bit ``x + m`` of ``t``; ``translates(t)`` lists
-all 64 translates, made by six block swaps on the packed word, and
-``polarized(t)`` reads that word as the packed polar table of the form t.
+quadric is then the complement of a value table within ``ALL_POINTS``, not
+cached over its cached table, and ``translate_mask`` moves a table by XOR:
+bit ``x`` of ``translate_mask(t, m)`` is bit ``x + m`` of ``t``;
+``translates(t)`` lists all 64 translates, made by six block swaps on the
+packed word, and ``polarized(t)`` reads that word as the packed polar table
+of the form t.
 
 Each member Q_M of the 28-form family over invertible m is read from its
 value table ``elliptic_table(m)``.  The paper's form Q is Q_1, the identity
@@ -372,13 +373,11 @@ def quadric_points(form: Callable[[int], int]) -> int:
     return ALL_POINTS & ~value_table(form)
 
 
-@cache
 def klein_quadric() -> int:
     """The 35-point quadric of the hyperbolic form."""
     return ALL_POINTS & ~hyperbolic_table()
 
 
-@cache
 def elliptic_quadric() -> int:
     """The 27-point quadric; its coordinate preimages are X with det(X+1)=1."""
     return elliptic_quadric_at(SYM_IDENTITY)
@@ -389,13 +388,11 @@ def elliptic_quadric_at(m: int) -> int:
     return ALL_POINTS & ~elliptic_table(m)
 
 
-@cache
 def klein_matrix_points() -> int:
     """Matrix picture of the hyperbolic quadric: the 35 nonzero singular X."""
     return ALL_POINTS & ~det_table()
 
 
-@cache
 def elliptic_matrix_points() -> int:
     """Matrix picture of the 27-point quadric: nonzero X with det(X+1) = 1."""
     return elliptic_matrix_points_at(SYM_IDENTITY)

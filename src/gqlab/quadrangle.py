@@ -17,12 +17,13 @@ Every axiom, collinearity and isomorphism decision reads the compiled form
 of a structure, built once per structure by ``compile_structure``: point i
 is ``inc.points[i]``, each line is a tuple of point indices and a point mask
 (bit i set iff point i is on it), and each point has the point mask of its
-collinear neighbours and their number.  Lines are distinct sets of distinct
-points: ``compile_structure`` rejects a repeated point or line.  The labels
-are read back only to write witnesses and results.  The one axiom core,
-``_gq_order``, decides many restrictions (point mask, line mask) of one
-compiled structure at once, one lane each; ``verify_gq_axioms`` is its
-one-lane call, and scans for a witness only when that lane fails.  The
+collinear neighbours and their number.  ``compile_structure`` is the one
+gate of well-formedness (distinct labels; lines that are distinct sets of
+distinct known points), which ``make_structure`` passes its result through.
+The labels are read back only to write witnesses and results.  The one
+axiom core, ``_gq_order``, decides many restrictions (point mask, line mask)
+of one compiled structure at once, one lane each; ``verify_gq_axioms`` is
+its one-lane call, and scans for a witness only when that lane fails.  The
 hyperplane survey finds its 63 sections in one pass, each as the masks of
 the model's points and lines inside it, and decides its 36 candidates in
 one call of the core.
@@ -71,29 +72,28 @@ CompiledStructure = namedtuple("CompiledStructure", "name labels lines line_poin
 
 
 def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[str]]) -> IncidenceStructure:
-    """Canonicalize: sorted point tuple, sorted tuple of sorted line tuples."""
-    pts = tuple(sorted(points))
-    pset = set(pts)
-    if len(pset) != len(pts):
-        raise ValueError("duplicate point labels")
-    canon = []
-    for line in lines:
-        tup = tuple(sorted(line))
-        if not pset.issuperset(tup):
-            raise ValueError(f"line {tup} uses unknown points")
-        canon.append(tup)
-    lset = set(canon)
-    if len(lset) != len(canon):
-        raise ValueError("duplicate lines")
-    return IncidenceStructure(name, pts, tuple(sorted(lset)))
+    """Canonicalize (sorted points, sorted lines of sorted points); then
+    compile_structure rejects a malformed result or caches its compiled form."""
+    lines = tuple(sorted(tuple(sorted(line)) for line in lines))
+    inc = IncidenceStructure(name, tuple(sorted(points)), lines)
+    compile_structure(inc)
+    return inc
 
 
 @cache
 def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
-    """The compiled form of inc; point i is inc.points[i].  A plain ValueError (not
-    AxiomViolationError) names the first line naming a point twice, else repeating a line."""
-    index = {p: i for i, p in enumerate(inc.points)}.__getitem__
-    lines = tuple(tuple(map(index, line)) for line in inc.lines)
+    """The compiled form of inc; point i is inc.points[i].  A plain ValueError names
+    the first label given twice, else the first line naming an unknown label,
+    else naming a point twice, else repeating a line."""
+    labels = {p: i for i, p in enumerate(inc.points)}
+    if len(labels) != len(inc.points):
+        twice = next(p for k, p in enumerate(inc.points) if p in inc.points[:k])
+        raise ValueError(f"point label {twice!r} is given twice")
+    try:
+        lines = tuple(tuple(map(labels.__getitem__, line)) for line in inc.lines)
+    except KeyError:
+        line, p = next((line, p) for line in inc.lines for p in line if p not in labels)
+        raise ValueError(f"line {line} names unknown point {p!r}") from None
     line_points = tuple(map(point_mask, lines))
     near = [0] * len(inc.points)
     for written, line, mask in zip(inc.lines, lines, line_points):

@@ -5,10 +5,11 @@ own process: every check builds what it reads, with no other check run
 first, an id selects exactly its own report, and the JSON document reads
 back as ``json.dumps(indent=2)`` lays it out.  Then each of the 8 export
 pairs is written by its own process, and every JSON body must read back as
-``json.dumps(indent=2)`` lays it out.  Last, each malformed argv of
-``tests/test_cli.py`` runs as its own process and must exit 2 with nothing
-on stdout, and ``--help`` must exit 0, at the top level and after each
-command.
+``json.dumps(indent=2)`` lays it out, and every CSV body byte for byte as
+``csv.writer(lineterminator="\\n")`` writes the rows ``csv.reader`` reads
+from it.  Last, each malformed argv of ``tests/test_cli.py`` runs as its own
+process and must exit 2 with nothing on stdout, and ``--help`` must exit 0,
+at the top level and after each command.
 
 Each child is ``sys.executable -m gqlab.cli``, so any interpreter that can
 import gqlab runs the script, with or without the installed entry point::
@@ -18,6 +19,8 @@ import gqlab runs the script, with or without the installed entry point::
 Pytest does not collect this file; CI runs it as a step of its own.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -50,10 +53,15 @@ def export_each_pair() -> None:
             cmd = [*CLI, "export", "--what", what, "--format", fmt, "--out", str(out)]
             proc = subprocess.run(cmd, capture_output=True, text=True)
             assert proc.returncode == 0, (what, fmt, proc.stdout, proc.stderr)
-            body = out.read_text(encoding="utf-8")
+            body = out.read_bytes().decode("utf-8")  # newlines as written
             assert body, (what, fmt)
             if fmt == "json":
                 assert json.dumps(json.loads(body), indent=2) + "\n" == body, what
+            elif fmt == "csv":
+                rows = list(csv.reader(io.StringIO(body, newline="")))
+                written = io.StringIO()
+                csv.writer(written, lineterminator="\n").writerows(rows)
+                assert written.getvalue() == body, what
 
 
 def sweep_usage() -> None:

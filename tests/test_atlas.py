@@ -2,7 +2,9 @@
 
 import pytest
 
+import gqlab.atlas
 from gqlab.atlas import (
+    AtlasError,
     NotInvertibleError,
     WrongClassError,
     atlas,
@@ -160,3 +162,38 @@ def test_jordan_closure_check_passes():
     (report,) = run_suite("sec3.jordan-closure").reports
     assert report.passed, report.actual
     assert report.check_id == "sec3.jordan-closure"
+
+
+D, U, V = gqlab.atlas._D_BITS, gqlab.atlas._U_BITS, gqlab.atlas._V_BITS
+
+# each fault keeps the 28 listed matrices distinct, so it reaches the
+# self-validation step after the duplicate check
+ATLAS_FAULTS = {
+    "singular-in-v": (
+        (D, U, V[:-1] + (0,)),
+        "atlas tables disagree with the invertible enumeration",
+    ),
+    "u-member-in-d": ((D + U[-1:], U[:-1], V), "110010 listed in D has no eigenvalue 1"),
+    "d-member-in-u": ((D[:-1], U + D[-1:], V), "111101 listed in U/V has eigenvalue 1"),
+    "u2-v2-traded": (
+        (D, U[:1] + V[1:2] + U[2:], V[:1] + U[1:2] + V[2:]),
+        "U is not the multiplicative closure of U1",
+    ),
+    "d1-d4-traded": (
+        (D[3:4] + D[1:3] + D[:1] + D[4:], U, V),
+        "D1 has eigenspace dimension != 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", ATLAS_FAULTS)
+def test_atlas_names_each_inconsistency_of_its_tables(monkeypatch, fault):
+    (d, u, v), message = ATLAS_FAULTS[fault]
+    assert len(set(d + u + v)) == 27
+    atlas.cache_clear()
+    monkeypatch.setattr(gqlab.atlas, "_D_BITS", d)
+    monkeypatch.setattr(gqlab.atlas, "_U_BITS", u)
+    monkeypatch.setattr(gqlab.atlas, "_V_BITS", v)
+    with pytest.raises(AtlasError) as caught:
+        atlas()
+    assert str(caught.value) == message

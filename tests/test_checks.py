@@ -775,6 +775,91 @@ def test_spreads_fails_on_one_dropped_plane_point(monkeypatch):
     assert report.actual == "U: covers 62 points"
 
 
+def test_spreads_fails_on_two_meeting_planes_of_one_class(monkeypatch):
+    u1, u2 = gqlab.planes.class_planes("U")[:2]
+    is_skew = gqlab.planes.is_skew
+    monkeypatch.setattr(gqlab.planes, "is_skew", lambda p, q: is_skew(p, q) and {p, q} != {u1, u2})
+    report = _single_report("sec5.spreads")
+    assert not report.passed
+    assert report.actual == "U: planes meet"
+
+
+def test_spreads_fails_when_both_spreads_are_one(monkeypatch):
+    spread = gqlab.planes.spread
+    monkeypatch.setattr(gqlab.planes, "spread", lambda tag: spread("U"))
+    report = _single_report("sec5.spreads")
+    assert not report.passed
+    assert report.actual == "spreads share more than the three distinguished planes"
+
+
+def test_enumeration_fails_when_it_disagrees_with_the_atlas(monkeypatch):
+    # the atlas is built first, so only the check reads the planted list,
+    # in which the singular zero matrix stands in for U1
+    at = gqlab.atlas.atlas()
+    listed = gqlab.atlas.enumerate_invertible_symmetric()
+    planted = tuple(0 if x == at.u[0] else x for x in listed)
+    monkeypatch.setattr(gqlab.atlas, "enumerate_invertible_symmetric", lambda: planted)
+    report = _single_report("sec3.enumeration")
+    assert not report.passed
+    assert report.actual == (
+        "total 28 = identity 1 + D 15 + U 6 + V 6; enumeration disagrees with the atlas"
+    )
+
+
+def test_is_gf8_rejects_a_set_that_is_not_of_size_eight():
+    closure = gqlab.atlas.multiplicative_closure(gqlab.atlas.atlas().u[0])
+    assert gqlab.checks._is_gf8(closure)
+    assert not gqlab.checks._is_gf8(closure - {min(closure)})
+    assert not gqlab.checks._is_gf8(closure | {0b001100})
+
+
+def test_qm_family_fails_on_one_flipped_matrix_point(monkeypatch):
+    m = gqlab.atlas.atlas().points[0]
+    points_at = gqlab.pg.elliptic_matrix_points_at
+    monkeypatch.setattr(
+        gqlab.pg, "elliptic_matrix_points_at", lambda n: points_at(n) ^ (1 << m if n == m else 0)
+    )
+    report = _single_report("sec4.qm-family")
+    assert not report.passed
+    assert report.actual == (
+        "27 quadrics: 27 points True, index 1 True, translation bijection False"
+    )
+
+
+@pytest.mark.parametrize(
+    "plant, wanted",
+    [
+        ("right-plane", "violations ['(0|1)']; control isotropic: False"),
+        ("all-isotropic", "violations []; control isotropic: True"),
+    ],
+)
+def test_symplectic_isotropy_fails_on_a_wrong_isotropy_answer(monkeypatch, plant, wanted):
+    right = gqlab.planes.PLANE_RIGHT
+    isotropic = gqlab.planes.is_totally_isotropic
+    faulty = {
+        "right-plane": lambda p: p != right and isotropic(p),
+        "all-isotropic": lambda p: True,
+    }[plant]
+    monkeypatch.setattr(gqlab.planes, "is_totally_isotropic", faulty)
+    report = _single_report("sec5.symplectic-isotropy")
+    assert not report.passed
+    assert report.actual == wanted
+
+
+def test_intersection_statistics_names_one_wrong_profile(monkeypatch):
+    d1 = gqlab.atlas.atlas().d[0]
+    statistics = gqlab.planes.intersection_statistics
+
+    def faulty(x, versus=None):
+        profile = statistics(x, versus)
+        return profile._replace(skew=0) if (x, versus) == (d1, "V") else profile
+
+    monkeypatch.setattr(gqlab.planes, "intersection_statistics", faulty)
+    report = _single_report("sec5.intersection-statistics")
+    assert not report.passed
+    assert report.actual == "wrong: ['D1 vs V']"
+
+
 @pytest.mark.parametrize(
     "cls, wanted",
     [("u", "U: not a field; V: GF(8)"), ("v", "U: GF(8); V: not a field")],

@@ -1,5 +1,8 @@
-"""The JSON exports' own emitter against json.dumps(indent=2), and the bit-string table."""
+"""The JSON exports' own emitter against json.dumps(indent=2), the CSV
+bodies against csv, and the bit-string table."""
 
+import csv
+import io
 import json
 import random
 import sys
@@ -11,6 +14,7 @@ from gqlab.exports import _BITS, EXPORTERS, UnsupportedFormatError, _json_text, 
 from gqlab.gf2 import bits6
 
 JSON_EXPORTS = {what: exporter for (what, fmt), exporter in EXPORTERS.items() if fmt == "json"}
+CSV_EXPORTS = {what: exporter for (what, fmt), exporter in EXPORTERS.items() if fmt == "csv"}
 
 
 def _oracle(payload):
@@ -117,6 +121,16 @@ def test_five_json_exports():
 def test_emitter_matches_json_dumps_on_each_export(monkeypatch, what):
     payload, text = _export_payload(monkeypatch, what)
     assert text == _oracle(payload)
+
+
+@pytest.mark.parametrize("what", CSV_EXPORTS)
+def test_csv_body_reads_back_through_csv_byte_for_byte(what):
+    # the hand-joined body is what csv writes for the rows csv reads from it
+    body = CSV_EXPORTS[what]()
+    rows = list(csv.reader(io.StringIO(body, newline="")))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == body
 
 
 ESCAPES = ['"', "\\", "\n", "\t", "\x00", "\x7f", "é", "∞", "\U0001d53d", 'a "b" \\c\nd\te é∞']

@@ -731,8 +731,7 @@ def test_make_structure_rejects_bad_input():
 
 
 def test_compile_structure_rejects_a_line_naming_a_point_twice():
-    sorted_repeat = make_structure("x", ["a", "b", "c"], [("a", "b", "c"), ("c", "a", "c")])
-    assert sorted_repeat.lines == (("a", "b", "c"), ("a", "c", "c"))
+    sorted_repeat = IncidenceStructure("x", ("a", "b", "c"), (("a", "b", "c"), ("a", "c", "c")))
     as_written = IncidenceStructure("x", ("a", "b", "c"), (("a", "b", "c"), ("c", "a", "c")))
     abc = ("a", "b", "c")
     # a line repeated as written (the same tuple object), reversed and rotated
@@ -746,10 +745,68 @@ def test_compile_structure_rejects_a_line_naming_a_point_twice():
     cases += [(inc, f"line {inc.lines[2]} repeats line {abc}") for inc in repeats]
     for inc, message in cases:
         assert _axiom_outcome(_reference_point_sets, inc) == ("rejected", message)
-        for read in (compile_structure, verify_gq_axioms, collinearity):
-            with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        # make_structure names the offender as it canonicalized it
+        canonical = inc._replace(lines=tuple(sorted(tuple(sorted(line)) for line in inc.lines)))
+        _, made = _axiom_outcome(_reference_point_sets, canonical)
+        readers = [(read, message) for read in (compile_structure, verify_gq_axioms, collinearity)]
+        for read, wanted in readers + [(lambda inc: make_structure(*inc), made)]:
+            with pytest.raises(ValueError, match=re.escape(wanted)) as caught:
                 read(inc)
             assert not isinstance(caught.value, AxiomViolationError)
+
+
+# one input per well-formedness rule, each already canonical, so that
+# make_structure passes it to compile_structure as written; each holds two
+# offenders, and the first is named
+MALFORMED_STRUCTURES = {
+    "label-twice": (
+        ("a", "a", "b", "b"),
+        (("a", "b"),),
+        "point label 'a' is given twice",
+    ),
+    "unknown-label": (
+        ("a", "b", "c"),
+        (("a", "b"), ("a", "y"), ("a", "z")),
+        "line ('a', 'y') names unknown point 'y'",
+    ),
+    "point-twice": (
+        ("a", "b", "c"),
+        (("a", "b"), ("a", "c", "c"), ("b", "b")),
+        "line ('a', 'c', 'c') names a point twice",
+    ),
+    "line-repeated": (
+        ("a", "b", "c"),
+        (("a", "b"), ("a", "b"), ("b", "c"), ("b", "c")),
+        "line ('a', 'b') repeats line ('a', 'b')",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", MALFORMED_STRUCTURES)
+def test_every_reader_rejects_a_malformed_structure_with_a_plain_value_error(fault):
+    points, lines, message = MALFORMED_STRUCTURES[fault]
+    inc = IncidenceStructure("x", points, lines)
+    for read in (compile_structure, verify_gq_axioms, lambda inc: make_structure(*inc)):
+        with pytest.raises(Exception) as caught:
+            read(inc)
+        assert type(caught.value) is ValueError and str(caught.value) == message
+
+
+def test_verify_gq_axioms_names_an_empty_structure():
+    with pytest.raises(AxiomViolationError) as caught:
+        verify_gq_axioms(make_structure("empty", [], []))
+    assert (caught.value.axiom, caught.value.witness) == ("nonempty", "empty")
+
+
+def test_triangles_rejects_a_negative_adjacency_row():
+    with pytest.raises(ValueError, match=re.escape("adjacency row 0 is negative: -1")):
+        list(triangles([-1], ["a"]))
+
+
+def test_collinearity_isomorphisms_of_the_empty_structure_is_the_empty_map():
+    # the empty search plan yields one empty map, and the search then ends
+    empty = make_structure("empty", [], [])
+    assert list(collinearity_isomorphisms(empty, empty)) == [{}]
 
 
 def _reference_verify_gq_axioms(inc):
