@@ -233,10 +233,7 @@ def _fano_line(points: tuple[int, ...]) -> bool:
 )
 def _check_fano_fixed() -> str:
     at = atlas()
-    axial = all(
-        len(fano_action(x).fixed_points) == 3 and _fano_line(fano_action(x).fixed_points)
-        for x in at.d[:3]
-    )
+    axial = all(_fano_line(fano_action(x).fixed_points) for x in at.d[:3])
     single = all(len(fano_action(x).fixed_points) == 1 for x in at.d[3:])
     free = all(len(fano_action(x).fixed_points) == 0 for x in at.u + at.v)
     return f"axial {axial}, single fixed point {single}, fixed point free {free}"
@@ -840,13 +837,9 @@ def _check_pi_plane_model() -> str:
     c = quad.compile_structure(model)
     dets = pg.det_table()
     ys = list(map(parse_bits6, c.labels))
-    # bit i of column j is bit j of row i: moving column j to ys[j] and back
-    # turns each adjacency row into the mask of its neighbours' vectors
-    moved = [0] * 64
-    for y, column in zip(ys, pg.transposed(c.adjacency)):
-        moved[y] = column
     law_ok = True
-    for y, near in zip(ys, pg.transposed(moved)):
+    # bit j of each adjacency row moved to bit ys[j]: the mask of its neighbours' vectors
+    for y, near in zip(ys, pg.relabelled(c.adjacency, ys)):
         # Z ~ Y iff det(Y+Z) + det Z, bit z of the law, equals det Y
         law = pg.translate_mask(dets, y) ^ dets
         wanted = translated & (law if dets >> y & 1 else ~law) & ~(1 << y)
@@ -879,10 +872,6 @@ def _check_model_isomorphisms() -> str:
         1 for a, b in combinations(models, 2) if quad.find_isomorphism(a, b) is not None
     )
     return f"{found} of 6 pairs isomorphic"
-
-
-def check_ids() -> tuple[str, ...]:
-    return tuple(check_id for check_id, _ in REGISTRY)
 
 
 def run_suite(prefix: str | None = None) -> SuiteResult:

@@ -49,6 +49,8 @@ member, since ``ALL_ONES`` is ``coordinates()[SYM_IDENTITY]``.
 A 64x64 bit matrix, such as 64 point masks, is packed into one 4096-bit int
 with row ``y`` at bits 64y..64y+63 (``pack``, ``rows``); ``transpose`` and its
 rows, ``transposed``, turn 64 masks into one mask per bit position, one bit per mask.
+``relabelled`` moves the bits of up to 64 masks to new positions through
+those rows.
 """
 
 from __future__ import annotations
@@ -191,6 +193,17 @@ def transposed(entries: Sequence[int]) -> tuple[int, ...]:
     if len(entries) > 64:
         raise ValueError(f"a 64x64 bit matrix has at most 64 rows, got {len(entries)}")
     return rows(transpose(pack(entries)))
+
+
+def relabelled(masks: Sequence[int], image: Sequence[int]) -> tuple[int, ...]:
+    """Up to 64 masks with bit i of each moved to bit image[i]: lane i of the
+    transposed masks moves to row image[i], and a transpose brings it back.
+    Bits moved onto one target are ORed; more than 64 masks raise
+    transposed's ValueError."""
+    moved = [0] * 64
+    for target, lane in zip(image, transposed(masks)):
+        moved[target] |= lane
+    return transposed(moved)[: len(masks)]
 
 
 def translate_mask(table: int, m: int) -> int:

@@ -17,6 +17,11 @@ distinguished planes and for matrices that are not symmetric.
 ``class_planes`` builds the planes of one class once and caches them for
 ``intersection_statistics`` and ``spread``.  ``meet_rows`` decides which of
 up to 64 planes meet by walking the set bits of each.
+``collineation_action`` moves the points of up to 64 planes to their images
+under (U, U^-1) with ``pg.relabelled``.  Neither ``family_planes``, a dict
+read from ``plane_of``'s cache, nor ``_block_collineation`` is cached: a
+cold ``verify`` asks for ``family_planes`` twice and for each u's image
+table once.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from gqlab.gf2 import (
     sym_lanes,
     sym_to_mat,
 )
-from gqlab.pg import bit_indices, minor_coordinates, point_mask, transposed
+from gqlab.pg import bit_indices, minor_coordinates, point_mask, relabelled, transposed
 from gqlab.quadrangle import IncidenceStructure, make_structure, triangles
 
 Plane = int
@@ -161,7 +166,6 @@ def is_totally_isotropic(p: Plane) -> bool:
     )
 
 
-@cache
 def family_planes() -> dict[str, Plane]:
     """Label -> plane (X|1) for the 27 quadrangle matrices."""
     return {label_of(x): plane_of(x) for x in atlas().points}
@@ -266,7 +270,6 @@ def group_orbits(tag: str) -> tuple[tuple[str, ...], ...]:
     return tuple(orbits)
 
 
-@cache
 def _block_collineation(u: int) -> tuple[int, ...]:
     """Image of each 6-bit row (v|w) under the blocks (U, U^-1) attached to u."""
     require_sym(u)
@@ -277,16 +280,11 @@ def _block_collineation(u: int) -> tuple[int, ...]:
 
 def collineation_action(u: int, planes: Sequence[Plane]) -> tuple[Plane, ...]:
     """Images of up to 64 planes under the block-diagonal collineation (U, U^-1):
-    the transposed planes give each vector v its lane of the planes holding
-    it, and that lane moves to the row of v's image before the transpose back."""
+    each point v of a plane moves to v's image, by pg.relabelled."""
     low = min(planes, default=0)
     if low < 0:
         raise ValueError(f"a plane is a nonnegative point mask, got {low}")
-    image = _block_collineation(u)
-    moved = [0] * 64
-    for target, lane in zip(image, transposed(planes)):
-        moved[target] |= lane
-    return transposed(moved)[: len(planes)]
+    return relabelled(planes, _block_collineation(u))
 
 
 MeetProfile = namedtuple("MeetProfile", "label versus points lines skew")

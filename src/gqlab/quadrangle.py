@@ -14,19 +14,23 @@ collinearity law takes the triangles of that law as its lines (``triangles``):
 * plane model (gqlab.planes): the planes (Y|1) skew to (1|1), by their meets.
 
 Every axiom, collinearity and isomorphism decision reads the compiled form
-of a structure, built once per structure by ``compile_structure``: point i
-is ``inc.points[i]``, each line is a tuple of point indices and a point mask
-(bit i set iff point i is on it), and each point has the point mask of its
-collinear neighbours and their number.  ``compile_structure`` is the one
-gate of well-formedness (distinct labels; lines that are distinct sets of
-distinct known points), which ``make_structure`` passes its result through.
+of a structure, built once per structure by ``compile_structure``: the
+points are numbered in label order, so point i is ``sorted(inc.points)[i]``
+and ascending indices are ascending labels; each line is a tuple of point
+indices and a point mask (bit i set iff point i is on it), and each point
+has the point mask of its collinear neighbours and their number.
+``compile_structure`` is the one gate of well-formedness (distinct labels;
+lines that are distinct sets of distinct known points), which
+``make_structure`` passes its result through.
 The labels are read back only to write witnesses and results.  The one
 axiom core, ``_gq_order``, decides many restrictions (point mask, line mask)
 of one compiled structure at once, one lane each; ``verify_gq_axioms`` is
 its one-lane call, and scans for a witness only when that lane fails.  The
 hyperplane survey finds its 63 sections in one pass, each as the masks of
 the model's points and lines inside it, and decides its 36 candidates in
-one call of the core.
+one call of the core.  The isomorphism search plans its breadth-first order
+of the source's points, and each point's earlier collinear points, in one
+pass per compiled source.
 """
 
 from __future__ import annotations
@@ -64,10 +68,11 @@ class AxiomViolationError(ValueError):
 IncidenceStructure = namedtuple("IncidenceStructure", "name points lines")
 
 # An incidence structure on the point indices 0..n-1; bit i of a point mask
-# stands for point i.  labels maps a point index to its label and is read
-# only for witnesses; lines are tuples of point indices; line_points gives
-# each line the point mask of its points, adjacency each point the point
-# mask of its collinear points, and degrees each point their number.
+# stands for point i.  labels maps a point index to its label, in ascending
+# label order, and is read only for witnesses; lines are tuples of point
+# indices; line_points gives each line the point mask of its points,
+# adjacency each point the point mask of its collinear points, and degrees
+# each point their number.
 CompiledStructure = namedtuple("CompiledStructure", "name labels lines line_points adjacency degrees")
 
 
@@ -82,11 +87,13 @@ def make_structure(name: str, points: Iterable[str], lines: Iterable[Iterable[st
 
 @cache
 def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
-    """The compiled form of inc; point i is inc.points[i].  A plain ValueError names
-    the first label given twice, else the first line naming an unknown label,
-    else naming a point twice, else repeating a line."""
-    labels = {p: i for i, p in enumerate(inc.points)}
-    if len(labels) != len(inc.points):
+    """The compiled form of inc; point i is sorted(inc.points)[i].  A plain
+    ValueError names the first label given twice, else the first line naming
+    an unknown label, else naming a point twice, else repeating a line, each
+    as inc writes it."""
+    ordered = tuple(sorted(inc.points))
+    labels = {p: i for i, p in enumerate(ordered)}
+    if len(labels) != len(ordered):
         twice = next(p for k, p in enumerate(inc.points) if p in inc.points[:k])
         raise ValueError(f"point label {twice!r} is given twice")
     try:
@@ -95,7 +102,7 @@ def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
         line, p = next((line, p) for line in inc.lines for p in line if p not in labels)
         raise ValueError(f"line {line} names unknown point {p!r}") from None
     line_points = tuple(map(point_mask, lines))
-    near = [0] * len(inc.points)
+    near = [0] * len(ordered)
     for written, line, mask in zip(inc.lines, lines, line_points):
         if mask.bit_count() != len(line):
             raise ValueError(f"line {written} names a point twice")
@@ -107,7 +114,7 @@ def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
         raise ValueError(f"line {inc.lines[k]} repeats line {first}")
     adjacency = tuple([mask & ~(1 << i) for i, mask in enumerate(near)])
     degrees = tuple(map(int.bit_count, adjacency))
-    return CompiledStructure(inc.name, tuple(inc.points), lines, line_points, adjacency, degrees)
+    return CompiledStructure(inc.name, ordered, lines, line_points, adjacency, degrees)
 
 
 def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
@@ -327,7 +334,8 @@ def verify_isomorphism(
         return False, f"point counts differ: {len(mapping)} vs {len(set(b.points))}"
     if len(a.lines) != len(b.lines):
         return False, f"line counts differ: {len(a.lines)} vs {len(b.lines)}"
-    b_lines, image_of = set(b.lines), mapping.__getitem__
+    b_lines = {tuple(sorted(line)) for line in b.lines}  # as make_structure writes them
+    image_of = mapping.__getitem__
     for line in a.lines:
         image = tuple(sorted(map(image_of, line)))
         if image not in b_lines:
@@ -335,18 +343,17 @@ def verify_isomorphism(
     return True, ""
 
 
-def _label_ordered(inc: IncidenceStructure) -> CompiledStructure:
-    """The compiled form of inc with its points in label order, so that
-    ascending point indices are ascending labels."""
-    points = tuple(sorted(inc.points))
-    return compile_structure(inc if points == inc.points else inc._replace(points=points))
-
-
-def _search_order(c: CompiledStructure) -> list[int]:
-    # breadth-first from the smallest label so each new point is constrained
-    # by already-mapped neighbours; fully deterministic
+@cache
+def _search_plan(c: CompiledStructure) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The search order of c's points and, per position, the earlier
+    positions collinear with it, both from one pass; built once per compiled
+    source model.  The order is breadth-first from the smallest label, so
+    each new point is constrained by already-mapped neighbours, and fully
+    deterministic."""
     order: list[int] = []
-    remaining = (1 << len(c.labels)) - 1
+    earlier: list[tuple[int, ...]] = []
+    position = [0] * len(c.labels)  # point -> its position in order, once placed
+    placed, remaining = 0, (1 << len(c.labels)) - 1
     while remaining:
         start = remaining & -remaining
         remaining ^= start
@@ -355,29 +362,12 @@ def _search_order(c: CompiledStructure) -> list[int]:
             new = c.adjacency[p] & remaining
             remaining ^= new
             queue.extend(bit_indices(new))
-        order += queue
-    return order
-
-
-@cache
-def _search_plan(c: CompiledStructure) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The search order of c's points and, per position, the earlier
-    positions collinear with it; built once per compiled source model."""
-    order = tuple(_search_order(c))
-    position = [0] * len(order)  # point -> its position in order, once placed
-    placed, earlier = 0, []
-    for k, p in enumerate(order):
-        near = c.adjacency[p] & placed
-        found = []
-        while near:
-            low = near & -near
-            near ^= low
-            found.append(position[low.bit_length() - 1])
-        found.sort()
-        earlier.append(tuple(found))
-        position[p] = k
-        placed |= 1 << p
-    return order, tuple(earlier)
+            near = bit_indices(c.adjacency[p] & placed)
+            earlier.append(tuple(sorted(map(position.__getitem__, near))))
+            position[p] = len(order)
+            order.append(p)
+            placed |= 1 << p
+    return tuple(order), tuple(earlier)
 
 
 def _backtrack(earlier: Sequence[Sequence[int]], b: CompiledStructure) -> Iterator[list[int]]:
@@ -441,7 +431,7 @@ def collinearity_isomorphisms(
     """
     if len(a.points) != len(b.points) or len(a.lines) != len(b.lines):
         return
-    ca, cb = _label_ordered(a), _label_ordered(b)
+    ca, cb = compile_structure(a), compile_structure(b)
     # the one premise of _backtrack's pruning: equal sorted degrees give a
     # and b as many collinear pairs, so a bijection that sends collinear
     # pairs to collinear pairs sends the other pairs onto the other pairs too,

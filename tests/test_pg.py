@@ -37,6 +37,7 @@ from gqlab.pg import (
     projective_index,
     projective_indices,
     quadric_points,
+    relabelled,
     rows,
     tangent_matrix_lines_at_identity,
     translate_mask,
@@ -536,6 +537,37 @@ def test_transposed_reads_the_rows_of_the_transpose():
         assert list(transposed(entries)) == _transposed_per_bit(entries + [0] * (64 - n))
     with pytest.raises(ValueError, match="at most 64 rows, got 65"):
         transposed([1] * 65)
+
+
+def _relabelled_per_bit(masks, image):
+    """The per-bit definition: bit image[i] of each output is set iff bit i of
+    its mask is, ORed over every i that image sends there."""
+    out = []
+    for mask in masks:
+        moved = 0
+        for i, target in enumerate(image):
+            moved |= (mask >> i & 1) << target
+        out.append(moved)
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 27, 64])
+def test_relabelled_moves_each_bit_to_its_image(n):
+    rng = random.Random(n)
+    masks = [rng.getrandbits(64) for _ in range(n)]
+    permutation = rng.sample(range(64), 64)
+    # not injective: bits 3 and 5 both land on bit 9, which no other bit reaches
+    merged = [9 if i in (3, 5) else i for i in range(64)]
+    merged[9] = 3
+    short = rng.sample(range(64), 27)  # bits 27..63 have no image and are dropped
+    for image in (permutation, merged, short):
+        assert list(relabelled(masks, image)) == _relabelled_per_bit(masks, image)
+    assert relabelled(masks, range(64)) == tuple(masks)
+
+
+def test_relabelled_takes_at_most_64_masks():
+    with pytest.raises(ValueError, match="at most 64 rows, got 65"):
+        relabelled([1] * 65, range(64))
 
 
 @pytest.mark.parametrize(

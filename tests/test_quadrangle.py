@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import deque
 from itertools import combinations, islice
 
 import pytest
@@ -25,8 +26,6 @@ from gqlab.quadrangle import (
     IncidenceStructure,
     SurveySummary,
     _gq_order,
-    _label_ordered,
-    _search_order,
     _search_plan,
     _sections,
     build_double_six_model,
@@ -505,11 +504,11 @@ def test_search_reads_few_rows_of_the_target_before_its_first_map(monkeypatch, a
     compiled = []
 
     def counting(inc):
-        c = _label_ordered(inc)
+        c = compile_structure(inc)
         compiled.append(c._replace(adjacency=_CountingRows(c.adjacency)) if compiled else c)
         return compiled[-1]
 
-    monkeypatch.setattr("gqlab.quadrangle._label_ordered", counting)
+    monkeypatch.setattr("gqlab.quadrangle.compile_structure", counting)
     first = next(collinearity_isomorphisms(a, b))
     assert len(compiled) == 2
     assert 0 < compiled[1].adjacency.reads <= 200
@@ -532,7 +531,7 @@ def _reference_verify_isomorphism(mapping, a, b):
         return False, "mapping image differs from the target point set"
     if len(a.lines) != len(b.lines):
         return False, f"line counts differ: {len(a.lines)} vs {len(b.lines)}"
-    b_lines = set(b.lines)
+    b_lines = {tuple(sorted(line)) for line in b.lines}
     for line in a.lines:
         image = tuple(sorted(mapping[p] for p in line))
         if image not in b_lines:
@@ -564,14 +563,19 @@ def test_verify_isomorphism_matches_the_label_scan():
     identity = {p: p for p in abc}
     for a, b in ((twice, twice), (twice, plain), (plain, twice), (plain, unknown), (listed, plain)):
         cases.append((identity, a, b))
+    # the doily with every line written in reverse: its lines are read as written
+    doily = doily_substructure()
+    reversed_lines = tuple(line[::-1] for line in doily.lines)
+    rev = IncidenceStructure("rev", doily.points, reversed_lines)
+    cases.append(({p: p for p in doily.points}, doily, rev))
     outcomes = []
     for mapping, a, b in cases:
         outcomes.append(verify_isomorphism(mapping, a, b))
         assert outcomes[-1] == _reference_verify_isomorphism(mapping, a, b)
     assert outcomes[0] == (True, "")
     assert all(not ok and "maps to non-line" in witness for ok, witness in outcomes[1:201])
-    assert [ok for ok, _ in outcomes[201:-5]] == [False] * 6
-    assert [ok for ok, _ in outcomes[-5:]] == [True, False, False, False, True]
+    assert [ok for ok, _ in outcomes[201:-6]] == [False] * 6
+    assert [ok for ok, _ in outcomes[-6:]] == [True, False, False, False, True, True]
 
 
 def test_verify_isomorphism_rejects_a_map_that_is_not_injective():
@@ -605,13 +609,28 @@ def test_collinearity_isomorphisms_match_the_reference_sequence(a, b, limit, cou
 
 
 def _reference_search_plan(c):
-    """The search plan as one comprehension over earlier positions, kept as
-    the oracle of _search_plan's one pass over the search order."""
-    order = tuple(_search_order(c))
+    """The search plan by a plain breadth-first walk over neighbour sets,
+    from the smallest unplaced point with each point's unseen neighbours
+    queued in ascending order, and one comprehension over earlier positions;
+    kept as the oracle of _search_plan's one pass."""
+    n = len(c.labels)
+    near = [{j for j in range(n) if c.adjacency[i] >> j & 1} for i in range(n)]
+    order, seen = [], set()
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            order.append(p)
+            for q in sorted(near[p] - seen):
+                seen.add(q)
+                queue.append(q)
     earlier = tuple(
-        tuple(j for j in range(k) if c.adjacency[p] >> order[j] & 1) for k, p in enumerate(order)
+        tuple(j for j in range(k) if order[j] in near[p]) for k, p in enumerate(order)
     )
-    return order, earlier
+    return tuple(order), earlier
 
 
 def _random_structure(rng, n, n_lines):
@@ -628,8 +647,27 @@ def test_search_plan_matches_the_reference_plan():
         structures.append(_random_structure(rng, n, n_lines))
     assert max(len(inc.points) for inc in structures) > 64
     for inc in structures:
-        c = _label_ordered(inc)
+        c = compile_structure(inc)
         assert _search_plan(c) == _reference_search_plan(c), inc.name
+
+
+def test_a_structure_written_unsorted_compiles_in_label_order():
+    doily = doily_substructure()
+    points = tuple(reversed(doily.points))
+    unsorted = IncidenceStructure("doily-unsorted", points, tuple(reversed(doily.lines)))
+    assert compile_structure(unsorted).labels == tuple(sorted(points))
+    copy = make_structure("doily-copy", points, unsorted.lines)
+    section = quadric_section(ALL_ONES)
+    first = next(collinearity_isomorphisms(unsorted, section))
+    assert list(first.items()) == list(next(collinearity_isomorphisms(copy, section)).items())
+    first = next(collinearity_isomorphisms(section, unsorted))
+    assert list(first.items()) == list(next(collinearity_isomorphisms(section, copy)).items())
+
+
+def test_find_isomorphism_reads_the_target_lines_as_written():
+    doily = doily_substructure()
+    rev = IncidenceStructure("rev", doily.points, tuple(line[::-1] for line in doily.lines))
+    assert find_isomorphism(doily, rev) == find_isomorphism(doily, doily)
 
 
 def test_degree_guard_rejects_collinearity_embeddings():

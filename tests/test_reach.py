@@ -1,12 +1,13 @@
-"""Every public definition of gqlab is reached from gqlab itself.
+"""Every definition of gqlab is reached from gqlab itself.
 
-Stricter than ``test_dead_code``, which lets a test, a benchmark or a README
-word keep a name alive: a public module-level def or class of ``src/gqlab``
-must be loaded, as a name or an attribute, by code of ``src/gqlab`` outside
-its own body.  Import aliases and string constants do not count.  Exempt
-are the names of ``gqlab.__all__``, the names that ``perfbench/tracer.py``
-wraps (its ``KERNELS`` and ``SPANNED`` tables) and the names that CI's
-``tests/cold_cli.py`` imports.
+A public module-level def or class of ``src/gqlab``, and a private
+module-level def without a decorator, must be loaded, as a name or an
+attribute, by code of ``src/gqlab`` outside its own body; a test, a
+benchmark or a README word does not keep it alive.  Import aliases, string
+constants and ``__all__`` do not count.  A decorated private def, such as a
+``@check`` body, is reached through its decorator.  Exempt are the names of
+``gqlab.__all__`` and the names that ``perfbench/tracer.py`` wraps (its
+``KERNELS`` and ``SPANNED`` tables).
 """
 
 import ast
@@ -18,9 +19,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unreached(sources: dict[str, str], exempt: set[str]) -> list[str]:
-    """``module.name`` of each public module-level def or class of the
-    sources (module -> code) that no other top-level statement of any of
-    them loads, unless exempt."""
+    """``module.name`` of each public module-level def or class, and each
+    private module-level def without a decorator, of the sources (module ->
+    code) that no other top-level statement of any of them loads, unless
+    exempt.  Module hooks such as ``__getattr__`` are neither."""
     statements, definitions = [], []
     for module, code in sources.items():
         for node in ast.parse(code).body:
@@ -31,7 +33,11 @@ def _unreached(sources: dict[str, str], exempt: set[str]) -> list[str]:
                 elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
                     loads.add(sub.attr)
             statements.append((node, loads))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.endswith("__"):
+                continue
+            if not node.name.startswith("_") or (
+                isinstance(node, ast.FunctionDef) and not node.decorator_list
+            ):
                 definitions.append((module, node))
     return [
         f"{module}.{node.name}"
@@ -51,23 +57,13 @@ def _tracer_names() -> set[str]:
     return names
 
 
-def _cold_cli_names() -> set[str]:
-    tree = ast.parse((ROOT / "tests" / "cold_cli.py").read_text())
-    return {
-        f"{node.module.removeprefix('gqlab.')}.{alias.name}"
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gqlab.")
-        for alias in node.names
-    }
-
-
 def _exempt() -> set[str]:
     public = {
         f"{getattr(gqlab, name).__module__.removeprefix('gqlab.')}.{name}"
         for name in gqlab.__all__
         if name != "__version__"
     }
-    return public | _tracer_names() | _cold_cli_names()
+    return public | _tracer_names()
 
 
 def test_every_public_definition_is_reached_from_gqlab():
@@ -89,11 +85,22 @@ def test_own_body_all_aliases_and_strings_do_not_reach():
         "    pass\n"
         "def _private():\n"
         "    pass\n"
-        "Called()\n"
+        "def _helper():\n"
+        "    pass\n"
+        "@register\n"
+        "def _registered():\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+        "Called(_helper)\n"
     )
-    user = "from m import recursive as alias\nimport m\nnames = ['listed', 'recursive']\n"
-    assert _unreached({"m": module, "user": user}, {"m.exempted"}) == ["m.recursive", "m.listed"]
-    assert _unreached({"m": module, "user": "m.recursive()\n"}, set()) == [
+    user = "from m import recursive as alias\nimport m\nnames = ['listed', '_private']\n"
+    assert _unreached({"m": module, "user": user}, {"m.exempted"}) == [
+        "m.recursive",
+        "m.listed",
+        "m._private",
+    ]
+    assert _unreached({"m": module, "user": "m.recursive()\nm._private()\n"}, set()) == [
         "m.listed",
         "m.exempted",
     ]
