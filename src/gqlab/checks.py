@@ -828,7 +828,7 @@ def _check_iso_table() -> str:
 )
 def _check_pi_plane_model() -> str:
     model = planes_mod.build_plane_model()
-    translated = pg.point_mask(x ^ SYM_IDENTITY for x in atlas().points)
+    translated = _translated(atlas().points)
     # characterization: planes (Y|1) skew to (1|1), other than (0|1)
     diagonal = planes_mod.PLANE_DIAGONAL
     set_ok = translated == pg.point_mask(

@@ -4,6 +4,7 @@ import random
 import re
 from collections import deque
 from itertools import combinations, islice
+from math import prod
 
 import pytest
 
@@ -606,6 +607,85 @@ def test_collinearity_isomorphisms_match_the_reference_sequence(a, b, limit, cou
     wanted = [list(m.items()) for m in islice(_reference_isomorphisms(a, b), limit)]
     assert len(found) == count
     assert found == wanted
+
+
+def _orbit_sizes(inc):
+    """The orbit sizes of inc's automorphism group along its stabilizer
+    chain, by orbit-stabilizer (Sims 1970); their product is the group order.
+
+    The base b0, b1, ... is the search order: the keys of find_isomorphism
+    (inc, inc), which is the identity.  Level k counts the points q to which
+    some automorphism fixing b0..b(k-1) sends bk.  Only a q off b0..b(k-1)
+    with bk's collinearity to them can qualify.  The search tries images in
+    label order, so the first map onto a copy of inc renamed to sort
+    b0..b(k-1), then q, first fixes b0..b(k-1) and sends bk to q exactly
+    when some automorphism does; find_isomorphism checks that map line by
+    line.
+    """
+    identity = find_isomorphism(inc, inc)
+    assert identity == {p: p for p in inc.points}
+    base = list(identity)
+    c = compile_structure(inc)
+    row = dict(zip(c.labels, c.adjacency))
+    bit = {p: 1 << i for i, p in enumerate(c.labels)}
+    sizes, fixed = [], 0
+    for k, b in enumerate(base):
+        size = 0
+        for q in inc.points:
+            if bit[q] & fixed or row[q] & fixed != row[b] & fixed:
+                continue
+            order = base[:k] + [q] + [p for p in inc.points if p != q and not bit[p] & fixed]
+            name = {p: f"{r:02d}{p}" for r, p in enumerate(order)}  # the rank, then the label
+            lines = [map(name.get, line) for line in inc.lines]
+            renamed = make_structure(inc.name, name.values(), lines)
+            witness = find_isomorphism(inc, renamed) or {}
+            size += list(map(witness.get, base[: k + 1])) == list(map(name.get, order[: k + 1]))
+        sizes.append(size)
+        fixed |= bit[b]
+    return sizes
+
+
+# (model, |Aut|, the orbit sizes up to the last that is not 1); Aut GQ(2,4)
+# has order 51840 and Aut GQ(2,2) order 720 (Payne and Thas, Finite
+# Generalized Quadrangles); the swapped-point model is not a GQ
+AUTOMORPHISM_CASES = [
+    ("quadric", 51840, [27, 10, 8, 1, 1, 6, 1, 4]),
+    ("matrices", 51840, [27, 10, 8, 6, 1, 1, 1, 4]),
+    ("double-six", 51840, [27, 10, 8, 6, 4]),
+    ("planes", 51840, [27, 10, 1, 8, 1, 6, 1, 4]),
+    ("doily", 720, [15, 6, 4, 1, 1, 1, 1, 2]),
+    ("section-111111", 720, [15, 6, 1, 4, 1, 1, 1, 2]),
+    ("grid", 72, [9, 4, 1, 2]),
+    ("matrices-swapped", 24, [2, 1, 6, 1, 1, 1, 2]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, order, orbits", AUTOMORPHISM_CASES, ids=[name for name, _, _ in AUTOMORPHISM_CASES]
+)
+def test_automorphism_group_order_by_orbit_stabilizer(name, order, orbits):
+    inc = model(name)
+    sizes = _orbit_sizes(inc)
+    assert sizes == orbits + [1] * (len(inc.points) - len(orbits))
+    assert prod(sizes) == order
+
+
+def test_a_search_that_drops_one_candidate_counts_fewer_automorphisms(monkeypatch):
+    # the search skips every map that sends position 1 to the copy's label
+    # for a neighbour q of b0 other than b1: q is then missing from the
+    # level-1 orbit only, and the count reads 9/10 of 51840
+    inc = model("matrices")
+    b0, b1 = islice(find_isomorphism(inc, inc), 2)
+    q = next(p for p in sorted(collinearity(inc)[b0]) if p != b1)
+    search = collinearity_isomorphisms
+
+    def dropping(a, b):
+        return (m for m in search(a, b) if list(m.values())[1] != f"01{q}")
+
+    monkeypatch.setattr("gqlab.quadrangle.collinearity_isomorphisms", dropping)
+    sizes = _orbit_sizes(inc)
+    assert sizes == [27, 9, 8, 6, 1, 1, 1, 4] + [1] * 19
+    assert prod(sizes) == 46656 < 51840
 
 
 def _reference_search_plan(c):
