@@ -194,16 +194,21 @@ def _check_involutions() -> str:
     return f"involutions {involutions}; eigenspace dims {dims}"
 
 
+def _products(elems: Iterable[int]) -> tuple[dict[tuple[int, int], int], bool]:
+    """The mat_mul table of the packed matrices elems over their ordered
+    pairs, each multiplied once, and whether it is commutative."""
+    mats = {x: sym_to_mat(x) for x in elems}
+    table = {(a, b): mat_mul(mats[a], mats[b]) for a in mats for b in mats}
+    return table, all(table[a, b] == table[b, a] for a, b in combinations(mats, 2))
+
+
 def _is_gf8(closure: frozenset[int]) -> bool:
     field = closure | {0}
     if len(field) != 8:
         return False
     add_closed = all(a ^ b in field for a in field for b in field)
-    elems = sorted(closure)
-    mats = {x: sym_to_mat(x) for x in elems}
-    products = {(a, b): mat_mul(mats[a], mats[b]) for a in elems for b in elems}
-    mul_closed = set(products.values()) <= set(mats.values())
-    commutative = all(products[a, b] == products[b, a] for a, b in combinations(elems, 2))
+    products, commutative = _products(sorted(closure))
+    mul_closed = set(products.values()) <= set(map(sym_to_mat, closure))
     return add_closed and mul_closed and commutative
 
 
@@ -601,9 +606,7 @@ def _check_plucker() -> str:
 def _check_symplectic_isotropy() -> str:
     isotropic = planes_mod.is_totally_isotropic
     bad = [label for label, plane in planes_mod.family_planes().items() if not isotropic(plane)]
-    for plane in (planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT, planes_mod.PLANE_DIAGONAL):
-        if not isotropic(plane):
-            bad.append(planes_mod.DISTINGUISHED[plane])
+    bad += [label for plane, label in planes_mod.DISTINGUISHED.items() if not isotropic(plane)]
     # negative control: a single off-diagonal 1 breaks symmetry and isotropy
     control = planes_mod.plane_of_mat(0b010_000_000)
     control_ok = not isotropic(control)
@@ -630,7 +633,7 @@ def _check_spreads() -> str:
         if covered != pg.ALL_POINTS:
             problems.append(f"{tag}: covers {covered.bit_count()} points")
     overlap = set(planes_mod.spread("U")) & set(planes_mod.spread("V"))
-    if overlap != {planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT, planes_mod.PLANE_DIAGONAL}:
+    if overlap != set(planes_mod.DISTINGUISHED):
         problems.append("spreads share more than the three distinguished planes")
     return "; ".join(problems) if problems else "two spreads of 9 planes covering 63 points"
 
@@ -665,9 +668,7 @@ def _check_group_action() -> str:
     parts = []
     for tag in ("U", "V"):
         group = planes_mod.conjugating_group(tag)
-        mats = {g: sym_to_mat(g) for g in group}
-        raw = {(a, b): mat_mul(mats[a], mats[b]) for a in group for b in group}
-        commutative = all(raw[a, b] == raw[b, a] for a, b in combinations(group, 2))
+        raw, commutative = _products(group)
         # products are packed first, so a non-symmetric one raises in mat_to_sym
         products = {pair: mat_to_sym(m) for pair, m in raw.items()}
         # g -> {X: G X G} from the table of g; an image X off the 27 points
@@ -715,11 +716,7 @@ def _check_collineation() -> str:
     group = planes_mod.conjugating_group("U") + planes_mod.conjugating_group("V")[1:]
     # the 27 family planes first, in the order of points, then the three
     # distinguished planes
-    all_planes = [planes_mod.plane_of(x) for x in points] + [
-        planes_mod.PLANE_LEFT,
-        planes_mod.PLANE_RIGHT,
-        planes_mod.PLANE_DIAGONAL,
-    ]
+    all_planes = [planes_mod.plane_of(x) for x in points] + list(planes_mod.DISTINGUISHED)
 
     def meets(planes: list[planes_mod.Plane]) -> list[int]:
         # points shared by each pair of planes, one count per meet dimension
@@ -757,7 +754,7 @@ def _check_statistics() -> str:
             for x in members:
                 prof = planes_mod.intersection_statistics(x, versus)
                 if (prof.points, prof.lines, prof.skew) != wanted:
-                    bad.append(f"{prof.label} vs {versus}")
+                    bad.append(f"{label_of(x)} vs {versus}")
     return "profiles (4,0,2)/(3,1,2)/(4,1,1) in both orientations" if not bad else f"wrong: {bad}"
 
 

@@ -112,29 +112,21 @@ def quadrics_json() -> str:
 
 
 def planes_json() -> str:
-    records = []
-    for x, label, cls in _points():
-        raw = raw_plane_rows(sym_to_mat(x))
-        records.append(
+    # (label, rows, class): the rows of (X|1), then the echelon rows of each
+    # distinguished plane; the RREF of either is the echelon of its plane
+    planes = [(label, raw_plane_rows(sym_to_mat(x)), cls) for x, label, cls in _points()]
+    planes += [(label, echelon(plane), "distinguished") for plane, label in DISTINGUISHED.items()]
+    return _json_text(
+        [
             {
                 "label": label,
-                "matrix_rows": [_BITS[r] for r in raw],
-                # the unique RREF of the rows of (X|1), the echelon of its plane
-                "echelon": [_BITS[r] for r in rref(raw)],
+                "matrix_rows": [_BITS[r] for r in rows],
+                "echelon": [_BITS[r] for r in rref(rows)],
                 "class": cls,
             }
-        )
-    for plane, label in DISTINGUISHED.items():
-        rows = [_BITS[r] for r in echelon(plane)]
-        records.append(
-            {
-                "label": label,
-                "matrix_rows": rows,
-                "echelon": rows,
-                "class": "distinguished",
-            }
-        )
-    return _json_text(records)
+            for label, rows, cls in planes
+        ]
+    )
 
 
 def planes_csv() -> str:

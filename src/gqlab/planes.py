@@ -6,10 +6,10 @@ iff the nonzero vector v lies in the plane, so a plane has 7 bits and
 bit 0 is never set.  A 6-bit row (leftmost column = highest bit) keeps
 its left block in bits 5..3 and its right block in bits 2..0.  Two
 planes share 0, 1, 3 or 7 points, and the bit length of that count is
-the dimension of their meet.  ``echelon`` gives the reduced row echelon
-basis of a plane, which the isotropy test reads and the planes export
-prints for the distinguished planes; for a plane (X|1) the export reduces
-the three rows of (X|1) instead, which have the same unique RREF.
+the dimension of their meet.  ``DISTINGUISHED`` is the one table of the
+planes (1|0), (0|1), (1|1), plane -> label.  ``echelon`` gives the reduced
+row echelon basis of a plane, which the isotropy test reads and the planes
+export writes as a distinguished plane's rows.
 
 ``plane_of`` reads one table of the 64 planes (X|1), built in one lane pass
 over the bit-sliced matrices; ``make_plane`` spans given rows, for the
@@ -180,7 +180,7 @@ def class_planes(tag: str) -> tuple[Plane, ...]:
 def spread(tag: str) -> tuple[Plane, ...]:
     """The nine planes (1|0), (0|1), (1|1) plus one eigenvalue-free class."""
     opposite(tag)  # raises WrongClassError unless tag is U or V
-    return (PLANE_LEFT, PLANE_RIGHT, PLANE_DIAGONAL) + class_planes(tag)
+    return tuple(DISTINGUISHED) + class_planes(tag)
 
 
 def minor_lanes(row_sets: Sequence[tuple[int, int, int]]) -> dict[tuple[int, int, int], int]:
@@ -287,7 +287,7 @@ def collineation_action(u: int, planes: Sequence[Plane]) -> tuple[Plane, ...]:
     return relabelled(planes, _block_collineation(u))
 
 
-MeetProfile = namedtuple("MeetProfile", "label versus points lines skew")
+MeetProfile = namedtuple("MeetProfile", "versus points lines skew")
 
 
 def intersection_statistics(x: int, versus: str | None = None) -> MeetProfile:
@@ -307,7 +307,7 @@ def intersection_statistics(x: int, versus: str | None = None) -> MeetProfile:
     mine = plane_of(x)
     # intersection_dim inlined: the meet's dimension, so a planted 2-point meet reads 2
     dims = [(mine & other).bit_count().bit_length() for other in class_planes(versus)]
-    return MeetProfile(label_of(x), versus, dims.count(1), dims.count(2), dims.count(0))
+    return MeetProfile(versus, dims.count(1), dims.count(2), dims.count(0))
 
 
 def skew_partner(x: int) -> int:

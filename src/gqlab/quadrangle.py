@@ -30,7 +30,8 @@ hyperplane survey finds its 63 sections in one pass, each as the masks of
 the model's points and lines inside it, and decides its 36 candidates in
 one call of the core.  The isomorphism search plans its breadth-first order
 of the source's points, and each point's earlier collinear points, in one
-pass per compiled source.
+pass per compiled source, and ``find_isomorphism`` returns the first map
+of the search that ``verify_isomorphism`` accepts.
 """
 
 from __future__ import annotations
@@ -128,16 +129,20 @@ def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
 
 
 def verify_gq_axioms(inc: IncidenceStructure) -> tuple[int, int]:
-    """Check the GQ axioms and return the order (s, t).
+    """Check the GQ axioms and return the order (s, t), where s, t >= 1.
 
     Raises AxiomViolationError with the first failing axiom and its first
-    witness, which element-by-element scans find only once an axiom fails;
+    witness, which element-by-element scans find only once an axiom fails,
+    or with "s, t >= 1" and the order when the axioms hold with s or t 0;
     a malformed structure raises compile_structure's plain ValueError."""
     c = compile_structure(inc)
     # one lane: the order (s, t), or the name of the first failing axiom
     (lane,) = _gq_order(c, [((1 << len(c.labels)) - 1, (1 << len(c.lines)) - 1)])
     if not isinstance(lane, str):
-        return lane
+        if min(lane) >= 1:
+            return lane
+        # Payne and Thas (1.1) ask for s, t >= 1; one 3-point line reads (2, 0)
+        raise AxiomViolationError("s, t >= 1", f"order {lane}")
     axiom, labels, lines = lane, c.labels, c.lines
     if axiom == "nonempty":
         witness = c.name
@@ -448,13 +453,10 @@ def collinearity_isomorphisms(
 def find_isomorphism(a: IncidenceStructure, b: IncidenceStructure) -> dict[str, str] | None:
     """Deterministic backtracking search for an isomorphism; None if there is none.
 
-    The first map of collinearity_isomorphisms, if it also sends lines onto
-    lines; for generalized quadrangles every such map does.
+    The first map of collinearity_isomorphisms that verify_isomorphism
+    accepts: every isomorphism keeps collinearity, so the search misses none.
     """
-    for mapping in collinearity_isomorphisms(a, b):
-        ok, _ = verify_isomorphism(mapping, a, b)
-        return mapping if ok else None
-    return None
+    return next((m for m in collinearity_isomorphisms(a, b) if verify_isomorphism(m, a, b)[0]), None)
 
 
 # kind is "tangent" (a cone), "gq22" (order (2,2)) or "neither"

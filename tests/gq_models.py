@@ -102,6 +102,14 @@ _BUILDERS = {
     "section-111111": lambda: quadric_section(ALL_ONES),
     "grid": grid_gq21,
     "matrices-swapped": lambda: point_swapped(build_matrix_quadrangle()),
+    # both collinearity graphs are K4, so the identity keeps collinearity, but
+    # it sends the line abc to a non-line; a -> b -> c -> d -> a is an isomorphism
+    "fan-a": lambda: make_structure("fan-a", "abcd", ["abc", "ad", "bd", "cd"]),
+    "fan-d": lambda: make_structure("fan-d", "abcd", ["bcd", "ab", "ac", "ad"]),
+    # K4 on abcd with the tail de, and one triangle as a line: both have the
+    # same collinearity graph, but only the second line abd holds d
+    "tail-abc": lambda: make_structure("tail-abc", "abcde", ["abc", "ad", "bd", "cd", "de"]),
+    "tail-abd": lambda: make_structure("tail-abd", "abcde", ["abd", "ac", "bc", "cd", "de"]),
 }
 
 

@@ -44,10 +44,10 @@ def test_render_export_names_an_unknown_selector():
     assert str(err.value) == "unknown export selector 'spreads'"
 
 
-# a cold render of all 8 exports: the 28 atlas rows, then one more class and
-# label per point from intersection_statistics, and one plane per point plus
-# the six U and six V planes, each class built once
-COLD_EXPORT_CALLS = {"classify": 55, "label_of": 55, "plane_of": 39}
+# a cold render of all 8 exports: the 28 atlas rows, then one more class per
+# point from intersection_statistics, which reads no label, and one plane
+# per point plus the six U and six V planes, each class built once
+COLD_EXPORT_CALLS = {"classify": 55, "label_of": 28, "plane_of": 39}
 
 
 def test_cold_export_derives_each_label_class_and_plane_once(monkeypatch):

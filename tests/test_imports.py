@@ -125,14 +125,14 @@ def test_public_names_resolve_to_their_defining_modules():
 def test_records_keep_repr_immutability_and_hash():
     profile = intersection_statistics(atlas().by_label["D1"])
     structure = make_structure("path", ["c", "a", "b"], [["b", "a"], ["c", "b"]])
-    assert repr(profile) == "MeetProfile(label='D1', versus='U', points=4, lines=0, skew=2)"
+    assert repr(profile) == "MeetProfile(versus='U', points=4, lines=0, skew=2)"
     assert repr(structure) == (
         "IncidenceStructure(name='path', points=('a', 'b', 'c'), lines=(('a', 'b'), ('b', 'c')))"
     )
     for record, field in ((profile, "points"), (structure, "lines")):
         with pytest.raises(AttributeError):
             setattr(record, field, ())
-    assert hash(profile) == hash(("D1", "U", 4, 0, 2))
+    assert hash(profile) == hash(("U", 4, 0, 2))
     assert hash(structure) == hash(("path", ("a", "b", "c"), (("a", "b"), ("b", "c"))))
 
 

@@ -3,7 +3,7 @@
 import random
 import re
 from collections import deque
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from math import prod
 
 import pytest
@@ -346,10 +346,30 @@ def _nx_graph(nx, inc):
     return graph
 
 
-def _nx_isomorphic(a, b):
+def _nx_levi_graph(nx, inc):
+    """The point-line incidence (Levi) graph: the points on the ints 0..n-1
+    in label order, then the lines in sorted order, each node labelled with
+    its kind, and edges added in sorted order, as in _nx_graph."""
+    points = sorted(inc.points)
+    index = {p: i for i, p in enumerate(points)}
+    lines = sorted(tuple(sorted(line)) for line in inc.lines)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(len(points)), kind="point")
+    graph.add_nodes_from(range(len(points), len(points) + len(lines)), kind="line")
+    graph.add_edges_from(
+        sorted((index[p], len(points) + j) for j, line in enumerate(lines) for p in line)
+    )
+    return graph
+
+
+def _nx_isomorphic(a, b, graph):
     nx = pytest.importorskip("networkx")
     # VF2++: plain VF2 (nx.is_isomorphic) is thousands of times slower to
     # reject the point-swapped model below
+    if graph == "levi":
+        return nx.vf2pp_is_isomorphic(
+            _nx_levi_graph(nx, a), _nx_levi_graph(nx, b), node_label="kind"
+        )
     return nx.vf2pp_is_isomorphic(_nx_graph(nx, a), _nx_graph(nx, b))
 
 
@@ -359,14 +379,29 @@ def _nx_isomorphic(a, b):
 MODEL_PAIRS = [(a, b, True) for a, b in combinations(MODEL_NAMES, 2)] + [
     ("matrices-swapped", "double-six", False),
 ]
+# Any two structures are isomorphic iff their Levi graphs are, by a map that
+# sends points to points; the fans and the tails each share one collinearity
+# graph.  VF2++ did not decide the Levi graphs of the quadric and matrix
+# models within 100 s, so no GQ(2,4) pair has a Levi row.
+LEVI_PAIRS = [
+    ("fan-a", "fan-d", True),
+    ("tail-abc", "tail-abd", False),
+    ("section-111111", "doily", True),
+    ("grid", "doily", False),
+]
+NX_ROWS = [(a, b, isomorphic, "point") for a, b, isomorphic in MODEL_PAIRS] + [
+    (a, b, isomorphic, "levi") for a, b, isomorphic in LEVI_PAIRS
+]
 
 
 @pytest.mark.parametrize(
-    "a, b, isomorphic", MODEL_PAIRS, ids=[f"{a}-{b}" for a, b, _ in MODEL_PAIRS]
+    "a, b, isomorphic, graph",
+    NX_ROWS,
+    ids=[f"{a}-{b}" if graph == "point" else f"levi-{a}-{b}" for a, b, _, graph in NX_ROWS],
 )
-def test_find_isomorphism_agrees_with_networkx(a, b, isomorphic):
+def test_find_isomorphism_agrees_with_networkx(a, b, isomorphic, graph):
     a, b = model(a), model(b)
-    assert _nx_isomorphic(a, b) is isomorphic
+    assert _nx_isomorphic(a, b, graph) is isomorphic
     assert (find_isomorphism(a, b) is not None) is isomorphic
 
 
@@ -750,6 +785,93 @@ def test_find_isomorphism_reads_the_target_lines_as_written():
     assert find_isomorphism(doily, rev) == find_isomorphism(doily, doily)
 
 
+def _partial_linear_spaces(points):
+    """Every labelled partial linear space on points whose lines have 2 or 3
+    points: each set of such lines of which no two share two points."""
+    candidates = [set(line) for size in (2, 3) for line in combinations(points, size)]
+    spaces = [[]]
+    for line in candidates:
+        spaces += [old + [line] for old in spaces if all(len(line & x) < 2 for x in old)]
+    return [make_structure(f"{len(points)}-{k}", points, lines) for k, lines in enumerate(spaces)]
+
+
+def _sets(sets):
+    return set(map(frozenset, sets))
+
+
+def _moved(mapping, sets):
+    return {frozenset(map(mapping.get, s)) for s in sets}
+
+
+def _collinear_pairs(inc):
+    return [pair for line in inc.lines for pair in combinations(line, 2)]
+
+
+def _every_bijection(a):
+    """Each permutation of a's points, as a map, with the images of a's
+    lines and of its collinear pairs."""
+    pairs = _collinear_pairs(a)
+    for image in permutations(a.points):
+        mapping = dict(zip(a.points, image))
+        yield mapping, _moved(mapping, a.lines), _moved(mapping, pairs)
+
+
+def test_find_isomorphism_matches_a_brute_force_search_on_small_partial_linear_spaces(
+    monkeypatch,
+):
+    # the maps the search hands verify_isomorphism, counted per search: they
+    # keep collinearity, only the last may pass, and a search that finds
+    # none has tried every bijection that keeps collinearity
+    tried = []
+    verify = verify_isomorphism
+    monkeypatch.setattr(
+        "gqlab.quadrangle.verify_isomorphism", lambda m, a, b: tried.append(m) or verify(m, a, b)
+    )
+    small = [_partial_linear_spaces("abcd"[:n]) for n in range(5)]
+    assert list(map(len, small)) == [1, 1, 2, 9, 96]
+    pairs = [(model("fan-a"), model("fan-d"))] + [
+        (a, b)
+        for spaces in small
+        for a in spaces
+        for b in spaces
+        if len(a.lines) == len(b.lines)
+    ]
+    # each structure above has its partners' points
+    bijections = {a: list(_every_bijection(a)) for a in dict.fromkeys(a for a, _ in pairs)}
+    searched = []
+    for a, b in pairs:
+        tried.clear()
+        found = find_isomorphism(a, b)
+        lines, collinear = _sets(b.lines), _sets(_collinear_pairs(b))
+        isomorphisms = [m for m, moved, _ in bijections[a] if moved == lines]
+        keeping = [m for m, _, moved in bijections[a] if moved == collinear]
+        assert (found is not None) is bool(isomorphisms), (a, b)
+        assert all(m in keeping for m in tried)
+        assert [m for m in tried if m in isomorphisms] == ([] if found is None else [found])
+        if found is None:
+            assert len(tried) == len(keeping)
+        searched.append(len(tried))
+    # the maps tried bound the cost of the search, with no clock
+    assert len(pairs) == 2284 and sum(searched) <= 1091
+    fan_a, fan_d = pairs[0]
+    tried.clear()
+    assert find_isomorphism(fan_a, fan_d) == {"a": "b", "b": "c", "c": "d", "d": "a"}
+    assert tried[0] == {p: p for p in "abcd"}
+    # five points: each structure against a fixed relabelling of itself
+    relabel = dict(zip("abcde", "vxzwy"))
+    searched = []
+    for a in _partial_linear_spaces("abcde"):
+        b = make_structure(a.name, relabel.values(), [map(relabel.get, line) for line in a.lines])
+        tried.clear()
+        found = find_isomorphism(a, b)
+        lines = _sets(b.lines)
+        assert found is not None and _moved(found, a.lines) == lines
+        images = permutations(b.points)
+        assert any(_moved(dict(zip(a.points, image)), a.lines) == lines for image in images)
+        searched.append(len(tried))
+    assert len(searched) == 2544 and sum(searched) <= 3214 and max(searched) <= 11
+
+
 def test_degree_guard_rejects_collinearity_embeddings():
     # equal point and line counts, and a's collinear pairs embed in b's, so a
     # search that only keeps collinearity would map a into b; the sorted
@@ -914,6 +1036,19 @@ def test_verify_gq_axioms_names_an_empty_structure():
     with pytest.raises(AxiomViolationError) as caught:
         verify_gq_axioms(make_structure("empty", [], []))
     assert (caught.value.axiom, caught.value.witness) == ("nonempty", "empty")
+
+
+@pytest.mark.parametrize("line, order", [("abc", (2, 0)), ("ab", (1, 0)), ("a", (0, 0))])
+def test_verify_gq_axioms_asks_for_s_and_t_at_least_1(line, order):
+    # one line on its own points: the lane, like the reference, reads order
+    # (s, 0), but Payne and Thas (1.1) ask for s, t >= 1
+    inc = make_structure("one-line", line, [line])
+    assert _gq_order(compile_structure(inc), [((1 << len(line)) - 1, 1)]) == [order]
+    assert _reference_verify_gq_axioms(inc) == order
+    with pytest.raises(AxiomViolationError) as caught:
+        verify_gq_axioms(inc)
+    assert (caught.value.axiom, caught.value.witness) == ("s, t >= 1", f"order {order}")
+    assert str(caught.value) == f"s, t >= 1: order {order}"
 
 
 def test_triangles_rejects_a_negative_adjacency_row():
