@@ -95,9 +95,6 @@ class FanoAction(namedtuple("FanoAction", "images fixed_points")):
 
     __slots__ = ()
 
-    def image_of(self, point: int) -> int:
-        return self.images[point - 1]
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
         out = []
@@ -106,11 +103,11 @@ class FanoAction(namedtuple("FanoAction", "images fixed_points")):
                 continue
             cyc = [start]
             seen.add(start)
-            nxt = self.image_of(start)
+            nxt = self.images[start - 1]
             while nxt != start:
                 cyc.append(nxt)
                 seen.add(nxt)
-                nxt = self.image_of(nxt)
+                nxt = self.images[nxt - 1]
             out.append(tuple(cyc))
         return tuple(out)
 

@@ -370,7 +370,7 @@ def _check_translation_form() -> str:
 )
 def _check_klein() -> str:
     quadric = pg.klein_quadric()
-    lines = pg.lines_in(quadric)
+    lines = pg.lines_in([quadric])[0]
     idx = pg.projective_index(quadric, lines)
     preimages = pg.point_mask(map(pg.from_minor_coordinates, pg.bit_indices(quadric)))
     match = preimages == pg.klein_matrix_points()
@@ -384,7 +384,7 @@ def _check_klein() -> str:
 )
 def _check_elliptic() -> str:
     quadric = pg.elliptic_quadric()
-    lines = pg.lines_in(quadric)
+    lines = pg.lines_in([quadric])[0]
     idx = pg.projective_index(quadric, lines)
     return f"{quadric.bit_count()} points, index {idx}, {len(lines)} lines"
 
@@ -448,8 +448,9 @@ def _check_quadric_classes() -> str:
 def _check_qm_family() -> str:
     at = atlas()
     quadrics = [pg.elliptic_quadric_at(m) for m in at.points]
+    indices = map(pg.projective_index, quadrics, pg.lines_in(quadrics))
     points_ok = index_ok = bijection_ok = True
-    for m, quadric, index in zip(at.points, quadrics, pg.projective_indices(quadrics)):
+    for m, quadric, index in zip(at.points, quadrics, indices):
         if quadric.bit_count() != 27:
             points_ok = False
         if index != 1:
@@ -728,11 +729,11 @@ def _check_collineation() -> str:
     maps_ok = dims_ok = True
     for u in group:
         # each (u, plane) image is computed once and serves both claims;
-        # (U, U^-1) fixes (1|0) and (0|1) and sends (1|1) to (UU|1)
+        # (U, U^-1) fixes (1|0) and (0|1) and sends (1|1) to (U1U|1)
         images = planes_mod.collineation_action(u, all_planes)
         wanted = [planes_mod.plane_of(s) for s in planes_mod.conjugates(u)]
-        uu = mat_to_sym(mat_mul(sym_to_mat(u), sym_to_mat(u)))
-        wanted += [planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT, planes_mod.plane_of(uu)]
+        u1u = planes_mod.plane_of(planes_mod.conjugate(u, SYM_IDENTITY))
+        wanted += [planes_mod.PLANE_LEFT, planes_mod.PLANE_RIGHT, u1u]
         maps_ok &= list(images) == wanted
         if sorted(pg.transposed(images)) != holders:
             dims_ok &= meets(list(images)) == meets(all_planes)

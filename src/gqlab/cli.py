@@ -33,8 +33,8 @@ from types import SimpleNamespace
 
 from gqlab.atlas import AtlasError, atlas, classify, label_key, label_of
 from gqlab.gf2 import bits6, eigenspace_dim, mat_row, parse_bits6, sym_det, sym_to_mat
-from gqlab.pg import bit_indices, minor_coordinates
-from gqlab.quadrangle import build_matrix_quadrangle, compile_structure
+from gqlab.pg import minor_coordinates
+from gqlab.quadrangle import build_matrix_quadrangle, collinearity
 
 USAGE_ERROR = 2
 
@@ -196,9 +196,7 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     if cls == "identity":
         print("note            the identity is not a quadrangle point")
         return 0
-    c = compile_structure(build_matrix_quadrangle())
-    near = c.adjacency[c.labels.index(label_of(x))]
-    partners = sorted((c.labels[i] for i in bit_indices(near)), key=label_key)
+    partners = sorted(collinearity(build_matrix_quadrangle())[label_of(x)], key=label_key)
     print(f"collinear       {' '.join(partners)}")
     return 0
 

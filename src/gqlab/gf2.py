@@ -12,7 +12,7 @@ Packing conventions, fixed for the whole package:
   bit string of the six coordinates.
 * Row vectors of length 3: ints 0..7, bit 2 = first coordinate.
   ``row_images(m)`` lists the 8 products v*m at once, the table that
-  ``mat_mul`` inlines; ``row_times_mat`` computes one of them.
+  ``mat_mul`` reads; ``row_times_mat`` computes one of them.
 * ``Lanes``: many Mat3 at once, bit-sliced: a tuple of 9 ints, lane b
   holding bit b of every matrix, the k-th matrix at bit k.  They are the
   rows of ``gqlab.pg.transposed``: ``transposed(mats)[:9]`` builds them for
@@ -117,10 +117,8 @@ def row_images(m: int) -> tuple[int, ...]:
 
 
 def mat_mul(x: int, y: int) -> int:
-    r0, r1, r2 = y >> 6 & 7, y >> 3 & 7, y & 7
-    # combos[v] is the row vector v times y, as in row_images
-    combos = (0, r2, r1, r1 ^ r2, r0, r0 ^ r2, r0 ^ r1, r0 ^ r1 ^ r2)
-    return combos[x >> 6 & 7] << 6 | combos[x >> 3 & 7] << 3 | combos[x & 7]
+    images = row_images(y)  # row i of x*y is row i of x times y
+    return images[x >> 6 & 7] << 6 | images[x >> 3 & 7] << 3 | images[x & 7]
 
 
 Lanes = tuple[int, ...]

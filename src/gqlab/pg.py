@@ -19,8 +19,8 @@ Every point set is a 64-bit point mask: bit ``v`` is set iff the point
 mask lies inside ``ALL_POINTS``; the functions that take a point set
 raise ``ValueError`` on any other int.  ``bit_indices`` lists a mask's
 points in ascending order where labels or exports need them.  ``lines_in``
-finds the lines inside one point set, or inside each of up to 64, in one
-pass over ``pg_lines()`` on transposed point lanes: lane ``v`` of
+finds the lines inside each of up to 64 point sets in one pass over
+``pg_lines()`` on transposed point lanes: lane ``v`` of
 ``transposed(masks)`` has bit ``j`` set iff point ``v`` is in ``masks[j]``,
 so the AND of the lanes of a line's three points says which sets hold that
 line, and each set gets its lines in ``pg_lines()`` order.
@@ -293,23 +293,18 @@ def bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _require_point_mask(points: int) -> None:
-    if points & ~ALL_POINTS:
-        raise ValueError(f"not a point mask inside ALL_POINTS: {points:#x}")
-
-
-def lines_in(points: int | Sequence[int]) -> tuple[PgLine, ...] | list[tuple[PgLine, ...]]:
-    """The PG(5,2) lines inside a point mask, in pg_lines() order; given a
-    sequence of up to 64 masks, one such tuple per mask, from one pass.
+def lines_in(masks: Sequence[int]) -> list[tuple[PgLine, ...]]:
+    """The PG(5,2) lines inside each of up to 64 point masks, one tuple per
+    mask in pg_lines() order, from one pass.
 
     Lane v of transposed(masks) has bit j set iff point v is in masks[j], so
     bit j of lanes[x] & lanes[y] & lanes[z] says that masks[j] holds the
     line (x, y, z).  ValueError names the first mask outside ALL_POINTS,
     and more than 64 masks raise transposed's ValueError.
     """
-    masks = [points] if isinstance(points, int) else points
     for mask in masks:
-        _require_point_mask(mask)
+        if mask & ~ALL_POINTS:
+            raise ValueError(f"not a point mask inside ALL_POINTS: {mask:#x}")
     lanes = transposed(masks)
     found: list[list[PgLine]] = [[] for _ in masks]
     for line in pg_lines():
@@ -319,8 +314,6 @@ def lines_in(points: int | Sequence[int]) -> tuple[PgLine, ...] | list[tuple[PgL
             low = held & -held
             found[low.bit_length() - 1].append(line)
             held ^= low
-    if isinstance(points, int):
-        return tuple(found[0])
     return [tuple(lines) for lines in found]
 
 
@@ -337,7 +330,7 @@ def planes_in(points: int) -> tuple[tuple[int, ...], ...]:
     at their smallest points off it.  A mask outside ALL_POINTS raises the
     ValueError of lines_in.
     """
-    lines = lines_in(points)
+    lines = lines_in([points])[0]
     shifted = translates(points)
     planes = []
     for x, y, z in lines:
@@ -354,10 +347,13 @@ def pg_planes() -> tuple[tuple[int, ...], ...]:
 
 
 def projective_index(points: int, lines: tuple[PgLine, ...] | None = None) -> int:
-    """Largest dimension of a projective subspace inside the point set.
+    """Largest dimension of a projective subspace inside the point set, up
+    to a plane: -1 for the empty set, 0, 1 or 2.
 
-    Searched exhaustively over the lines inside the set, lines_in(points)
-    unless the caller has them already; -1 for the empty set.  Each plane
+    Nothing past planes is sought, so ALL_POINTS reads 2; the cap is enough,
+    as no nondegenerate quadric of PG(5,2), nor any set inside one, holds
+    more than a plane.  Searched exhaustively over the lines inside the set,
+    lines_in([points])[0] unless the caller has them already.  Each plane
     inside a set P holds an inside line (x, y, z) and a point w off that
     line with w + x, w + y and w + z inside, so bit w of
     P & T[x] & T[y] & T[z], with T = translates(P), finds the plane.  The
@@ -365,7 +361,7 @@ def projective_index(points: int, lines: tuple[PgLine, ...] | None = None) -> in
     is clear.
     """
     if lines is None:
-        lines = lines_in(points)
+        lines = lines_in([points])[0]
     if not lines:
         return 0 if points else -1
     shifted = translates(points)
@@ -373,12 +369,6 @@ def projective_index(points: int, lines: tuple[PgLine, ...] | None = None) -> in
         if points & shifted[x] & shifted[y] & shifted[z]:
             return 2
     return 1
-
-
-def projective_indices(masks: Sequence[int]) -> list[int]:
-    """projective_index of each of up to 64 point sets, whose lines are
-    found by one lines_in pass."""
-    return list(map(projective_index, masks, lines_in(masks)))
 
 
 def quadric_points(form: Callable[[int], int]) -> int:

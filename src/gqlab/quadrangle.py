@@ -120,7 +120,7 @@ def compile_structure(inc: IncidenceStructure) -> CompiledStructure:
 
 def collinearity(inc: IncidenceStructure) -> dict[str, frozenset[str]]:
     """Point -> set of collinear points, read from ``compile_structure(inc)``;
-    kept only as the tests' reference, as no gqlab code calls it."""
+    ``gqlab classify`` lists a point's partners from it."""
     c = compile_structure(inc)
     label = c.labels.__getitem__
     return {
@@ -244,7 +244,7 @@ def build_quadric_quadrangle() -> IncidenceStructure:
     # all 64 vectors: a line off the quadric is labelled, and make_structure rejects it
     label = [bits6(v) for v in range(64)]
     points = [label[v] for v in bit_indices(quad)]
-    lines = [tuple(map(label.__getitem__, line)) for line in lines_in(quad)]
+    lines = [tuple(map(label.__getitem__, line)) for line in lines_in([quad])[0]]
     return make_structure("quadric", points, lines)
 
 

@@ -107,7 +107,7 @@ def reference_matrix_model():
     def preimage(v):
         return label_of(from_minor_coordinates(v) ^ SYM_IDENTITY)
 
-    lines = [tuple(map(preimage, line)) for line in lines_in(elliptic_quadric())]
+    lines = [tuple(map(preimage, line)) for line in lines_in([elliptic_quadric()])[0]]
     return make_structure("matrices", atlas().labels.values(), lines)
 
 
@@ -482,17 +482,17 @@ def _reference_isomorphisms(a, b):
 
 
 def _reference_find_isomorphism(a, b):
-    """The first map of the reference search, if it sends lines onto lines."""
-    mapping = next(_reference_isomorphisms(a, b), None)
-    if mapping is None:
-        return None
-    ok, _ = verify_isomorphism(mapping, a, b)
-    return mapping if ok else None
+    """The first map of the reference search that the label scan accepts, or
+    None once the search is exhausted."""
+    maps = _reference_isomorphisms(a, b)
+    return next((m for m in maps if _reference_verify_isomorphism(m, a, b)[0]), None)
 
 
 def test_find_isomorphism_matches_reference_search():
     pairs = list(combinations(four_models(), 2))
     pairs.append((quadric_section(ALL_ONES), doily_substructure()))
+    # the first map that keeps collinearity sends the line abc to a non-line
+    pairs.append((model("fan-a"), model("fan-d")))
     for a, b in pairs:
         found = find_isomorphism(a, b)
         assert found is not None
@@ -502,6 +502,8 @@ def test_find_isomorphism_matches_reference_search():
         (point_swapped(build_matrix_quadrangle()), build_double_six_model()),
         (doily_substructure(), build_double_six_model()),
         (grid_gq21(), doily_substructure()),
+        # same collinearity graph, so the search yields maps, none of them verified
+        (model("tail-abc"), model("tail-abd")),
     ]
     for a, b in negatives:
         assert find_isomorphism(a, b) is None
@@ -1261,7 +1263,7 @@ def _reference_section(axis):
     """quadric_section as it was first built: the quadric points in the
     perpendicular hyperplane, and every PG(5,2) line inside them."""
     pts = elliptic_quadric() & perp_hyperplane(axis)
-    lines = [tuple(bits6(v) for v in line) for line in lines_in(pts)]
+    lines = [tuple(bits6(v) for v in line) for line in lines_in([pts])[0]]
     return make_structure(f"section-{bits6(axis)}", (bits6(v) for v in bit_indices(pts)), lines)
 
 
